@@ -503,18 +503,27 @@ def _render_fleet_section(record: dict) -> str:
         "Recorded by `benchmarks/fleet_smoke.py` (re-run it to refresh "
         "`benchmarks/BENCH_fleet_smoke.json`; CI's `fleet-smoke` job "
         "runs it on every push).  The smoke boots the whole distributed "
-        "stack through the CLI — %d single-slot HTTP workers plus a "
-        "gateway (`python -m repro fleet {worker,serve,status}`) — then "
-        "requires a `--fleet` sweep of `%s` (%d geometries) to be "
-        "**byte-identical on stdout** to a serial `--jobs 1` run, and a "
-        "rerun to answer from the gateway's shared result cache "
-        "(`fleet.cache.hits` in its manifest) without changing a byte.  "
-        "The fleet here is loopback on one host, so the wall-clock "
-        "column measures dispatch overhead, not distributed speedup — "
-        "the contract under test is identity, and `tests/fleet/` pins "
-        "the same contract over Hypothesis-drawn sweeps plus a fault "
-        "suite (workers SIGKILLed mid-shard, whole fleet dead, gateway "
-        "restart + `--resume`, hung workers past `timeout_s`).\n"
+        "stack through the CLI the way an elastic deployment would — "
+        "gateway first with **zero** static workers, then %d single-slot "
+        "HTTP workers that join via `--register` and renew heartbeat "
+        "leases, every request HMAC-signed with a shared "
+        "`REPRO_FLEET_SECRET` — then requires a `--fleet` sweep of `%s` "
+        "(%d geometries) to be **byte-identical on stdout** to a serial "
+        "`--jobs 1` run *while one worker is gracefully drained mid-run* "
+        "(`repro fleet drain --url`; the drained worker must exit 0 — "
+        "drain is the uncharged decommission path), and a rerun to answer "
+        "from the gateway's shared result cache (`fleet.cache.hits` in "
+        "its manifest) without changing a byte.  The fleet here is "
+        "loopback on one host, so the wall-clock column measures dispatch "
+        "overhead, not distributed speedup — the contract under test is "
+        "identity, and `tests/fleet/` pins the same contract over "
+        "Hypothesis-drawn sweeps plus two chaos suites (workers SIGKILLed "
+        "mid-shard, whole fleet dead, gateway restart + `--resume`, hung "
+        "workers past `timeout_s`; and elastic membership: join "
+        "mid-sweep, drain mid-sweep uncharged, lease expiry cutting a "
+        "SIGSTOP'd worker loose within ~`lease_s`, gateway restart "
+        "rehydrating members from the persisted store, wrong-secret "
+        "clients locked out end-to-end).\n"
         % (
             record.get("workers", 0),
             record.get("workload", "?"),
@@ -525,8 +534,10 @@ def _render_fleet_section(record: dict) -> str:
     lines.append("|---|---|---|")
     lines.append("| serial `--jobs 1` | %.2f | — |" % record.get("serial_s", 0.0))
     lines.append(
-        "| fleet (2 workers + gateway) | %.2f | %s |"
+        "| elastic fleet (%d registered workers, %d drained mid-run) | %.2f | %s |"
         % (
+            record.get("workers", 0),
+            record.get("drained_mid_run", 0),
             record.get("fleet_s", 0.0),
             "yes" if record.get("identical") else "NO",
         )

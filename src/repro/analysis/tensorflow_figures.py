@@ -17,8 +17,10 @@ def fig06_tf_energy() -> FigureResult:
     """Figure 6: inference energy breakdown by function, four networks."""
     rows = []
     pq = []
+    movement = []
+    by_name = {}
     for net in all_models():
-        ch = characterize(net.name, network_functions(net))
+        ch = by_name[net.name] = characterize(net.name, network_functions(net))
         shares = ch.energy_shares()
         rows.append(
             {
@@ -30,11 +32,8 @@ def fig06_tf_energy() -> FigureResult:
             }
         )
         pq.append(shares["packing"] + shares["quantization"])
-    ch_resnet = characterize("ResNet-V2-152", network_functions(all_models()[0]))
-    movement = [
-        characterize(n.name, network_functions(n)).data_movement_fraction
-        for n in all_models()
-    ]
+        movement.append(ch.data_movement_fraction)
+    ch_resnet = by_name["ResNet-V2-152"]
     return FigureResult(
         figure_id="Figure 6",
         title="TensorFlow Mobile energy breakdown by function",

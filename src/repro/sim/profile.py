@@ -14,7 +14,8 @@ This plays the role of the paper's hardware performance counters
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 from repro.config import CACHE_LINE_BYTES
 from repro.validate.errors import ConfigError
@@ -113,22 +114,28 @@ class KernelProfile:
     # Combinators
     # ------------------------------------------------------------------
     def scaled(self, factor: float, name: str | None = None) -> "KernelProfile":
-        """Profile for ``factor`` back-to-back invocations of this kernel."""
-        return replace(
-            self,
+        """Profile for ``factor`` back-to-back invocations of this kernel.
+
+        Raises :class:`ConfigError` unless ``factor`` is finite and >= 0.
+        """
+        require_non_negative(self, "factor", factor)
+        return self._combined(
             name=name or self.name,
             instructions=self.instructions * factor,
             mem_instructions=self.mem_instructions * factor,
             alu_ops=self.alu_ops * factor,
+            simd_fraction=self.simd_fraction,
             l1_misses=self.l1_misses * factor,
             llc_misses=self.llc_misses * factor,
             dram_bytes=self.dram_bytes * factor,
+            working_set_bytes=self.working_set_bytes,
             pim_bytes=self.pim_bytes * factor,
+            notes=self.notes,
         )
 
     def merged(self, other: "KernelProfile", name: str | None = None) -> "KernelProfile":
         """Profile for this kernel followed by ``other``."""
-        return KernelProfile(
+        return self._combined(
             name=name or "%s+%s" % (self.name, other.name),
             instructions=self.instructions + other.instructions,
             mem_instructions=self.mem_instructions + other.mem_instructions,
@@ -141,7 +148,35 @@ class KernelProfile:
             dram_bytes=self.dram_bytes + other.dram_bytes,
             working_set_bytes=max(self.working_set_bytes, other.working_set_bytes),
             pim_bytes=self.pim_bytes + other.pim_bytes,
+            notes="",
         )
+
+    @classmethod
+    def _combined(cls, **fields) -> "KernelProfile":
+        """A combinator's result, built without ``__post_init__``.
+
+        Sums and non-negative scalings of valid profiles keep every
+        field non-negative, ``simd_fraction`` within [0, 1] and
+        ``mem_instructions <= instructions`` (float rounding is
+        monotonic), so re-validating them only costs time.  The one way
+        out is overflow to ``inf``: a non-finite total of the summed or
+        scaled counts sends the fields through the validating
+        constructor, which names the field.  (``mem_instructions`` is
+        bounded by ``instructions``, so the total can leave it out.)
+        """
+        total = (
+            fields["instructions"]
+            + fields["alu_ops"]
+            + fields["l1_misses"]
+            + fields["llc_misses"]
+            + fields["dram_bytes"]
+            + fields["pim_bytes"]
+        )
+        if not math.isfinite(total):
+            return cls(**fields)
+        profile = object.__new__(cls)
+        profile.__dict__.update(fields)
+        return profile
 
     # ------------------------------------------------------------------
     # Analytic constructors for the common locality classes

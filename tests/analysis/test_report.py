@@ -1,8 +1,12 @@
 """Unit tests for the EXPERIMENTS.md report generator."""
 
+from pathlib import Path
 
 from repro.analysis.base import FigureResult
 from repro.analysis.report import EXPERIMENTS, render_markdown, write_experiments_md
+from repro.core.memo import MemoCache
+
+COMMITTED_EXPERIMENTS = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
 
 class TestFigureResult:
@@ -52,6 +56,26 @@ class TestReport:
         assert written == str(path)
         for fig in ("Table 1", "Figure 1", "Figure 21", "Headline"):
             assert "## %s" % fig in content
+
+
+class TestCommittedExperiments:
+    def test_regenerates_byte_for_byte(self, tmp_path):
+        """The committed EXPERIMENTS.md is exactly what the generator
+        writes from a cold cache and the committed benchmark records."""
+        path = tmp_path / "EXPERIMENTS.md"
+        write_experiments_md(str(path), cache=MemoCache(tmp_path / "fresh-cache"))
+        generated = path.read_bytes().decode().split("\n")
+        committed = COMMITTED_EXPERIMENTS.read_bytes().decode().split("\n")
+        for number, (want, got) in enumerate(zip(committed, generated), start=1):
+            assert got == want, (
+                "EXPERIMENTS.md line %d drifted from its generator "
+                "(figures --no-cache --write EXPERIMENTS.md)\n"
+                "committed: %r\ngenerated: %r" % (number, want, got)
+            )
+        assert len(generated) == len(committed), (
+            "EXPERIMENTS.md has %d lines, the generator writes %d"
+            % (len(committed), len(generated))
+        )
 
 
 class TestCachedParallelResults:

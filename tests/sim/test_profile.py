@@ -1,11 +1,42 @@
 """Unit + property tests for KernelProfile."""
 
+import dataclasses
+import math
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.sim.profile import KernelProfile
+from repro.validate.errors import ConfigError
 
 sizes = st.floats(min_value=1e3, max_value=1e9, allow_nan=False)
+counts = st.one_of(st.integers(0, 10**9), st.floats(0.0, 1e12))
+
+
+@st.composite
+def profiles(draw):
+    """Any valid KernelProfile, int or float counts, pim_bytes defaulted or set."""
+    instructions = draw(counts)
+    return KernelProfile(
+        name=draw(st.sampled_from(["a", "b", "texture_tiling"])),
+        instructions=instructions,
+        mem_instructions=draw(st.floats(0.0, 1.0)) * instructions,
+        alu_ops=draw(counts),
+        simd_fraction=draw(st.floats(0.0, 1.0)),
+        l1_misses=draw(counts),
+        llc_misses=draw(counts),
+        dram_bytes=draw(counts),
+        working_set_bytes=draw(counts),
+        pim_bytes=draw(st.one_of(st.just(-1.0), counts)),
+        notes=draw(st.sampled_from(["", "streaming"])),
+    )
+
+
+def assert_valid(profile):
+    """``profile`` is what the validating constructor builds from its fields."""
+    assert KernelProfile(**dataclasses.asdict(profile)) == profile
+    assert pickle.loads(pickle.dumps(profile)) == profile
 
 
 class TestValidation:
@@ -129,3 +160,49 @@ class TestCombinators:
         assert ab.instructions == pytest.approx(ba.instructions)
         assert ab.dram_bytes == pytest.approx(ba.dram_bytes)
         assert ab.simd_fraction == pytest.approx(ba.simd_fraction)
+
+    @given(a=profiles(), b=profiles())
+    def test_merged_result_passes_revalidation(self, a, b):
+        assert_valid(a.merged(b))
+        assert_valid(a.merged(b, name="both"))
+
+    @given(p=profiles(), factor=st.one_of(st.integers(0, 10**6), st.floats(0.0, 1e6)))
+    def test_scaled_result_passes_revalidation(self, p, factor):
+        assert_valid(p.scaled(factor))
+        assert_valid(p.scaled(factor, name="scaled"))
+
+    @given(p=profiles(), factor=st.floats(0.0, 1e6))
+    def test_scaled_keeps_per_invocation_fields(self, p, factor):
+        s = p.scaled(factor)
+        assert s.simd_fraction == p.simd_fraction
+        assert s.working_set_bytes == p.working_set_bytes
+        assert s.notes == p.notes
+
+    @pytest.mark.parametrize("factor", [-1.0, math.nan, math.inf, True, "2"])
+    def test_scaled_rejects_bad_factor(self, factor):
+        p = KernelProfile.streaming("k", 1000, 1000, ops_per_byte=1.0)
+        with pytest.raises(ConfigError) as excinfo:
+            p.scaled(factor)
+        assert excinfo.value.field == "factor"
+
+    def test_scaled_by_zero_is_legal(self):
+        p = KernelProfile.streaming("k", 1000, 1000, ops_per_byte=1.0)
+        s = p.scaled(0.0)
+        assert s.instructions == 0.0 and s.dram_bytes == 0.0 and s.pim_bytes == 0.0
+        assert_valid(s)
+
+    def test_overflow_to_inf_is_rejected(self):
+        huge = KernelProfile("h", 1e308, 1e308, 0, dram_bytes=1e308)
+        with pytest.raises(ConfigError) as excinfo:
+            huge.merged(huge)
+        assert excinfo.value.field == "instructions"
+        with pytest.raises(ConfigError):
+            huge.scaled(2.0)
+
+    def test_finite_fields_with_an_overflowing_total_are_kept(self):
+        # The overflow check sums the fields; a total past the float
+        # range with every field finite must still yield the profile.
+        p = KernelProfile("p", 1e308, 0, 0, dram_bytes=1e308)
+        s = p.scaled(1.0)
+        assert s == p
+        assert_valid(s)

@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from repro.core.workload import WorkloadFunction
+from repro.sim.profile import KernelProfile
+from repro.workloads.tensorflow.gemm import profile_gemm
+from repro.workloads.tensorflow.models import all_models
 from repro.workloads.tensorflow.network import (
     ConvLayer,
     FcLayer,
@@ -11,6 +16,11 @@ from repro.workloads.tensorflow.network import (
     im2col,
     infer,
     network_functions,
+)
+from repro.workloads.tensorflow.packing import profile_packing, profile_unpacking
+from repro.workloads.tensorflow.quantization import (
+    profile_quantization,
+    profile_requantization,
 )
 
 
@@ -146,3 +156,126 @@ class TestNetworkFunctions:
         net = Network("n", (ConvLayer("c", 16, 16, 3, 8, 3, padding=1),) * 3)
         fns = {f.name: f for f in network_functions(net)}
         assert fns["quantization"].invocations == 6
+
+
+def reference_network_functions(network):
+    """Oracle for ``network_functions``: every layer profiled from scratch.
+
+    The production path profiles each distinct layer shape once; this
+    one re-profiles every layer, so the two must agree bit for bit.
+    """
+    pack_profile = quant_profile = gemm_profile = None
+    other_elements = 0.0
+    for layer in network.layers:
+        m, k, n = layer.gemm_dims
+        lp = profile_packing(float(m * k + k * n)).merged(
+            profile_unpacking(float(m * n)), name="packing"
+        )
+        lq = profile_quantization(float(layer.input_elements)).merged(
+            profile_requantization(float(m * n)), name="quantization"
+        )
+        lg = profile_gemm(m, k, n)
+        pack_profile = lp if pack_profile is None else pack_profile.merged(lp, name="packing")
+        quant_profile = (
+            lq if quant_profile is None else quant_profile.merged(lq, name="quantization")
+        )
+        gemm_profile = (
+            lg if gemm_profile is None else gemm_profile.merged(lg, name="conv2d_matmul")
+        )
+        other_elements += layer.output_elements
+    other = KernelProfile.streaming(
+        name="other",
+        bytes_read=other_elements * 4.0,
+        bytes_written=other_elements * 4.0,
+        ops_per_byte=1.0,
+        instruction_overhead=0.3,
+        simd_fraction=0.5,
+        notes="bias/BN/ReLU/pool/residual element-wise glue",
+    )
+    return [
+        WorkloadFunction(
+            "packing",
+            pack_profile,
+            accelerator_key="packing",
+            invocations=max(len(network.layers), 1),
+        ),
+        WorkloadFunction(
+            "quantization",
+            quant_profile,
+            accelerator_key="quantization",
+            invocations=max(2 * network.num_conv2d, 1),
+        ),
+        WorkloadFunction("conv2d_matmul", gemm_profile),
+        WorkloadFunction("other", other),
+    ]
+
+
+@st.composite
+def conv_layers(draw):
+    kernel = draw(st.integers(1, 5))
+    padding = draw(st.integers(0, 2))
+    floor = max(kernel - 2 * padding, 1)
+    return ConvLayer(
+        "conv",
+        in_h=draw(st.integers(floor, 32)),
+        in_w=draw(st.integers(floor, 32)),
+        in_c=draw(st.integers(1, 16)),
+        out_c=draw(st.integers(1, 16)),
+        kernel=kernel,
+        stride=draw(st.integers(1, 3)),
+        padding=padding,
+    )
+
+
+fc_layers = st.builds(
+    FcLayer, st.just("fc"), st.integers(1, 4096), st.integers(1, 4096)
+)
+
+
+def strided_twin(layer):
+    """A stride-2 conv with ``layer``'s GEMM dims but a larger input."""
+    return ConvLayer(
+        "twin",
+        in_h=2 * (layer.out_h - 1) + layer.kernel,
+        in_w=2 * (layer.out_w - 1) + layer.kernel,
+        in_c=layer.in_c,
+        out_c=layer.out_c,
+        kernel=layer.kernel,
+        stride=2,
+    )
+
+
+@st.composite
+def repetitive_networks(draw):
+    """Small networks that reuse a few layer shapes in random order.
+
+    Some convs come with a strided twin: same GEMM dims, different input
+    size, so a shape key that ignored the input would mix them up.
+    """
+    shapes = draw(st.lists(st.one_of(conv_layers(), fc_layers), min_size=1, max_size=4))
+    twins = [
+        strided_twin(layer)
+        for layer in shapes
+        if isinstance(layer, ConvLayer) and draw(st.booleans())
+    ]
+    shapes += twins
+    picks = draw(st.lists(st.integers(0, len(shapes) - 1), min_size=1, max_size=16))
+    return Network("random", tuple(shapes[i] for i in picks))
+
+
+class TestNetworkFunctionsOracle:
+    @pytest.mark.parametrize("network", all_models(), ids=lambda net: net.name)
+    def test_paper_networks_match_per_layer_profiling(self, network):
+        assert network_functions(network) == reference_network_functions(network)
+
+    def test_same_gemm_dims_with_different_inputs_stay_apart(self):
+        a = ConvLayer("a", 8, 8, 4, 8, kernel=3, padding=1)
+        b = strided_twin(a)
+        assert a.gemm_dims == b.gemm_dims
+        assert a.input_elements != b.input_elements
+        network = Network("twins", (a, b, a, b))
+        assert network_functions(network) == reference_network_functions(network)
+
+    @given(network=repetitive_networks())
+    def test_repeated_shapes_match_per_layer_profiling(self, network):
+        assert network_functions(network) == reference_network_functions(network)
