@@ -25,49 +25,33 @@ Quickstart::
         print(row["target"], row["energy_pim_acc"], row["speedup_pim_acc"])
 """
 
-from repro.config import (
-    SystemConfig,
-    SocConfig,
-    PimCoreConfig,
-    PimAcceleratorConfig,
-    StackedMemoryConfig,
-    BaselineMemoryConfig,
-    default_system,
-)
-from repro.core import (
-    ExperimentRunner,
-    OffloadEngine,
-    PimTarget,
-    TargetComparison,
-    characterize,
-    WorkloadFunction,
-)
-from repro.energy import EnergyBreakdown, EnergyModel, EnergyParameters, AreaModel
-from repro.sim import CpuModel, PimCoreModel, PimAcceleratorModel, KernelProfile
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SystemConfig",
-    "SocConfig",
-    "PimCoreConfig",
-    "PimAcceleratorConfig",
-    "StackedMemoryConfig",
-    "BaselineMemoryConfig",
-    "default_system",
-    "ExperimentRunner",
-    "OffloadEngine",
-    "PimTarget",
-    "TargetComparison",
-    "characterize",
-    "WorkloadFunction",
-    "EnergyBreakdown",
-    "EnergyModel",
-    "EnergyParameters",
-    "AreaModel",
-    "CpuModel",
-    "PimCoreModel",
-    "PimAcceleratorModel",
-    "KernelProfile",
-    "__version__",
-]
+#: Public name table: defining module -> the names it exports.
+_EXPORTS = {
+    ".config": (
+        "SystemConfig",
+        "SocConfig",
+        "PimCoreConfig",
+        "PimAcceleratorConfig",
+        "StackedMemoryConfig",
+        "BaselineMemoryConfig",
+        "default_system",
+    ),
+    ".core.runner": ("ExperimentRunner",),
+    ".core.offload": ("OffloadEngine", "TargetComparison"),
+    ".core.target": ("PimTarget",),
+    ".core.workload": ("characterize", "WorkloadFunction"),
+    ".energy.breakdown": ("EnergyBreakdown",),
+    ".energy.model": ("EnergyModel",),
+    ".energy.components": ("EnergyParameters",),
+    ".energy.area": ("AreaModel",),
+    ".sim.cpu": ("CpuModel",),
+    ".sim.pim": ("PimCoreModel", "PimAcceleratorModel"),
+    ".sim.profile": ("KernelProfile",),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)
+__all__ += ["__version__"]

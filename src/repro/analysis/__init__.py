@@ -7,85 +7,55 @@ measured values.  ``python -m repro.analysis.report`` renders all of
 them into EXPERIMENTS.md.
 """
 
-from repro.analysis.base import FigureResult
-from repro.analysis.chrome_figures import (
-    fig01_scrolling_energy,
-    fig02_docs_breakdown,
-    fig04_zram_traffic,
-    fig18_browser_pim,
-)
-from repro.analysis.tensorflow_figures import (
-    fig06_tf_energy,
-    fig07_tf_time,
-    fig19_tf_pim,
-)
-from repro.analysis.video_figures import (
-    fig10_sw_decoder_energy,
-    fig11_sw_decoder_components,
-    fig12_hw_decoder_traffic,
-    fig15_sw_encoder_energy,
-    fig16_hw_encoder_traffic,
-    fig20_video_pim,
-    fig21_hw_codec_pim,
-)
-from repro.analysis.headline import headline_summary, table1_configuration
-from repro.analysis.report import all_results, write_experiments_md
-from repro.analysis.export import export_all, figure_to_dict
-from repro.analysis.sensitivity import (
-    breakeven_internal_ratio,
-    cache_geometry_sweep,
-    evaluate_point,
-    locality_robust_across_geometries,
-    sweep,
-)
-from repro.analysis.cachesweep import (
-    default_geometry_grid,
-    run_sweep,
-    sweep_all,
-    workload_names,
-)
-from repro.analysis.scorecard import Scorecard, full_scorecard, score_figures
-from repro.analysis.scenarios import Scenario, ScenarioResult, evaluate_all, standard_scenarios
-from repro.analysis.ascii import render_chart, render_all_charts
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FigureResult",
-    "fig01_scrolling_energy",
-    "fig02_docs_breakdown",
-    "fig04_zram_traffic",
-    "fig06_tf_energy",
-    "fig07_tf_time",
-    "fig10_sw_decoder_energy",
-    "fig11_sw_decoder_components",
-    "fig12_hw_decoder_traffic",
-    "fig15_sw_encoder_energy",
-    "fig16_hw_encoder_traffic",
-    "fig18_browser_pim",
-    "fig19_tf_pim",
-    "fig20_video_pim",
-    "fig21_hw_codec_pim",
-    "headline_summary",
-    "table1_configuration",
-    "all_results",
-    "write_experiments_md",
-    "export_all",
-    "figure_to_dict",
-    "evaluate_point",
-    "sweep",
-    "breakeven_internal_ratio",
-    "cache_geometry_sweep",
-    "locality_robust_across_geometries",
-    "default_geometry_grid",
-    "run_sweep",
-    "sweep_all",
-    "workload_names",
-    "Scorecard",
-    "full_scorecard",
-    "score_figures",
-    "Scenario",
-    "ScenarioResult",
-    "evaluate_all",
-    "standard_scenarios",
-    "render_chart",
-    "render_all_charts",
-]
+#: Public name table: defining module -> the names it exports.
+_EXPORTS = {
+    ".base": ("FigureResult",),
+    ".chrome_figures": (
+        "fig01_scrolling_energy",
+        "fig02_docs_breakdown",
+        "fig04_zram_traffic",
+        "fig18_browser_pim",
+    ),
+    ".tensorflow_figures": (
+        "fig06_tf_energy",
+        "fig07_tf_time",
+        "fig19_tf_pim",
+    ),
+    ".video_figures": (
+        "fig10_sw_decoder_energy",
+        "fig11_sw_decoder_components",
+        "fig12_hw_decoder_traffic",
+        "fig15_sw_encoder_energy",
+        "fig16_hw_encoder_traffic",
+        "fig20_video_pim",
+        "fig21_hw_codec_pim",
+    ),
+    ".headline": ("headline_summary", "table1_configuration"),
+    ".report": ("all_results", "write_experiments_md"),
+    ".export": ("export_all", "figure_to_dict"),
+    ".sensitivity": (
+        "breakeven_internal_ratio",
+        "cache_geometry_sweep",
+        "evaluate_point",
+        "locality_robust_across_geometries",
+        "sweep",
+    ),
+    ".cachesweep": (
+        "default_geometry_grid",
+        "run_sweep",
+        "sweep_all",
+        "workload_names",
+    ),
+    ".scorecard": ("Scorecard", "full_scorecard", "score_figures"),
+    ".scenarios": (
+        "Scenario",
+        "ScenarioResult",
+        "evaluate_all",
+        "standard_scenarios",
+    ),
+    ".ascii": ("render_chart", "render_all_charts"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -1,20 +1,21 @@
 """Command-line interface.
 
-    python -m repro figures [--figure "Figure 18"] [--write PATH]
+    python -m repro figures [--figure "Figure 18"] [--write PATH] [--chart]
                             [--jobs N] [--no-cache] [--cache-flush-every N]
-                            [--manifest DIR] [--trace-out PATH]
+                            [--manifest DIR] [--trace-out PATH] [--strict]
                             [--max-retries N] [--target-timeout S]
-                            [--checkpoint PATH] [--resume]
+                            [--checkpoint PATH] [--resume] [--fleet PATH]
     python -m repro export [--dir figures_data]
     python -m repro evaluate [--workload chrome|tensorflow|vp9|all] [--jobs N]
-                             [--manifest DIR] [--trace-out PATH]
+                             [--manifest DIR] [--trace-out PATH] [--strict]
                              [--max-retries N] [--target-timeout S]
-                             [--checkpoint PATH] [--resume]
+                             [--checkpoint PATH] [--resume] [--fleet PATH]
     python -m repro cachesweep [--workload NAME|all] [--batch|--no-batch]
                                [--trace-dir DIR] [--jobs N] [--no-cache]
                                [--cache-flush-every N]
-                               [--manifest DIR] [--trace-out PATH]
-                               [--max-retries N] [--checkpoint PATH] [--resume]
+                               [--manifest DIR] [--trace-out PATH] [--strict]
+                               [--max-retries N] [--target-timeout S]
+                               [--checkpoint PATH] [--resume] [--fleet PATH]
     python -m repro cache {compact|clear|prune} [--dir PATH]
                           [--max-age-days DAYS]
     python -m repro trace {list|prune|clear} [--dir PATH]
@@ -231,12 +232,18 @@ def _cmd_figures(args) -> int:
                 f.write(render_markdown(results))
             print("wrote %s" % args.write)
         else:
-            for result in results:
-                if (
-                    args.figure
-                    and args.figure.lower() not in result.figure_id.lower()
-                ):
-                    continue
+            selected = [
+                result
+                for result in results
+                if not args.figure
+                or args.figure.lower() in result.figure_id.lower()
+            ]
+            if not selected:
+                raise ValueError(
+                    "no figure matches %r; figure ids: %s"
+                    % (args.figure, ", ".join(r.figure_id for r in results))
+                )
+            for result in selected:
                 if args.chart:
                     from repro.analysis.ascii import render_chart
 
@@ -284,9 +291,6 @@ def _cmd_evaluate(args) -> int:
         from repro.workloads.vp9.targets import video_pim_targets
 
         targets += video_pim_targets()
-    if not targets:
-        print("unknown workload %r" % args.workload, file=sys.stderr)
-        return 2
     retry_policy = _retry_policy(args)
     pool_factory, _fleet_manifest = _fleet_setup(args)
     with _obs_session(args) as recorder:

@@ -14,34 +14,25 @@
   averages.
 """
 
-from repro.core.target import (
-    PimTarget,
-    CandidateCriteria,
-    CandidateEvaluation,
-    identify_pim_targets,
-)
-from repro.core.offload import OffloadEngine, TargetComparison
-from repro.core.workload import (
-    WorkloadFunction,
-    WorkloadCharacterization,
-    characterize,
-    offloaded_totals,
-    OffloadedWorkloadTotals,
-)
-from repro.core.runner import ExperimentRunner, SweepResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PimTarget",
-    "CandidateCriteria",
-    "CandidateEvaluation",
-    "identify_pim_targets",
-    "OffloadEngine",
-    "TargetComparison",
-    "WorkloadFunction",
-    "WorkloadCharacterization",
- "characterize",
-    "offloaded_totals",
-    "OffloadedWorkloadTotals",
-    "ExperimentRunner",
-    "SweepResult",
-]
+#: Public name table: defining module -> the names it exports.
+_EXPORTS = {
+    ".target": (
+        "PimTarget",
+        "CandidateCriteria",
+        "CandidateEvaluation",
+        "identify_pim_targets",
+    ),
+    ".offload": ("OffloadEngine", "TargetComparison"),
+    ".workload": (
+        "WorkloadFunction",
+        "WorkloadCharacterization",
+        "characterize",
+        "offloaded_totals",
+        "OffloadedWorkloadTotals",
+    ),
+    ".runner": ("ExperimentRunner", "SweepResult"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -9,28 +9,26 @@ movement energy includes the energy consumed by DRAM, the off-chip
 interconnect, and the on-chip caches").
 """
 
-from repro.energy.breakdown import Component, EnergyBreakdown
-from repro.energy.components import EnergyParameters, default_energy_parameters
-from repro.energy.model import EnergyModel
-from repro.energy.area import AreaModel, AcceleratorArea, PAPER_ACCELERATOR_AREAS
-from repro.energy.battery import BatteryModel, BatteryEstimate, DeviceConfig, UsageMix
-from repro.energy.thermal import ThermalModel, ThermalConfig, PimPowerCheck, ThrottleResult
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Component",
-    "EnergyBreakdown",
-    "EnergyParameters",
-    "default_energy_parameters",
-    "EnergyModel",
-    "AreaModel",
-    "AcceleratorArea",
-    "PAPER_ACCELERATOR_AREAS",
-    "BatteryModel",
-    "BatteryEstimate",
-    "DeviceConfig",
-    "UsageMix",
-    "ThermalModel",
-    "ThermalConfig",
-    "PimPowerCheck",
-    "ThrottleResult",
-]
+#: Public name table: defining module -> the names it exports.
+_EXPORTS = {
+    ".breakdown": ("Component", "EnergyBreakdown"),
+    ".components": ("EnergyParameters", "default_energy_parameters"),
+    ".model": ("EnergyModel",),
+    ".area": ("AreaModel", "AcceleratorArea", "PAPER_ACCELERATOR_AREAS"),
+    ".battery": (
+        "BatteryModel",
+        "BatteryEstimate",
+        "DeviceConfig",
+        "UsageMix",
+    ),
+    ".thermal": (
+        "ThermalModel",
+        "ThermalConfig",
+        "PimPowerCheck",
+        "ThrottleResult",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -27,46 +27,33 @@ Turn it on around any block of work::
 or from the CLI with ``--manifest out/ --trace-out trace.json``.
 """
 
-from repro.obs.counters import CounterRegistry
-from repro.obs.manifest import (
-    build_manifest,
-    config_hash,
-    headline_from_counters,
-    load_manifest,
-    manifest_json,
-    masked,
-    write_manifest,
-)
-from repro.obs.recorder import (
-    NullRecorder,
-    Recorder,
-    get_recorder,
-    recording,
-    set_recorder,
-)
-from repro.obs.spans import (
-    SpanRecord,
-    chrome_trace_events,
-    spans_table,
-    write_chrome_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CounterRegistry",
-    "NullRecorder",
-    "Recorder",
-    "SpanRecord",
-    "build_manifest",
-    "chrome_trace_events",
-    "config_hash",
-    "get_recorder",
-    "headline_from_counters",
-    "load_manifest",
-    "manifest_json",
-    "masked",
-    "recording",
-    "set_recorder",
-    "spans_table",
-    "write_chrome_trace",
-    "write_manifest",
-]
+#: Public name table: defining module -> the names it exports.
+_EXPORTS = {
+    ".counters": ("CounterRegistry",),
+    ".manifest": (
+        "build_manifest",
+        "config_hash",
+        "headline_from_counters",
+        "load_manifest",
+        "manifest_json",
+        "masked",
+        "write_manifest",
+    ),
+    ".recorder": (
+        "NullRecorder",
+        "Recorder",
+        "get_recorder",
+        "recording",
+        "set_recorder",
+    ),
+    ".spans": (
+        "SpanRecord",
+        "chrome_trace_events",
+        "spans_table",
+        "write_chrome_trace",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

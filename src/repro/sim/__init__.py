@@ -23,58 +23,32 @@ reproduction:
   model of Section 8.2.
 """
 
-from repro.sim.profile import KernelProfile
-from repro.sim.trace import MemoryTrace, TraceRecorder
-from repro.sim.artifact import ArtifactError, TraceArtifact, TraceStore
-from repro.sim.batch import (
-    replay_batch,
-    replay_timing_batch,
-    sweep_batch,
-    timing_batch_for_socs,
-)
-from repro.sim.cache import (
-    Cache,
-    CacheHierarchy,
-    CacheStats,
-    HierarchyStats,
-    replay_trace,
-)
-from repro.sim.dram import DramTimings, OffChipDram, StackedDramInternal
-from repro.sim.cpu import CpuModel, Execution
-from repro.sim.pim import PimCoreModel, PimAcceleratorModel
-from repro.sim.coherence import CoherenceModel, OffloadOverhead
-from repro.sim.timing import TimingSimulator, TimingParameters, TimingResult
-from repro.sim.rowbuffer import DramGeometry, RowBufferModel, RowBufferStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "KernelProfile",
-    "MemoryTrace",
-    "TraceRecorder",
-    "ArtifactError",
-    "TraceArtifact",
-    "TraceStore",
-    "replay_batch",
-    "replay_timing_batch",
-    "sweep_batch",
-    "timing_batch_for_socs",
-    "Cache",
-    "CacheHierarchy",
-    "CacheStats",
-    "HierarchyStats",
-    "replay_trace",
-    "DramTimings",
-    "OffChipDram",
-    "StackedDramInternal",
-    "CpuModel",
-    "Execution",
-    "PimCoreModel",
-    "PimAcceleratorModel",
-    "CoherenceModel",
-    "OffloadOverhead",
-    "TimingSimulator",
-    "TimingParameters",
-    "TimingResult",
-    "DramGeometry",
-    "RowBufferModel",
-    "RowBufferStats",
-]
+#: Public name table: defining module -> the names it exports.
+_EXPORTS = {
+    ".profile": ("KernelProfile",),
+    ".trace": ("MemoryTrace", "TraceRecorder"),
+    ".artifact": ("ArtifactError", "TraceArtifact", "TraceStore"),
+    ".batch": (
+        "replay_batch",
+        "replay_timing_batch",
+        "sweep_batch",
+        "timing_batch_for_socs",
+    ),
+    ".cache": (
+        "Cache",
+        "CacheHierarchy",
+        "CacheStats",
+        "HierarchyStats",
+        "replay_trace",
+    ),
+    ".dram": ("DramTimings", "OffChipDram", "StackedDramInternal"),
+    ".cpu": ("CpuModel", "Execution"),
+    ".pim": ("PimCoreModel", "PimAcceleratorModel"),
+    ".coherence": ("CoherenceModel", "OffloadOverhead"),
+    ".timing": ("TimingSimulator", "TimingParameters", "TimingResult"),
+    ".rowbuffer": ("DramGeometry", "RowBufferModel", "RowBufferStats"),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -23,37 +23,27 @@ nothing fed to the byte-level decoders or the config space may escape
 as anything but :class:`ConfigError`/``ValueError``.
 """
 
-from repro.validate.errors import ConfigError, InvariantError
-from repro.validate.fields import (
-    require_at_least,
-    require_finite,
-    require_fraction,
-    require_non_negative,
-    require_positive,
-    require_positive_int,
-    require_power_of_two,
-)
-from repro.validate.strict import (
-    invariant,
-    resolve_strict,
-    set_strict,
-    strict_enabled,
-    strict_mode,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConfigError",
-    "InvariantError",
-    "require_at_least",
-    "require_finite",
-    "require_fraction",
-    "require_non_negative",
-    "require_positive",
-    "require_positive_int",
-    "require_power_of_two",
-    "invariant",
-    "resolve_strict",
-    "set_strict",
-    "strict_enabled",
-    "strict_mode",
-]
+#: Public name table: defining module -> the names it exports.
+_EXPORTS = {
+    ".errors": ("ConfigError", "InvariantError"),
+    ".fields": (
+        "require_at_least",
+        "require_finite",
+        "require_fraction",
+        "require_non_negative",
+        "require_positive",
+        "require_positive_int",
+        "require_power_of_two",
+    ),
+    ".strict": (
+        "invariant",
+        "resolve_strict",
+        "set_strict",
+        "strict_enabled",
+        "strict_mode",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -13,103 +13,56 @@ Two user interactions drive the analysis:
 Figure 18 evaluation.
 """
 
-from repro.workloads.chrome.texture import (
-    TiledTexture,
-    linear_to_tiled,
-    tiled_to_linear,
-    linear_to_tiled_traced,
-    compositing_trace,
-    profile_texture_tiling,
-    TILE_W,
-    TILE_H,
-    TILE_BYTES,
-)
-from repro.workloads.chrome.blitter import (
-    BlitStats,
-    fill_rect,
-    blit_copy,
-    alpha_blend,
-    profile_color_blitting,
-)
-from repro.workloads.chrome.lzo import (
-    LzoStats,
-    compress,
-    decompress,
-    roundtrip,
-)
-from repro.workloads.chrome.synthetic import generate_web_memory
-from repro.workloads.chrome.zram import (
-    ZramConfig,
-    TabSwitchingSession,
-    SwapTimeline,
-    SwitchLatency,
-    switch_latency,
-    profile_compression,
-    profile_decompression,
-)
-from repro.workloads.chrome.frame_budget import FRAME_BUDGET_S, FrameTime, frame_time, scroll_survey
-from repro.workloads.chrome.pageload import PageLoadResult, evaluate_page_load, load_functions
-from repro.workloads.chrome.rasterizer import (
-    DisplayList,
-    rasterize,
-    synthetic_page_paint,
-)
-from repro.workloads.chrome.fscompress import FsCompressionModel, FsConfig, FlashModel
-from repro.workloads.chrome.pages import WebPage, PAGES, PAGE_ORDER
-from repro.workloads.chrome.targets import (
-    browser_pim_targets,
-    texture_tiling_target,
-    color_blitting_target,
-    compression_target,
-    decompression_target,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TiledTexture",
-    "linear_to_tiled",
-    "tiled_to_linear",
-    "linear_to_tiled_traced",
-    "compositing_trace",
-    "profile_texture_tiling",
-    "TILE_W",
-    "TILE_H",
-    "TILE_BYTES",
-    "BlitStats",
-    "fill_rect",
-    "blit_copy",
-    "alpha_blend",
-    "profile_color_blitting",
-    "LzoStats",
-    "compress",
-    "decompress",
-    "roundtrip",
-    "generate_web_memory",
-    "ZramConfig",
-    "TabSwitchingSession",
-    "SwapTimeline",
-    "profile_compression",
-    "profile_decompression",
-    "SwitchLatency",
-    "switch_latency",
-    "FRAME_BUDGET_S",
-    "FrameTime",
-    "frame_time",
-    "scroll_survey",
-    "PageLoadResult",
-    "evaluate_page_load",
-    "load_functions",
-    "DisplayList",
-    "rasterize",
-    "synthetic_page_paint",
-    "FsCompressionModel",
-    "FsConfig",
-    "FlashModel",
-    "WebPage",
-    "PAGES",
-    "PAGE_ORDER",
-    "browser_pim_targets",
-    "texture_tiling_target",
-    "color_blitting_target",
-    "compression_target",
-    "decompression_target",
-]
+#: Public name table: defining module -> the names it exports.
+_EXPORTS = {
+    ".texture": (
+        "TiledTexture",
+        "linear_to_tiled",
+        "tiled_to_linear",
+        "linear_to_tiled_traced",
+        "compositing_trace",
+        "profile_texture_tiling",
+        "TILE_W",
+        "TILE_H",
+        "TILE_BYTES",
+    ),
+    ".blitter": (
+        "BlitStats",
+        "fill_rect",
+        "blit_copy",
+        "alpha_blend",
+        "profile_color_blitting",
+    ),
+    ".lzo": ("LzoStats", "compress", "decompress", "roundtrip"),
+    ".synthetic": ("generate_web_memory",),
+    ".zram": (
+        "ZramConfig",
+        "TabSwitchingSession",
+        "SwapTimeline",
+        "SwitchLatency",
+        "switch_latency",
+        "profile_compression",
+        "profile_decompression",
+    ),
+    ".frame_budget": (
+        "FRAME_BUDGET_S",
+        "FrameTime",
+        "frame_time",
+        "scroll_survey",
+    ),
+    ".pageload": ("PageLoadResult", "evaluate_page_load", "load_functions"),
+    ".rasterizer": ("DisplayList", "rasterize", "synthetic_page_paint"),
+    ".fscompress": ("FsCompressionModel", "FsConfig", "FlashModel"),
+    ".pages": ("WebPage", "PAGES", "PAGE_ORDER"),
+    ".targets": (
+        "browser_pim_targets",
+        "texture_tiling_target",
+        "color_blitting_target",
+        "compression_target",
+        "decompression_target",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

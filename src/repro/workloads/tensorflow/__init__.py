@@ -16,100 +16,59 @@ low-precision GEMM stack:
   Figures 6, 7, and 19.
 """
 
-from repro.workloads.tensorflow.quantization import (
-    QuantizedTensor,
-    quantize_tensor,
-    dequantize_tensor,
-    requantize,
-    profile_quantization,
-    profile_requantization,
-)
-from repro.workloads.tensorflow.packing import (
-    PackedMatrix,
-    pack_matrix,
-    unpack_matrix,
-    profile_packing,
-    profile_unpacking,
-)
-from repro.workloads.tensorflow.gemm import (
-    quantized_gemm,
-    quantized_gemm_reference,
-    profile_gemm,
-)
-from repro.workloads.tensorflow.network import (
-    ConvLayer,
-    FcLayer,
-    Network,
-    im2col,
-    conv2d_quantized,
-    infer,
-    network_functions,
-)
-from repro.workloads.tensorflow.models import (
-    vgg19,
-    resnet_v2_152,
-    inception_resnet_v2,
-    residual_gru,
-    all_models,
-)
-from repro.workloads.tensorflow.access_patterns import (
-    gemm_lhs_trace,
-    pack_then_kernel_traffic,
-)
-from repro.workloads.tensorflow.layer_report import (
-    LayerReport,
-    layer_reports,
-    render_table,
-    top_layers_by_energy,
-)
-from repro.workloads.tensorflow.float_baseline import (
-    QuantizationTradeoff,
-    profile_float_gemm,
-    quantization_tradeoff,
-)
-from repro.workloads.tensorflow.targets import (
-    tensorflow_pim_targets,
-    packing_target,
-    quantization_target,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "QuantizedTensor",
-    "quantize_tensor",
-    "dequantize_tensor",
-    "requantize",
-    "profile_quantization",
-    "profile_requantization",
-    "PackedMatrix",
-    "pack_matrix",
-    "unpack_matrix",
-    "profile_packing",
-    "profile_unpacking",
-    "quantized_gemm",
-    "quantized_gemm_reference",
-    "profile_gemm",
-    "ConvLayer",
-    "FcLayer",
-    "Network",
-    "im2col",
-    "conv2d_quantized",
-    "infer",
-    "network_functions",
-    "vgg19",
-    "resnet_v2_152",
-    "inception_resnet_v2",
-    "residual_gru",
-    "all_models",
-    "tensorflow_pim_targets",
-    "packing_target",
-    "quantization_target",
-    "QuantizationTradeoff",
-    "profile_float_gemm",
-    "quantization_tradeoff",
-    "LayerReport",
-    "layer_reports",
-    "render_table",
-    "top_layers_by_energy",
-    "gemm_lhs_trace",
-    "pack_then_kernel_traffic",
-]
+#: Public name table: defining module -> the names it exports.
+_EXPORTS = {
+    ".quantization": (
+        "QuantizedTensor",
+        "quantize_tensor",
+        "dequantize_tensor",
+        "requantize",
+        "profile_quantization",
+        "profile_requantization",
+    ),
+    ".packing": (
+        "PackedMatrix",
+        "pack_matrix",
+        "unpack_matrix",
+        "profile_packing",
+        "profile_unpacking",
+    ),
+    ".gemm": ("quantized_gemm", "quantized_gemm_reference", "profile_gemm"),
+    ".network": (
+        "ConvLayer",
+        "FcLayer",
+        "Network",
+        "im2col",
+        "conv2d_quantized",
+        "infer",
+        "network_functions",
+    ),
+    ".models": (
+        "vgg19",
+        "resnet_v2_152",
+        "inception_resnet_v2",
+        "residual_gru",
+        "all_models",
+    ),
+    ".access_patterns": ("gemm_lhs_trace", "pack_then_kernel_traffic"),
+    ".layer_report": (
+        "LayerReport",
+        "layer_reports",
+        "render_table",
+        "top_layers_by_energy",
+    ),
+    ".float_baseline": (
+        "QuantizationTradeoff",
+        "profile_float_gemm",
+        "quantization_tradeoff",
+    ),
+    ".targets": (
+        "tensorflow_pim_targets",
+        "packing_target",
+        "quantization_target",
+    ),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -22,103 +22,58 @@ hardware encoder/decoder:
 * :mod:`.targets` -- the Figure 20 PIM targets.
 """
 
-from repro.workloads.vp9.frame import Frame, MACROBLOCK
-from repro.workloads.vp9.video import synthetic_video
-from repro.workloads.vp9.bitio import BitWriter, BitReader
-from repro.workloads.vp9.entropy import RangeEncoder, RangeDecoder, AdaptiveBit
-from repro.workloads.vp9.transform import (
-    forward_dct,
-    inverse_dct,
-    quantize_coefficients,
-    dequantize_coefficients,
-)
-from repro.workloads.vp9.predict import intra_predict, INTRA_MODES
-from repro.workloads.vp9.mc import (
-    MotionVector,
-    interpolate_block,
-    motion_compensate_block,
-    SUBPEL_TAPS,
-)
-from repro.workloads.vp9.me import diamond_search, full_search, sad
-from repro.workloads.vp9.deblock import deblock_frame
-from repro.workloads.vp9.encoder import Vp9Encoder, EncodedFrame, EncoderStats
-from repro.workloads.vp9.decoder import Vp9Decoder, DecoderStats
-from repro.workloads.vp9.profiles import (
-    decoder_functions,
-    encoder_functions,
-    profile_sub_pixel_interpolation,
-    profile_deblocking_filter,
-    profile_motion_estimation,
-)
-from repro.workloads.vp9.hardware import (
-    HardwareDecoderModel,
-    HardwareEncoderModel,
-    CodecTraffic,
-    PimPlacement,
-)
-from repro.workloads.vp9.framecompress import (
-    CompressedFrame,
-    compress_frame,
-    decompress_frame,
-    measure_compression_factor,
-)
-from repro.workloads.vp9.ratecontrol import (
-    RateControlConfig,
-    RateControlledEncoder,
-    encode_at_bitrate,
-)
-from repro.workloads.vp9.conferencing import ConferencingScenario, evaluate_conferencing
-from repro.workloads.vp9.rd import RdPoint, bd_psnr, rd_curve
-from repro.workloads.vp9.targets import video_pim_targets
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Frame",
-    "MACROBLOCK",
-    "synthetic_video",
-    "BitWriter",
-    "BitReader",
-    "RangeEncoder",
-    "RangeDecoder",
-    "AdaptiveBit",
-    "forward_dct",
-    "inverse_dct",
-    "quantize_coefficients",
-    "dequantize_coefficients",
-    "intra_predict",
-    "INTRA_MODES",
-    "MotionVector",
-    "interpolate_block",
-    "motion_compensate_block",
-    "SUBPEL_TAPS",
-    "diamond_search",
-    "full_search",
-    "sad",
-    "deblock_frame",
-    "Vp9Encoder",
-    "EncodedFrame",
-    "EncoderStats",
-    "Vp9Decoder",
-    "DecoderStats",
-    "decoder_functions",
-    "encoder_functions",
-    "profile_sub_pixel_interpolation",
-    "profile_deblocking_filter",
-    "profile_motion_estimation",
-    "HardwareDecoderModel",
-    "HardwareEncoderModel",
-    "CodecTraffic",
-    "PimPlacement",
-    "video_pim_targets",
-    "CompressedFrame",
-    "compress_frame",
-    "decompress_frame",
-    "measure_compression_factor",
-    "RateControlConfig",
-    "RateControlledEncoder",
-    "encode_at_bitrate",
-    "ConferencingScenario",
-    "evaluate_conferencing",
-    "RdPoint",
-    "bd_psnr",
-    "rd_curve",
-]
+#: Public name table: defining module -> the names it exports.
+_EXPORTS = {
+    ".frame": ("Frame", "MACROBLOCK"),
+    ".video": ("synthetic_video",),
+    ".bitio": ("BitWriter", "BitReader"),
+    ".entropy": ("RangeEncoder", "RangeDecoder", "AdaptiveBit"),
+    ".transform": (
+        "forward_dct",
+        "inverse_dct",
+        "quantize_coefficients",
+        "dequantize_coefficients",
+    ),
+    ".predict": ("intra_predict", "INTRA_MODES"),
+    ".mc": (
+        "MotionVector",
+        "interpolate_block",
+        "motion_compensate_block",
+        "SUBPEL_TAPS",
+    ),
+    ".me": ("diamond_search", "full_search", "sad"),
+    ".deblock": ("deblock_frame",),
+    ".encoder": ("Vp9Encoder", "EncodedFrame", "EncoderStats"),
+    ".decoder": ("Vp9Decoder", "DecoderStats"),
+    ".profiles": (
+        "decoder_functions",
+        "encoder_functions",
+        "profile_sub_pixel_interpolation",
+        "profile_deblocking_filter",
+        "profile_motion_estimation",
+    ),
+    ".hardware": (
+        "HardwareDecoderModel",
+        "HardwareEncoderModel",
+        "CodecTraffic",
+        "PimPlacement",
+    ),
+    ".framecompress": (
+        "CompressedFrame",
+        "compress_frame",
+        "decompress_frame",
+        "measure_compression_factor",
+    ),
+    ".ratecontrol": (
+        "RateControlConfig",
+        "RateControlledEncoder",
+        "encode_at_bitrate",
+    ),
+    ".conferencing": ("ConferencingScenario", "evaluate_conferencing"),
+    ".rd": ("RdPoint", "bd_psnr", "rd_curve"),
+    ".targets": ("video_pim_targets",),
+}
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

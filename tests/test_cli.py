@@ -47,6 +47,14 @@ class TestCommands:
         assert "Table 1" in out
         assert "Figure 18" not in out
 
+    def test_figures_filter_matching_nothing_exits_2(self, capsys):
+        assert main(["figures", "--figure", "Figure 99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no figure matches 'Figure 99'")
+        assert captured.err.count("\n") == 1
+        assert "Table 1" in captured.err and "Figure 18" in captured.err
+
     def test_figures_write(self, tmp_path, capsys):
         path = tmp_path / "EXP.md"
         assert main(["figures", "--write", str(path)]) == 0
