@@ -7,7 +7,7 @@ baseline is PR 6's single-process config-batched path —
 whole grid.  The parallel path shards the same grid across worker
 processes (``jobs=N``); every worker memory-maps the same artifact
 (nothing is pickled) and runs its shard through the identical
-pour-and-finish helpers, so both paths are checked bit-identical on
+per-config finish helpers, so both paths are checked bit-identical on
 every run before timing.
 
 Run directly to record the numbers EXPERIMENTS.md's parallel-throughput

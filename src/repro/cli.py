@@ -145,6 +145,11 @@ def _retry_policy(args):
     )
 
 
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1, got %d" % args.jobs)
+
+
 def _add_fleet_flag(parser) -> None:
     parser.add_argument(
         "--fleet", metavar="PATH",
@@ -216,6 +221,7 @@ def _memo_cache(args, fleet_manifest=None):
 def _cmd_figures(args) -> int:
     from repro.analysis.report import all_results, render_markdown
 
+    _check_jobs(args)
     pool_factory, fleet_manifest = _fleet_setup(args)
     cache = _memo_cache(args, fleet_manifest)
     with _obs_session(args) as recorder:
@@ -278,6 +284,7 @@ def _cmd_export(args) -> int:
 def _cmd_evaluate(args) -> int:
     from repro.core.runner import ExperimentRunner
 
+    _check_jobs(args)
     targets = []
     if args.workload in ("chrome", "all"):
         from repro.workloads.chrome.targets import browser_pim_targets
@@ -372,6 +379,7 @@ def _cmd_cachesweep(args) -> int:
     from repro.analysis.cachesweep import sweep_all, workload_names
     from repro.sim.artifact import TraceStore
 
+    _check_jobs(args)
     if args.workload == "all":
         names = workload_names()
     elif args.workload in workload_names():

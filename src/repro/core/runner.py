@@ -645,7 +645,7 @@ class ConfigSweep:
     workers (:func:`repro.sim.batch.plan_shards`): each worker opens the
     on-disk artifact by path + content hash (memory-mapped — the trace
     is never pickled) and evaluates its shard through the same
-    pour-and-``_finish`` path, so parallel rows are bit-identical to
+    per-config finish helpers, so parallel rows are bit-identical to
     the single-process batch and to serial replay.  An in-memory
     artifact is auto-saved to ``trace_dir`` first.
 

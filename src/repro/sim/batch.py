@@ -23,10 +23,14 @@ between configurations:
   only latency events, with the *same float expressions in the same
   order* as the serial engine.
 
-After the passes each config's end state (the final OrderedDicts) is
-poured into a real :class:`~repro.sim.cache.CacheHierarchy` and finished
-through the *serial* ``_finish`` — same flush order, same strict
-accounting checks, same published counters — which is why
+Each config then finishes straight from the shared pass end states.
+The end-of-replay flush walks the L1 end state in (set, recency) order
+and installs every dirty line into a private copy of only the LLC set
+it lands in — copy-on-write, so passes that several configs share are
+never mutated — and the LLC flush adds the dirty-line count the LLC
+pass kept as it ran, corrected for the copied sets.  The final counts
+go through the serial tail, :func:`repro.sim.cache.finish_stats` —
+same strict accounting checks, same published counters — which is why
 :func:`replay_batch` and :func:`replay_timing_batch` are bit-identical
 per config to serial ``replay_fast`` (property-tested in
 ``tests/sim/test_replay_batch.py``).  :func:`sweep_batch` evaluates both
@@ -45,11 +49,17 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict, deque
+from itertools import count
 
 import numpy as np
 
 from repro.obs.recorder import get_recorder
-from repro.sim.cache import CacheHierarchy, CacheStats, HierarchyStats
+from repro.sim.cache import (
+    CacheHierarchy,
+    CacheStats,
+    HierarchyStats,
+    finish_stats,
+)
 from repro.sim.timing import TimingParameters, TimingResult, TimingSimulator
 from repro.sim.trace import MemoryTrace
 from repro.validate.strict import invariant, resolve_strict
@@ -81,6 +91,11 @@ def _publish_batch(recorder, n, num_runs, shared) -> None:
 class _L1Pass:
     """One distinct L1 geometry's replay of the shared run stream.
 
+    The pass records only its LLC event stream; every L1 total derives
+    from it (one fetch event per miss, one writeback event per dirty
+    eviction).  ``sets`` is the end state and ``dirty_lines`` its dirty
+    lines in the (set, recency) order the serial flush walks them.
+
     ``stream_key`` fingerprints the induced LLC event stream (event
     lines, kinds, and fetch positions): two L1 geometries whose streams
     collide — common in sweeps, e.g. every geometry too small for the
@@ -89,18 +104,20 @@ class _L1Pass:
     """
 
     __slots__ = (
-        "acc", "hits", "miss", "wb", "sets", "ev_lines", "ev_is_wb",
-        "fetch_runs", "stream_key",
+        "sets", "dirty_lines", "ev_lines", "ev_is_wb", "fetch_runs",
+        "stream_key",
     )
 
 
 class _LlcPass:
-    """One (L1 geometry, LLC geometry) pair's replay of the event stream."""
+    """One (L1 geometry, LLC geometry) pair's replay of the event stream.
 
-    __slots__ = (
-        "acc", "hits", "miss", "wb", "dram_reads", "dram_writes", "sets",
-        "fetch_hits",
-    )
+    ``miss`` and ``wb`` are the LLC's misses and dirty evictions, which
+    are also its DRAM reads and writes; ``dirty`` is the number of dirty
+    lines in the end state ``sets``.
+    """
+
+    __slots__ = ("miss", "wb", "dirty", "sets", "fetch_hits")
 
 
 class _SharedOutcomes:
@@ -119,8 +136,6 @@ class _SharedOutcomes:
         )
         self.num_accesses = len(trace)
         self.num_runs = int(self.run_lines.shape[0])
-        self.lines = self.run_lines.tolist()
-        self.counts = self.run_counts.tolist()
         self.writes = self.run_writes.tolist()
         self._l1 = {}
         self._llc = {}
@@ -158,42 +173,36 @@ class _SharedOutcomes:
         setv = (self.run_lines % num_sets).tolist()
         tagv = (self.run_lines // num_sets).tolist()
         sets = [OrderedDict() for _ in range(num_sets)]
-        acc = hits = miss = wb = 0
         ev_lines: list[int] = []
         ev_is_wb: list[bool] = []
         fetch_runs: list[int] = []
         append_line = ev_lines.append
         append_kind = ev_is_wb.append
         append_fetch = fetch_runs.append
-        r = 0
-        for set_idx, tag, line, count, is_write in zip(
-            setv, tagv, self.lines, self.counts, self.writes
-        ):
-            acc += count
+        for r, set_idx, tag, is_write in zip(count(), setv, tagv, self.writes):
             od = sets[set_idx]
             if tag in od:
-                hits += count
                 od.move_to_end(tag)
                 if is_write:
                     od[tag] = True
-                r += 1
                 continue
-            miss += 1
-            hits += count - 1
             if len(od) >= assoc:
                 victim_tag, victim_dirty = od.popitem(last=False)
                 if victim_dirty:
-                    wb += 1
                     append_line(victim_tag * num_sets + set_idx)
                     append_kind(True)
             od[tag] = is_write
-            append_line(line)
+            append_line(tag * num_sets + set_idx)
             append_kind(False)
             append_fetch(r)
-            r += 1
         pass_ = _L1Pass()
-        pass_.acc, pass_.hits, pass_.miss, pass_.wb = acc, hits, miss, wb
         pass_.sets = sets
+        pass_.dirty_lines = [
+            tag * num_sets + set_idx
+            for set_idx, od in enumerate(sets)
+            for tag, dirty in od.items()
+            if dirty
+        ]
         pass_.ev_lines = np.array(ev_lines, dtype=np.int64)
         pass_.ev_is_wb = ev_is_wb
         pass_.fetch_runs = np.array(fetch_runs, dtype=np.int64)
@@ -208,49 +217,37 @@ class _SharedOutcomes:
 
         Writeback-installs are write-allocate (the install is dirty and
         the fill a DRAM read); fetches install clean.  Per fetch the LLC
-        hit outcome is recorded for the timing engine.
+        hit outcome is recorded for the timing engine.  Dirty lines
+        arise only from writeback-installs and leave only by dirty
+        eviction, so the end state's dirty count is the installs that
+        dirtied a line minus the writebacks.
         """
         setv = (l1_pass.ev_lines % num_sets).tolist()
         tagv = (l1_pass.ev_lines // num_sets).tolist()
         sets = [OrderedDict() for _ in range(num_sets)]
-        acc = hits = miss = wb = 0
-        dram_reads = dram_writes = 0
+        miss = wb = dirtied = 0
         fetch_hits: list[bool] = []
         append_hit = fetch_hits.append
         for set_idx, tag, is_wb in zip(setv, tagv, l1_pass.ev_is_wb):
             od = sets[set_idx]
-            acc += 1
-            if is_wb:
-                if tag in od:
-                    hits += 1
-                    od.move_to_end(tag)
-                    od[tag] = True
-                else:
-                    miss += 1
-                    if len(od) >= assoc:
-                        _, victim_dirty = od.popitem(last=False)
-                        if victim_dirty:
-                            wb += 1
-                            dram_writes += 1
-                    od[tag] = True
-                    dram_reads += 1
-            elif tag in od:
-                hits += 1
+            if tag in od:
                 od.move_to_end(tag)
-                append_hit(True)
+                if not is_wb:
+                    append_hit(True)
+                elif not od[tag]:
+                    od[tag] = True
+                    dirtied += 1
+                continue
+            miss += 1
+            if len(od) >= assoc and od.popitem(last=False)[1]:
+                wb += 1
+            od[tag] = is_wb
+            if is_wb:
+                dirtied += 1
             else:
-                miss += 1
-                if len(od) >= assoc:
-                    _, victim_dirty = od.popitem(last=False)
-                    if victim_dirty:
-                        wb += 1
-                        dram_writes += 1
-                od[tag] = False
-                dram_reads += 1
                 append_hit(False)
         pass_ = _LlcPass()
-        pass_.acc, pass_.hits, pass_.miss, pass_.wb = acc, hits, miss, wb
-        pass_.dram_reads, pass_.dram_writes = dram_reads, dram_writes
+        pass_.miss, pass_.wb, pass_.dirty = miss, wb, dirtied - wb
         pass_.sets = sets
         pass_.fetch_hits = fetch_hits
         return pass_
@@ -289,39 +286,72 @@ class _SharedOutcomes:
         return cached
 
 
-def _pour_stats(
-    soc, l1_pass, llc_pass, num_accesses, flush, instructions_hint,
-    recorder, strict,
-) -> HierarchyStats:
-    """Pour one config's end state into a real hierarchy and finish it.
+def _flush(l1_pass, llc_pass, llc_cfg):
+    """The LLC misses and writebacks the serial ``flush()`` adds.
 
-    The OrderedDicts' insertion order is the serial recency order (the
-    passes replay the serial op sequence), so the flush walk and strict
-    accounting in ``_finish`` see exactly the serial end state.  Each
-    config gets copies: flush mutates, and configs share pass objects.
+    The L1 flush installs each dirty L1 line into the LLC as a
+    writeback, walking the L1 end state in (set, recency) order; each
+    install goes into a private copy of only the LLC set it lands in,
+    so the shared pass stays untouched.  The LLC flush then writes back
+    every line still dirty: the pass's dirty count, corrected for the
+    copied sets by the installs that dirtied a line and the dirty lines
+    they evicted.
     """
-    hierarchy = CacheHierarchy(soc)
-    for pass_, cache in ((l1_pass, hierarchy.l1), (llc_pass, hierarchy.llc)):
-        dst_sets = cache._sets
-        for s, od in enumerate(pass_.sets):
-            if od:
-                dst_sets[s].update(od)
-        cache.stats = CacheStats(
-            accesses=pass_.acc,
-            hits=pass_.hits,
-            misses=pass_.miss,
-            writebacks=pass_.wb,
-        )
-    hierarchy.dram_line_reads = llc_pass.dram_reads
-    hierarchy.dram_line_writes = llc_pass.dram_writes
-    return hierarchy._finish(
-        num_accesses,
-        flush,
-        instructions_hint,
-        recorder,
-        before=(0,) * len(CacheHierarchy._COUNTER_NAMES),
-        strict=strict,
+    num_sets, assoc = llc_cfg.num_sets, llc_cfg.associativity
+    shared = llc_pass.sets
+    copies = {}
+    misses = evicted = dirtied = 0
+    for line in l1_pass.dirty_lines:
+        set_idx = line % num_sets
+        tag = line // num_sets
+        od = copies.get(set_idx)
+        if od is None:
+            od = copies[set_idx] = shared[set_idx].copy()
+        if tag in od:
+            od.move_to_end(tag)
+            if not od[tag]:
+                od[tag] = True
+                dirtied += 1
+            continue
+        misses += 1
+        if len(od) >= assoc and od.popitem(last=False)[1]:
+            evicted += 1
+        od[tag] = True
+        dirtied += 1
+    still_dirty = llc_pass.dirty + dirtied - evicted
+    return misses, evicted + still_dirty
+
+
+def _config_stats(
+    outcomes, soc, flush, instructions_hint, recorder, strict
+) -> HierarchyStats:
+    """One config's final statistics, finished from the shared passes.
+
+    L1 accesses are the trace's, LLC accesses its L1 events; every
+    access is a hit or a miss, every LLC miss one DRAM read and every
+    LLC writeback one DRAM write.
+    """
+    l1_pass = outcomes.l1(soc.l1)
+    llc_pass = outcomes.llc(soc.l1, soc.l2)
+    num_accesses = outcomes.num_accesses
+    l1_miss = len(l1_pass.fetch_runs)
+    llc_acc = len(l1_pass.ev_is_wb)
+    l1_wb = llc_acc - l1_miss
+    llc_miss, llc_wb = llc_pass.miss, llc_pass.wb
+    if flush:
+        misses, writebacks = _flush(l1_pass, llc_pass, soc.l2)
+        l1_wb += len(l1_pass.dirty_lines)
+        llc_acc += len(l1_pass.dirty_lines)
+        llc_miss += misses
+        llc_wb += writebacks
+    stats = HierarchyStats(
+        l1=CacheStats(num_accesses, num_accesses - l1_miss, l1_miss, l1_wb),
+        llc=CacheStats(llc_acc, llc_acc - llc_miss, llc_miss, llc_wb),
+        dram_line_reads=llc_miss,
+        dram_line_writes=llc_wb,
+        instructions_hint=instructions_hint or float(num_accesses),
     )
+    return finish_stats(stats, num_accesses, recorder, strict=strict)
 
 
 def replay_batch(
@@ -361,16 +391,7 @@ def _hierarchy_results(
             num_accesses, outcomes.run_lines, outcomes.run_counts
         )
     return [
-        _pour_stats(
-            soc,
-            outcomes.l1(soc.l1),
-            outcomes.llc(soc.l1, soc.l2),
-            num_accesses,
-            flush,
-            instructions_hint,
-            recorder,
-            strict,
-        )
+        _config_stats(outcomes, soc, flush, instructions_hint, recorder, strict)
         for soc in socs
     ]
 
@@ -557,11 +578,12 @@ class ShardEvaluator:
     A pool worker builds one of these over the memory-mapped artifact's
     trace and reuses it across every shard dispatched to the worker, so
     shards sharing an L1 geometry (a split group) share passes exactly
-    like the single-process engine.  Results flow through the same
-    ``_hierarchy_results`` / ``_timing_results`` pour-and-``_finish``
-    path as :func:`sweep_batch`, so per-config stats, timings, and
-    published ``sim.cache.*`` / ``sim.timing.*`` counters are
-    bit-identical to it (and therefore to serial replay).
+    like the single-process engine.  Each config finishes through the
+    same ``_hierarchy_results`` / ``_timing_results`` helpers as
+    :func:`sweep_batch`, straight from the shared pass end states, so
+    per-config stats, timings, and published ``sim.cache.*`` /
+    ``sim.timing.*`` counters are bit-identical to it (and therefore to
+    serial replay).
 
     What is deliberately *not* published here: the plan-level
     ``sim.replay_batch.*`` records.  Those belong to the dispatching

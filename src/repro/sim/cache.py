@@ -341,27 +341,10 @@ class CacheHierarchy:
         self.dram_line_reads += dram_reads
         self.dram_line_writes += dram_writes
 
-    #: Registry names for the hierarchy's counters, in the order produced
-    #: by :meth:`_counter_state`.
-    _COUNTER_NAMES = (
-        "sim.cache.l1.accesses",
-        "sim.cache.l1.hits",
-        "sim.cache.l1.misses",
-        "sim.cache.l1.writebacks",
-        "sim.cache.llc.accesses",
-        "sim.cache.llc.hits",
-        "sim.cache.llc.misses",
-        "sim.cache.llc.writebacks",
-        "sim.cache.dram.line_reads",
-        "sim.cache.dram.line_writes",
-    )
-
     def _counter_state(self) -> tuple:
         """Every published statistic, as one cumulative tuple."""
-        l1, llc = self.l1.stats, self.llc.stats
-        return (
-            l1.accesses, l1.hits, l1.misses, l1.writebacks,
-            llc.accesses, llc.hits, llc.misses, llc.writebacks,
+        return _counts(
+            self.l1.stats, self.llc.stats,
             self.dram_line_reads, self.dram_line_writes,
         )
 
@@ -391,48 +374,6 @@ class CacheHierarchy:
             "consecutive runs share a cache line",
         )
 
-    def _check_accounting(self, num_accesses: int, before: tuple) -> None:
-        """Strict-mode conservation laws over this replay's stat deltas.
-
-        Computed as deltas so replays accumulating on a shared hierarchy
-        are each checked in isolation.
-        """
-        after = self._counter_state()
-        (
-            l1_acc, l1_hit, l1_miss, l1_wb,
-            llc_acc, llc_hit, llc_miss, llc_wb,
-            dram_reads, dram_writes,
-        ) = tuple(now - prior for prior, now in zip(before, after))
-        invariant(
-            l1_hit + l1_miss == l1_acc,
-            "cache.l1.accounting",
-            "hits %d + misses %d != accesses %d" % (l1_hit, l1_miss, l1_acc),
-        )
-        invariant(
-            llc_hit + llc_miss == llc_acc,
-            "cache.llc.accounting",
-            "hits %d + misses %d != accesses %d" % (llc_hit, llc_miss, llc_acc),
-        )
-        invariant(
-            l1_acc == num_accesses,
-            "cache.l1.coverage",
-            "L1 saw %d accesses for a %d-access trace" % (l1_acc, num_accesses),
-        )
-        invariant(
-            llc_acc == l1_miss + l1_wb,
-            "cache.llc.traffic",
-            "LLC accesses %d != L1 misses %d + L1 writebacks %d"
-            % (llc_acc, l1_miss, l1_wb),
-        )
-        # Every LLC miss fetches exactly one line from DRAM, and every
-        # dirty LLC eviction (or flush) writes exactly one line back.
-        invariant(
-            dram_reads == llc_miss and dram_writes == llc_wb,
-            "cache.dram.traffic",
-            "DRAM deltas reads=%d writes=%d vs LLC misses=%d writebacks=%d"
-            % (dram_reads, dram_writes, llc_miss, llc_wb),
-        )
-
     def _finish(
         self,
         num_accesses: int,
@@ -444,26 +385,112 @@ class CacheHierarchy:
     ) -> HierarchyStats:
         if flush:
             self.flush()
-        if strict and before is not None:
-            self._check_accounting(num_accesses, before)
-        if recorder is not None and recorder.enabled:
-            # Publish this replay's *delta* (the stats objects accumulate
-            # across replays on the same hierarchy; the registry must not
-            # double-count earlier replays).
-            counters = recorder.counters
-            after = self._counter_state()
-            base = before if before is not None else (0,) * len(after)
-            for name, prior, current in zip(self._COUNTER_NAMES, base, after):
-                counters.add(name, current - prior)
-            counters.add("sim.cache.replays", 1)
-            counters.add("sim.cache.trace_accesses", num_accesses)
-        return HierarchyStats(
+        stats = HierarchyStats(
             l1=self.l1.stats,
             llc=self.llc.stats,
             dram_line_reads=self.dram_line_reads,
             dram_line_writes=self.dram_line_writes,
             instructions_hint=instructions_hint or float(num_accesses),
         )
+        return finish_stats(stats, num_accesses, recorder, before, strict)
+
+
+#: Registry names for the hierarchy's counters, in :func:`_counts` order.
+_COUNTER_NAMES = (
+    "sim.cache.l1.accesses",
+    "sim.cache.l1.hits",
+    "sim.cache.l1.misses",
+    "sim.cache.l1.writebacks",
+    "sim.cache.llc.accesses",
+    "sim.cache.llc.hits",
+    "sim.cache.llc.misses",
+    "sim.cache.llc.writebacks",
+    "sim.cache.dram.line_reads",
+    "sim.cache.dram.line_writes",
+)
+
+_NO_COUNTS = (0,) * len(_COUNTER_NAMES)
+
+
+def _counts(l1: CacheStats, llc: CacheStats, dram_reads: int, dram_writes: int) -> tuple:
+    return (
+        l1.accesses, l1.hits, l1.misses, l1.writebacks,
+        llc.accesses, llc.hits, llc.misses, llc.writebacks,
+        dram_reads, dram_writes,
+    )
+
+
+def _check_accounting(num_accesses: int, before: tuple, after: tuple) -> None:
+    """Strict-mode conservation laws over one replay's stat deltas.
+
+    Computed as deltas so replays accumulating on a shared hierarchy
+    are each checked in isolation.
+    """
+    (
+        l1_acc, l1_hit, l1_miss, l1_wb,
+        llc_acc, llc_hit, llc_miss, llc_wb,
+        dram_reads, dram_writes,
+    ) = tuple(now - prior for prior, now in zip(before, after))
+    invariant(
+        l1_hit + l1_miss == l1_acc,
+        "cache.l1.accounting",
+        "hits %d + misses %d != accesses %d" % (l1_hit, l1_miss, l1_acc),
+    )
+    invariant(
+        llc_hit + llc_miss == llc_acc,
+        "cache.llc.accounting",
+        "hits %d + misses %d != accesses %d" % (llc_hit, llc_miss, llc_acc),
+    )
+    invariant(
+        l1_acc == num_accesses,
+        "cache.l1.coverage",
+        "L1 saw %d accesses for a %d-access trace" % (l1_acc, num_accesses),
+    )
+    invariant(
+        llc_acc == l1_miss + l1_wb,
+        "cache.llc.traffic",
+        "LLC accesses %d != L1 misses %d + L1 writebacks %d"
+        % (llc_acc, l1_miss, l1_wb),
+    )
+    # Every LLC miss fetches exactly one line from DRAM, and every
+    # dirty LLC eviction (or flush) writes exactly one line back.
+    invariant(
+        dram_reads == llc_miss and dram_writes == llc_wb,
+        "cache.dram.traffic",
+        "DRAM deltas reads=%d writes=%d vs LLC misses=%d writebacks=%d"
+        % (dram_reads, dram_writes, llc_miss, llc_wb),
+    )
+
+
+def finish_stats(
+    stats: HierarchyStats,
+    num_accesses: int,
+    recorder=None,
+    before: tuple | None = None,
+    strict: bool = False,
+) -> HierarchyStats:
+    """Check and publish one replay's final counts, then return them.
+
+    The one tail every cache replay ends in, serial or batched.
+    ``before`` is the counter tuple when the replay started (``None``
+    for a fresh hierarchy): strict mode checks the conservation laws
+    over the deltas, and the registry gets the deltas, because the
+    stats objects accumulate across replays on the same hierarchy and
+    an earlier replay must not be counted twice.
+    """
+    after = _counts(
+        stats.l1, stats.llc, stats.dram_line_reads, stats.dram_line_writes
+    )
+    base = before if before is not None else _NO_COUNTS
+    if strict:
+        _check_accounting(num_accesses, base, after)
+    if recorder is not None and recorder.enabled:
+        counters = recorder.counters
+        for name, prior, current in zip(_COUNTER_NAMES, base, after):
+            counters.add(name, current - prior)
+        counters.add("sim.cache.replays", 1)
+        counters.add("sim.cache.trace_accesses", num_accesses)
+    return stats
 
 
 def replay_trace(

@@ -17,7 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig, SocConfig
 from repro.obs import recording
-from repro.sim.batch import replay_batch, replay_timing_batch, timing_batch_for_socs
+from repro.sim.batch import (
+    ShardEvaluator,
+    replay_batch,
+    replay_timing_batch,
+    timing_batch_for_socs,
+)
 from repro.sim.cache import CacheHierarchy
 from repro.sim.timing import TimingParameters, TimingSimulator
 from repro.sim.trace import MemoryTrace, TraceRecorder
@@ -137,6 +142,66 @@ class TestCacheBatchEquivalence:
         batch = replay_batch(trace, [soc], instructions_hint=123.0)[0]
         assert batch == serial
         assert batch.instructions_hint == 123.0
+
+
+class TestBatchFlush:
+    """Each config's flush runs on copies; the shared passes stay intact.
+
+    The sweep workloads' traces are read-only and never dirty a line,
+    so this write-heavy trace is what drives the flush: dirty L1 lines
+    whose writeback installs evict dirty LLC lines.
+    """
+
+    def test_flush_leaves_shared_passes_intact(self):
+        rng = np.random.default_rng(7)
+        # One hot line per L1 set, each followed by a stream line of the
+        # same LLC set: the hot lines stay in the L1 while the stream
+        # pushes them out of the LLC behind its own dirty lines.
+        hot = np.arange(1000) % 4
+        stream = rng.integers(1, 1 << 10, 1000) * 16 + hot
+        addresses = np.empty(2000, dtype=np.uint64)
+        addresses[0::2] = hot * 64
+        addresses[1::2] = stream * 64
+        writes = rng.random(2000) < 0.7
+        a = make_soc(*GEOMETRIES[0])
+        # Same L1 geometry as A, another LLC: B shares A's L1 pass.
+        b = make_soc(*GEOMETRIES[0][:2], *GEOMETRIES[1][2:])
+        socs = [a, a, b]
+        serial = [
+            CacheHierarchy(soc).replay_fast(make_trace(addresses, writes))
+            for soc in socs
+        ]
+
+        # Serially, the L1 half of the flush alone evicts dirty LLC lines.
+        hierarchy = CacheHierarchy(a)
+        hierarchy.replay_fast(make_trace(addresses, writes), flush=False)
+        writes_before = hierarchy.dram_line_writes
+        l1 = hierarchy.l1
+        for set_idx, lines in enumerate(l1._sets):
+            for tag, dirty in list(lines.items()):
+                if dirty:
+                    hierarchy._llc_install_writeback(
+                        tag * l1.config.num_sets + set_idx
+                    )
+        assert hierarchy.dram_line_writes > writes_before
+
+        evaluator = ShardEvaluator(make_trace(addresses, writes))
+        outcomes = evaluator.outcomes
+        for soc in socs:
+            outcomes.llc(soc.l1, soc.l2)
+        passes = list(outcomes._l1.values()) + list(outcomes._llc.values())
+        assert len(passes) == 3  # one L1 pass, two LLC passes
+        before = [[od.copy() for od in p.sets] for p in passes]
+        stats, _ = evaluator.evaluate(socs)
+        assert stats == serial
+        unflushed = replay_batch(make_trace(addresses, writes), socs, flush=False)
+        for flushed, plain in zip(stats, unflushed):
+            assert flushed.dram_line_writes > plain.dram_line_writes
+        assert [p.sets for p in passes] == before
+        for llc_pass in outcomes._llc.values():
+            assert llc_pass.dirty == sum(
+                sum(od.values()) for od in llc_pass.sets
+            )
 
 
 class TestTimingBatchEquivalence:

@@ -115,6 +115,25 @@ class TestCommands:
         # Identical rows, different engine tag.
         assert serial.replace("serial/cached", "batched") == batched
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["figures", "--figure", "Table 1", "--no-cache", "--jobs", "0"],
+            ["evaluate", "--workload", "chrome", "--jobs", "-1"],
+            ["cachesweep", "--workload", "tensorflow.gemm_packed",
+             "--no-cache", "--jobs", "0"],
+        ],
+        ids=["figures", "evaluate", "cachesweep"],
+    )
+    def test_jobs_below_one_rejected(self, args, tmp_path, capsys):
+        if args[0] == "cachesweep":
+            args = args + ["--trace-dir", str(tmp_path / "traces")]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        jobs = args[args.index("--jobs") + 1]
+        assert captured.err == "error: --jobs must be >= 1, got %s\n" % jobs
+
     def test_cachesweep_unknown_workload(self, capsys):
         assert main(["cachesweep", "--workload", "nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err
