@@ -20,6 +20,10 @@ values read back are identical between layouts:
 * **resume**: :class:`repro.core.resilience.SweepCheckpoint` loads an
   N-entry journal (gate: no worse than legacy JSONL).
 
+The library no longer reads the pre-segment layouts, so this module
+carries their readers as well as their writers: each does the old
+work, a header check (journal) and a per-record checksum.
+
 Run directly to record the numbers EXPERIMENTS.md's Performance section
 cites::
 
@@ -48,7 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.memo import MemoCache
+from repro.core.memo import MemoCache, memo_key
 from repro.core.resilience import SweepCheckpoint
 
 JSON_PATH = Path(__file__).resolve().parent / "BENCH_store.json"
@@ -88,29 +92,58 @@ def _payloads(quick: bool) -> list:
 
 
 # ----------------------------------------------------------------------
-# Legacy layouts (the pre-segment write paths, reproduced exactly)
+# Legacy layouts (the pre-segment read and write paths, reproduced exactly)
 # ----------------------------------------------------------------------
 
-def _legacy_memo_put(directory: Path, cache: MemoCache, name, value) -> None:
+#: Header schema of the pre-segment JSONL checkpoint journal.
+LEGACY_JOURNAL_SCHEMA = "repro-sweep-checkpoint/v1"
+
+
+def _legacy_checksum(value_json: str) -> str:
+    return hashlib.sha256(value_json.encode()).hexdigest()[:16]
+
+
+def _legacy_memo_path(directory: Path, version: str, name) -> Path:
+    """The old per-entry document path: ``<key>.json``."""
+    return directory / ("%s.json" % memo_key(name, None, version))
+
+
+def _legacy_memo_put(directory: Path, version: str, name, value) -> None:
     """The old MemoCache.put: a two-phase-commit JSON document per entry."""
     value_json = json.dumps(value, sort_keys=True)
     document = {
         "name": name,
-        "version": cache.version,
+        "version": version,
         "value": value,
-        "checksum": MemoCache._checksum(value_json),
+        "checksum": _legacy_checksum(value_json),
     }
-    path = cache._path(name, None)
+    path = _legacy_memo_path(directory, version, name)
     tmp = path.with_suffix(".tmp.%d" % os.getpid())
     with open(tmp, "w") as f:
         json.dump(document, f)
     os.replace(tmp, path)
 
 
+def _legacy_memo_get(directory: Path, version: str, name):
+    """The old MemoCache.get: read one document, verify its checksum."""
+    try:
+        raw = _legacy_memo_path(directory, version, name).read_text()
+    except OSError:
+        return None
+    try:
+        document = json.loads(raw)
+        value = document["value"]
+        stored = document["checksum"]
+    except (ValueError, KeyError, TypeError):
+        return None
+    recomputed = _legacy_checksum(json.dumps(value, sort_keys=True))
+    return value if stored == recomputed else None
+
+
 def _legacy_journal_write(path: Path, key: str, items) -> None:
     """The old SweepCheckpoint: header + one fsync'd JSONL line per entry."""
     with open(path, "w") as f:
-        f.write(json.dumps({"schema": SweepCheckpoint.SCHEMA, "key": key}))
+        f.write(json.dumps({"schema": LEGACY_JOURNAL_SCHEMA, "key": key}))
         f.write("\n")
         f.flush()
         os.fsync(f.fileno())
@@ -126,15 +159,40 @@ def _legacy_journal_write(path: Path, key: str, items) -> None:
             os.fsync(f.fileno())
 
 
+def _legacy_journal_entries(path: Path, key: str) -> dict:
+    """The old SweepCheckpoint.entries: header check, then every record
+    whose checksum verifies, name -> payload."""
+    try:
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+    except (OSError, IndexError, ValueError):
+        return {}
+    if not (
+        isinstance(header, dict)
+        and header.get("schema") == LEGACY_JOURNAL_SCHEMA
+        and header.get("key") == key
+    ):
+        return {}
+    out: dict = {}
+    for line in lines[1:]:
+        try:
+            record = json.loads(line)
+            body = json.dumps(record["payload"], sort_keys=True)
+            if record["sha"] == _legacy_checksum(body):
+                out[record["name"]] = record["payload"]
+        except (ValueError, KeyError, TypeError):
+            continue
+    return out
+
+
 # ----------------------------------------------------------------------
 # Measured paths
 # ----------------------------------------------------------------------
 
 def _write_legacy(directory: Path, items) -> None:
     directory.mkdir(parents=True, exist_ok=True)
-    cache = MemoCache(directory, version="bench")
     for name, value in items:
-        _legacy_memo_put(directory, cache, name, value)
+        _legacy_memo_put(directory, "bench", name, value)
 
 
 def _write_segment(directory: Path, items) -> None:
@@ -144,7 +202,12 @@ def _write_segment(directory: Path, items) -> None:
     cache.close()
 
 
-def _read_all(directory: Path, names) -> list:
+def _read_legacy(directory: Path, names) -> list:
+    """A new process's view of the old layout, re-reading every entry."""
+    return [_legacy_memo_get(directory, "bench", name) for name in names]
+
+
+def _read_segment(directory: Path, names) -> list:
     """A fresh cache (new process's view) re-reading every entry."""
     cache = MemoCache(directory, version="bench")
     return [cache.get(name) for name in names]
@@ -172,13 +235,13 @@ def measure(name: str, count: int, make_payload) -> dict:
             "segment_s": _best(write_segment, 3),
         }
         # Both layouts must read back exactly what was written.
-        if _read_all(legacy_dir, names) != values:
+        if _read_legacy(legacy_dir, names) != values:
             raise AssertionError("%s: legacy layout altered a value" % name)
-        if _read_all(segment_dir, names) != values:
+        if _read_segment(segment_dir, names) != values:
             raise AssertionError("%s: segment layout altered a value" % name)
         hit = {
-            "legacy_s": _best(lambda: _read_all(legacy_dir, names), 3),
-            "segment_s": _best(lambda: _read_all(segment_dir, names), 3),
+            "legacy_s": _best(lambda: _read_legacy(legacy_dir, names), 3),
+            "segment_s": _best(lambda: _read_segment(segment_dir, names), 3),
         }
 
         legacy_journal = root / "legacy.jsonl"
@@ -189,12 +252,13 @@ def measure(name: str, count: int, make_payload) -> dict:
             journal.append(entry_name, payload)
         journal.close()
         reference = dict(items)
-        for path in (legacy_journal, segment_journal):
-            if SweepCheckpoint(path, key="bench").entries() != reference:
-                raise AssertionError("%s: journal %s diverged" % (name, path))
+        if _legacy_journal_entries(legacy_journal, "bench") != reference:
+            raise AssertionError("%s: legacy journal diverged" % name)
+        if SweepCheckpoint(segment_journal, key="bench").entries() != reference:
+            raise AssertionError("%s: segment journal diverged" % name)
         resume = {
             "legacy_s": _best(
-                lambda: SweepCheckpoint(legacy_journal, key="bench").entries(), 3
+                lambda: _legacy_journal_entries(legacy_journal, "bench"), 3
             ),
             "segment_s": _best(
                 lambda: SweepCheckpoint(segment_journal, key="bench").entries(), 3

@@ -91,7 +91,6 @@ def run_sweep(
     resume: bool = False,
     timing_params=None,
     instructions_per_access: float = 2.0,
-    pool_factory=None,
 ) -> dict:
     """Sweep one workload's trace across cache geometries.
 
@@ -112,10 +111,8 @@ def run_sweep(
         cache: optional :class:`~repro.core.memo.MemoCache`; hits skip
             the replay entirely.  Degraded (quarantine) results are
             never memoized.
-        jobs / retry_policy / checkpoint / resume / pool_factory:
-            forwarded to :class:`~repro.core.runner.ConfigSweep.evaluate`
-            (``pool_factory`` is the executor seam — e.g. a fleet of
-            remote workers via :func:`repro.fleet.fleet_pool_factory`).
+        jobs / retry_policy / checkpoint / resume:
+            forwarded to :class:`~repro.core.runner.ConfigSweep.evaluate`.
     """
     from repro.core.runner import ConfigSweep
     from repro.sim.artifact import TraceStore
@@ -157,7 +154,6 @@ def run_sweep(
             retry_policy=retry_policy,
             checkpoint=checkpoint,
             resume=resume,
-            pool_factory=pool_factory,
         )
         document = {
             "workload": workload,
@@ -208,11 +204,7 @@ def _sweep_workload_in_worker(job):
     s = _WORKLOAD_STATE
     store = TraceStore(s["store_dir"], version=s["store_version"])
     cache = None
-    if s.get("cache_url") is not None:
-        from repro.fleet.cache import RemoteMemoCache
-
-        cache = RemoteMemoCache(s["cache_url"], version=s["cache_version"])
-    elif s["cache_dir"] is not None:
+    if s["cache_dir"] is not None:
         cache = MemoCache(
             s["cache_dir"],
             version=s["cache_version"],
@@ -276,7 +268,6 @@ def sweep_all(
     resume: bool = False,
     timing_params=None,
     instructions_per_access: float = 2.0,
-    pool_factory=None,
 ) -> dict[str, dict]:
     """:func:`run_sweep` for several workloads sharing one store.
 
@@ -293,10 +284,7 @@ def sweep_all(
     ``checkpoint`` is a journal *path prefix*: with several workloads
     each gets its own ``<prefix>.<workload>`` journal (each sweep has
     its own artifact hash, and a shared file would rotate itself stale
-    on every workload switch).  ``pool_factory`` is the executor seam
-    (forwarded to the fan-out map, or to the shard map for a single
-    workload) — a fleet factory here runs the sweep across remote
-    workers with identical retry/quarantine/checkpoint semantics.
+    on every workload switch).
     """
     from repro.sim.artifact import TraceStore
 
@@ -314,7 +302,6 @@ def sweep_all(
         return _sweep_all_parallel(
             names, socs, batch, store, cache, jobs, retry_policy,
             checkpoint_for, resume, timing_params, instructions_per_access,
-            pool_factory,
         )
     return {
         name: run_sweep(
@@ -329,7 +316,6 @@ def sweep_all(
             resume=resume,
             timing_params=timing_params,
             instructions_per_access=instructions_per_access,
-            pool_factory=pool_factory,
         )
         for name in names
     }
@@ -338,27 +324,20 @@ def sweep_all(
 def _sweep_all_parallel(
     names, socs, batch, store, cache, jobs, retry_policy,
     checkpoint_for, resume, timing_params, instructions_per_access,
-    pool_factory=None,
 ):
     from repro.core.resilience import ResilientMap
 
     recorder = get_recorder()
     observe = recorder.enabled
-    cache_url = getattr(cache, "base_url", None)
     settings = {
         "socs": list(socs) if socs is not None else None,
         "batch": batch,
         "store_dir": str(store.directory),
         "store_version": store.version,
-        "cache_url": cache_url,
-        "cache_dir": (
-            str(cache.directory)
-            if cache is not None and cache_url is None else None
-        ),
+        "cache_dir": str(cache.directory) if cache is not None else None,
         "cache_version": cache.version if cache is not None else None,
         "cache_flush_every": (
-            cache._store.flush_every
-            if cache is not None and cache_url is None else 1
+            cache._store.flush_every if cache is not None else 1
         ),
         "retry_policy": retry_policy,
         "resume": resume,
@@ -379,7 +358,6 @@ def _sweep_all_parallel(
         initializer=_init_workload_worker,
         initargs=(settings, observe),
         raise_failures=retry_policy is None,
-        pool_factory=pool_factory,
     ).run()
     documents = {}
     for name, value in zip(names, values):

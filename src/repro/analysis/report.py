@@ -86,7 +86,6 @@ def all_results(
     retry_policy=None,
     checkpoint=None,
     resume: bool = False,
-    pool_factory=None,
 ) -> list[FigureResult]:
     """Regenerate every experiment.
 
@@ -103,10 +102,6 @@ def all_results(
             appended as they finish.
         resume: reload journal entries (same code version) instead of
             regenerating them.
-        pool_factory: optional executor seam forwarded to
-            :class:`~repro.core.resilience.ResilientMap` (e.g.
-            :func:`repro.fleet.fleet_pool_factory` to regenerate on a
-            worker fleet).
     """
     from repro.core.resilience import SweepCheckpoint, sweep_key
     from repro.obs.recorder import get_recorder
@@ -120,9 +115,7 @@ def all_results(
             else SweepCheckpoint(checkpoint, key=sweep_key("figures"))
         )
     try:
-        return _all_results(
-            recorder, journal, cache, jobs, retry_policy, resume, pool_factory
-        )
+        return _all_results(recorder, journal, cache, jobs, retry_policy, resume)
     finally:
         if journal is not None and journal is not checkpoint:
             journal.close()
@@ -130,9 +123,7 @@ def all_results(
             cache.flush()
 
 
-def _all_results(
-    recorder, journal, cache, jobs, retry_policy, resume, pool_factory=None
-):
+def _all_results(recorder, journal, cache, jobs, retry_policy, resume):
     from repro.core.resilience import ResilientMap
 
     results: dict[int, FigureResult] = {}
@@ -178,7 +169,6 @@ def _all_results(
                 jobs=min(jobs, len(pending)) if parallel else 1,
                 on_success=on_success,
                 raise_failures=retry_policy is None,
-                pool_factory=pool_factory if parallel else None,
             )
             values, failures = mapper.run()
             if parallel and observed:
@@ -295,9 +285,6 @@ def render_markdown(
     store = store if store is not None else load_store_baseline()
     if store:
         lines.append(_render_store_perf_section(store))
-    fleet = load_fleet_baseline()
-    if fleet:
-        lines.append(_render_fleet_section(fleet))
     return "\n".join(lines) + "\n"
 
 
@@ -477,80 +464,6 @@ def _render_store_perf_section(record: dict) -> str:
         "perf-smoke `bench_store.py --quick` gate).\n"
         % record.get("headline_write_speedup", 0.0)
     )
-    return "\n".join(lines)
-
-
-#: Where the fleet smoke records its loopback-fleet verification.
-FLEET_BASELINE_PATH = (
-    Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "BENCH_fleet_smoke.json"
-)
-
-
-def load_fleet_baseline(path: str | Path | None = None) -> dict | None:
-    """The committed fleet-smoke verification record, if present."""
-    target = Path(path) if path is not None else FLEET_BASELINE_PATH
-    try:
-        with open(target) as f:
-            return json.load(f)
-    except (OSError, ValueError):
-        return None
-
-
-def _render_fleet_section(record: dict) -> str:
-    lines = ["## Distributed sweeps — loopback fleet verification\n"]
-    lines.append(
-        "Recorded by `benchmarks/fleet_smoke.py` (re-run it to refresh "
-        "`benchmarks/BENCH_fleet_smoke.json`; CI's `fleet-smoke` job "
-        "runs it on every push).  The smoke boots the whole distributed "
-        "stack through the CLI the way an elastic deployment would — "
-        "gateway first with **zero** static workers, then %d single-slot "
-        "HTTP workers that join via `--register` and renew heartbeat "
-        "leases, every request HMAC-signed with a shared "
-        "`REPRO_FLEET_SECRET` — then requires a `--fleet` sweep of `%s` "
-        "(%d geometries) to be **byte-identical on stdout** to a serial "
-        "`--jobs 1` run *while one worker is gracefully drained mid-run* "
-        "(`repro fleet drain --url`; the drained worker must exit 0 — "
-        "drain is the uncharged decommission path), and a rerun to answer "
-        "from the gateway's shared result cache (`fleet.cache.hits` in "
-        "its manifest) without changing a byte.  The fleet here is "
-        "loopback on one host, so the wall-clock column measures dispatch "
-        "overhead, not distributed speedup — the contract under test is "
-        "identity, and `tests/fleet/` pins the same contract over "
-        "Hypothesis-drawn sweeps plus two chaos suites (workers SIGKILLed "
-        "mid-shard, whole fleet dead, gateway restart + `--resume`, hung "
-        "workers past `timeout_s`; and elastic membership: join "
-        "mid-sweep, drain mid-sweep uncharged, lease expiry cutting a "
-        "SIGSTOP'd worker loose within ~`lease_s`, gateway restart "
-        "rehydrating members from the persisted store, wrong-secret "
-        "clients locked out end-to-end).\n"
-        % (
-            record.get("workers", 0),
-            record.get("workload", "?"),
-            record.get("configs", 0),
-        )
-    )
-    lines.append("| run | wall clock (s) | identical to serial |")
-    lines.append("|---|---|---|")
-    lines.append("| serial `--jobs 1` | %.2f | — |" % record.get("serial_s", 0.0))
-    lines.append(
-        "| elastic fleet (%d registered workers, %d drained mid-run) | %.2f | %s |"
-        % (
-            record.get("workers", 0),
-            record.get("drained_mid_run", 0),
-            record.get("fleet_s", 0.0),
-            "yes" if record.get("identical") else "NO",
-        )
-    )
-    lines.append(
-        "| rerun (gateway cache hit) | %.2f | %s |"
-        % (
-            record.get("cache_hit_s", 0.0),
-            "yes" if record.get("identical") else "NO",
-        )
-    )
-    lines.append("")
     return "\n".join(lines)
 
 

@@ -4,28 +4,22 @@
                             [--jobs N] [--no-cache] [--cache-flush-every N]
                             [--manifest DIR] [--trace-out PATH] [--strict]
                             [--max-retries N] [--target-timeout S]
-                            [--checkpoint PATH] [--resume] [--fleet PATH]
+                            [--checkpoint PATH] [--resume]
     python -m repro export [--dir figures_data]
     python -m repro evaluate [--workload chrome|tensorflow|vp9|all] [--jobs N]
                              [--manifest DIR] [--trace-out PATH] [--strict]
                              [--max-retries N] [--target-timeout S]
-                             [--checkpoint PATH] [--resume] [--fleet PATH]
+                             [--checkpoint PATH] [--resume]
     python -m repro cachesweep [--workload NAME|all] [--batch|--no-batch]
                                [--trace-dir DIR] [--jobs N] [--no-cache]
                                [--cache-flush-every N]
                                [--manifest DIR] [--trace-out PATH] [--strict]
                                [--max-retries N] [--target-timeout S]
-                               [--checkpoint PATH] [--resume] [--fleet PATH]
+                               [--checkpoint PATH] [--resume]
     python -m repro cache {compact|clear|prune} [--dir PATH]
                           [--max-age-days DAYS]
     python -m repro trace {list|prune|clear} [--dir PATH]
                           [--max-age-days DAYS]
-    python -m repro fleet {worker|serve|status|drain} [--fleet PATH]
-                          [--host HOST] [--port N] [--port-file PATH]
-                          [--cache-dir DIR] [--register URL]
-                          [--advertise-host HOST] [--weight N]
-                          [--secret-file PATH] [--url URL]
-                          [--jobs-ttl S] [--drain-grace S]
     python -m repro characterize
     python -m repro codec [--width W --height H --frames N --qstep Q]
     python -m repro scorecard
@@ -93,9 +87,8 @@ def _add_cache_batch_flag(parser) -> None:
     parser.add_argument(
         "--cache-flush-every", type=int, default=None, metavar="N",
         help="buffer N memo entries per segment flush (default 1: each "
-        "entry is written through immediately, like the legacy "
-        "file-per-entry cache; larger values batch N entries per blob "
-        "write)",
+        "entry is written through immediately; larger values batch N "
+        "entries per blob write)",
     )
 
 
@@ -150,62 +143,10 @@ def _check_jobs(args) -> None:
         raise ValueError("--jobs must be >= 1, got %d" % args.jobs)
 
 
-def _add_fleet_flag(parser) -> None:
-    parser.add_argument(
-        "--fleet", metavar="PATH",
-        help="dispatch parallel work to the worker fleet described by "
-        "this JSON manifest (see 'python -m repro fleet') instead of "
-        "local worker processes; --jobs left at 1 defaults to the "
-        "fleet's worker count",
-    )
-
-
-def _fleet_setup(args):
-    """(pool_factory, manifest) for ``--fleet``, or ``(None, None)``."""
-    if not getattr(args, "fleet", None):
-        return None, None
-    from repro.fleet import FleetManifest, fleet_pool_factory
-
-    manifest = FleetManifest.load(args.fleet)
-    if getattr(args, "jobs", 1) == 1:
-        workers = len(manifest.workers)
-        if not workers and manifest.gateway is not None:
-            # Elastic fleet: the gateway knows the live member count.
-            from repro.fleet.wire import FleetTransportError, http_json
-
-            try:
-                status, doc = http_json(
-                    "GET",
-                    manifest.gateway.base_url + "/status",
-                    timeout=5.0,
-                    secret=manifest.load_secret(),
-                )
-                if status == 200:
-                    workers = sum(
-                        1 for w in doc.get("workers", []) if w.get("alive")
-                    )
-            except FleetTransportError:
-                pass  # gateway down: run serial; retries still reach it
-        args.jobs = max(workers, 1)
-    return fleet_pool_factory(manifest), manifest
-
-
-def _memo_cache(args, fleet_manifest=None):
-    """The memo cache the cache flags ask for (or None with --no-cache).
-
-    With a fleet manifest that names a gateway, the cache is the
-    gateway's shared one (:class:`repro.fleet.cache.RemoteMemoCache`),
-    so every fleet client sees every other client's finished sweeps.
-    """
+def _memo_cache(args):
+    """The memo cache the cache flags ask for (or None with --no-cache)."""
     if args.no_cache:
         return None
-    if fleet_manifest is not None and fleet_manifest.gateway is not None:
-        from repro.fleet.cache import RemoteMemoCache
-
-        return RemoteMemoCache(
-            fleet_manifest.gateway.base_url,
-            secret=fleet_manifest.load_secret(),
-        )
     from repro.core.memo import MemoCache
 
     if getattr(args, "cache_flush_every", None) is not None:
@@ -222,8 +163,7 @@ def _cmd_figures(args) -> int:
     from repro.analysis.report import all_results, render_markdown
 
     _check_jobs(args)
-    pool_factory, fleet_manifest = _fleet_setup(args)
-    cache = _memo_cache(args, fleet_manifest)
+    cache = _memo_cache(args)
     with _obs_session(args) as recorder:
         results = all_results(
             jobs=args.jobs,
@@ -231,7 +171,6 @@ def _cmd_figures(args) -> int:
             retry_policy=_retry_policy(args),
             checkpoint=args.checkpoint,
             resume=args.resume,
-            pool_factory=pool_factory,
         )
         if args.write:
             with open(args.write, "w") as f:
@@ -299,7 +238,6 @@ def _cmd_evaluate(args) -> int:
 
         targets += video_pim_targets()
     retry_policy = _retry_policy(args)
-    pool_factory, _fleet_manifest = _fleet_setup(args)
     with _obs_session(args) as recorder:
         result = ExperimentRunner().evaluate(
             targets,
@@ -307,7 +245,6 @@ def _cmd_evaluate(args) -> int:
             retry_policy=retry_policy,
             checkpoint=args.checkpoint,
             resume=args.resume,
-            pool_factory=pool_factory,
         )
         print(
             "%-26s %8s %8s %9s %9s" % ("kernel", "E core", "E acc", "S core", "S acc")
@@ -385,14 +322,11 @@ def _cmd_cachesweep(args) -> int:
     elif args.workload in workload_names():
         names = [args.workload]
     else:
-        print(
+        raise ValueError(
             "unknown workload %r; available: %s"
-            % (args.workload, ", ".join(workload_names() + ["all"])),
-            file=sys.stderr,
+            % (args.workload, ", ".join(workload_names() + ["all"]))
         )
-        return 2
-    pool_factory, fleet_manifest = _fleet_setup(args)
-    cache = _memo_cache(args, fleet_manifest)
+    cache = _memo_cache(args)
     store = TraceStore(args.trace_dir) if args.trace_dir else TraceStore()
     retry_policy = _retry_policy(args)
     with _obs_session(args) as recorder:
@@ -408,7 +342,6 @@ def _cmd_cachesweep(args) -> int:
             retry_policy=retry_policy,
             checkpoint=args.checkpoint,
             resume=args.resume,
-            pool_factory=pool_factory,
         )
         for name, document in documents.items():
             artifact = document["artifact"] or "(none)"
@@ -468,9 +401,17 @@ def _cmd_cachesweep(args) -> int:
     return 0
 
 
+def _check_max_age(args) -> None:
+    if args.max_age_days is not None and args.max_age_days < 0:
+        raise ValueError(
+            "--max-age-days must be >= 0, got %g" % args.max_age_days
+        )
+
+
 def _cmd_cache(args) -> int:
     from repro.core.memo import MemoCache
 
+    _check_max_age(args)
     cache = MemoCache(args.dir)
     if args.action == "clear":
         removed = cache.clear()
@@ -491,14 +432,12 @@ def _cmd_cache(args) -> int:
             print("error: %s" % exc, file=sys.stderr)
             return 2
         print(
-            "compacted %s: %d live entries (%d segment(s) merged, "
-            "%d legacy file(s) folded), %d file(s) removed, "
-            "%d quarantined, %d aged file(s) pruned"
+            "compacted %s: %d live entries (%d segment(s) merged), "
+            "%d file(s) removed, %d quarantined, %d aged file(s) pruned"
             % (
                 cache.directory,
                 stats.entries,
                 stats.segments_merged,
-                stats.legacy_folded,
                 stats.files_removed,
                 stats.quarantined,
                 stats.pruned,
@@ -510,6 +449,7 @@ def _cmd_cache(args) -> int:
 def _cmd_trace(args) -> int:
     from repro.sim.artifact import TraceStore
 
+    _check_max_age(args)
     store = TraceStore(args.dir) if args.dir else TraceStore()
     if args.action == "list":
         rows = store.artifacts()
@@ -542,177 +482,6 @@ def _cmd_trace(args) -> int:
         removed = store.clear()
         print("cleared %d file(s) from %s" % (removed, store.directory))
     return 0
-
-
-def _drain_discover(manifest, secret) -> list:
-    """Worker URLs to drain: the manifest's static list, or for an
-    elastic fleet whatever the gateway currently reports alive."""
-    urls = [spec.base_url for spec in manifest.workers]
-    if urls or manifest.gateway is None:
-        return urls
-    from repro.fleet.wire import FleetTransportError, http_json
-
-    try:
-        status, doc = http_json(
-            "GET",
-            manifest.gateway.base_url + "/status",
-            timeout=5.0,
-            secret=secret,
-        )
-    except FleetTransportError as exc:
-        print("gateway unreachable: %s" % exc, file=sys.stderr)
-        return []
-    if status != 200:
-        return []
-    return [w["url"] for w in doc.get("workers", []) if w.get("alive")]
-
-
-def _drain_targets(urls, secret) -> int:
-    """POST /drain to each worker URL; 0 = all acknowledged."""
-    from repro.fleet.wire import FleetTransportError, http_json
-
-    if not urls:
-        print("no workers to drain", file=sys.stderr)
-        return 2
-    failures = 0
-    for url in urls:
-        try:
-            status, doc = http_json(
-                "POST", url.rstrip("/") + "/drain", {}, timeout=5.0, secret=secret
-            )
-        except FleetTransportError as exc:
-            print("%s: unreachable (%s)" % (url, exc), file=sys.stderr)
-            failures += 1
-            continue
-        if status == 200 and doc.get("ok"):
-            print("%s: draining" % url)
-        else:
-            print("%s: refused (%d): %s" % (url, status, doc.get("error")), file=sys.stderr)
-            failures += 1
-    return 1 if failures else 0
-
-
-def _worker_secret(args):
-    """The signing secret for a bare worker (no manifest in hand):
-    ``REPRO_FLEET_SECRET`` wins, else ``--secret-file``."""
-    import os
-    from pathlib import Path
-
-    from repro.fleet.wire import FLEET_SECRET_ENV
-
-    env = os.environ.get(FLEET_SECRET_ENV)
-    if env:
-        return env
-    if getattr(args, "secret_file", None):
-        secret = Path(args.secret_file).read_text().strip()
-        if not secret:
-            raise ValueError("fleet secret_file %s is empty" % args.secret_file)
-        return secret
-    return None
-
-
-def _cmd_fleet(args) -> int:
-    if args.action == "worker":
-        from repro.fleet.worker import serve_worker
-
-        serve_worker(
-            host=args.host or "127.0.0.1",
-            port=args.port if args.port is not None else 0,
-            port_file=args.port_file,
-            register=args.register,
-            advertise_host=args.advertise_host,
-            weight=args.weight,
-            secret=_worker_secret(args),
-            jobs_ttl_s=args.jobs_ttl,
-            drain_grace_s=args.drain_grace,
-        )
-        return 0
-    if args.action == "drain" and args.url:
-        return _drain_targets([args.url], _worker_secret(args))
-    if not args.fleet:
-        print("error: fleet %s requires --fleet PATH" % args.action, file=sys.stderr)
-        return 2
-    from repro.fleet.manifest import FleetManifest
-
-    manifest = FleetManifest.load(args.fleet)
-    if args.secret_file:
-        manifest.secret_file = args.secret_file
-    secret = manifest.load_secret()
-    if args.action == "serve":
-        from repro.fleet.gateway import serve_gateway
-
-        gw = manifest.gateway
-        serve_gateway(
-            manifest,
-            host=args.host or (gw.host if gw is not None else "127.0.0.1"),
-            port=args.port
-            if args.port is not None
-            else (gw.port if gw is not None else 0),
-            cache_dir=args.cache_dir,
-            port_file=args.port_file,
-            secret=secret,
-        )
-        return 0
-    if args.action == "drain":
-        return _drain_targets(_drain_discover(manifest, secret), secret)
-    # status
-    from repro.fleet.wire import FleetTransportError, http_json
-
-    if manifest.gateway is not None:
-        url = manifest.gateway.base_url
-        try:
-            status, doc = http_json("GET", url + "/status", timeout=5.0, secret=secret)
-        except FleetTransportError as exc:
-            print("gateway %s unreachable: %s" % (url, exc), file=sys.stderr)
-            return 1
-        if status != 200 or not doc.get("ok"):
-            print("gateway %s unhealthy: %r" % (url, doc), file=sys.stderr)
-            return 1
-        cache = doc.get("cache", {})
-        membership = doc.get("membership") or {}
-        print(
-            "gateway %s: pid %s, up %ss, cache entries %s, members %s (lease %ss)"
-            % (
-                url,
-                doc.get("pid"),
-                doc.get("uptime_s"),
-                cache.get("entries"),
-                membership.get("members", 0),
-                membership.get("lease_s", "-"),
-            )
-        )
-        workers = doc.get("workers", [])
-    else:
-        workers = []
-        for spec in manifest.workers:
-            entry = {"url": spec.base_url, "weight": spec.weight, "health": None}
-            try:
-                status, health = http_json(
-                    "GET", spec.base_url + "/health", timeout=5.0, secret=secret
-                )
-                entry["alive"] = status == 200 and bool(health.get("ok"))
-                entry["health"] = health if entry["alive"] else None
-            except FleetTransportError:
-                entry["alive"] = False
-            workers.append(entry)
-    print("%-28s %6s %6s %6s %8s %10s" % ("worker", "weight", "alive", "busy", "pid", "completed"))
-    dead = 0
-    for entry in workers:
-        health = entry.get("health") or {}
-        alive = bool(entry.get("alive"))
-        dead += 0 if alive else 1
-        print(
-            "%-28s %6d %6s %6s %8s %10s"
-            % (
-                entry["url"],
-                entry.get("weight", 1),
-                "yes" if alive else "NO",
-                {True: "yes", False: "no"}.get(health.get("busy"), "-"),
-                health.get("pid", "-"),
-                health.get("completed", "-"),
-            )
-        )
-    return 1 if dead else 0
 
 
 def _cmd_characterize(args) -> int:
@@ -806,7 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_batch_flag(figures)
     _add_obs_flags(figures)
     _add_resilience_flags(figures)
-    _add_fleet_flag(figures)
     figures.set_defaults(fn=_cmd_figures)
 
     export = sub.add_parser("export", help="export figure data as JSON")
@@ -823,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_obs_flags(evaluate)
     _add_resilience_flags(evaluate)
-    _add_fleet_flag(evaluate)
     evaluate.set_defaults(fn=_cmd_evaluate)
 
     cachesweep = sub.add_parser(
@@ -859,7 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_batch_flag(cachesweep)
     _add_obs_flags(cachesweep)
     _add_resilience_flags(cachesweep)
-    _add_fleet_flag(cachesweep)
     cachesweep.set_defaults(fn=_cmd_cachesweep)
 
     cache_cmd = sub.add_parser(
@@ -867,10 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_cmd.add_argument(
         "action", choices=["compact", "clear", "prune"],
-        help="compact: rewrite all live entries (segments + legacy "
-        "files) into one fresh segment, quarantining corrupt blobs; "
-        "clear: delete everything; prune: remove aged foreign-version "
-        "files and debris",
+        help="compact: rewrite all live entries into one fresh segment, "
+        "quarantining corrupt blobs; clear: delete everything; prune: "
+        "remove aged foreign-version files and debris",
     )
     cache_cmd.add_argument(
         "--dir", metavar="PATH", default=None,
@@ -903,78 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="age cutoff for prune (default 30)",
     )
     trace_cmd.set_defaults(fn=_cmd_trace)
-
-    fleet = sub.add_parser(
-        "fleet", help="run or inspect the distributed sweep fleet"
-    )
-    fleet.add_argument(
-        "action", choices=["worker", "serve", "status", "drain"],
-        help="worker: run one single-slot HTTP worker; serve: run the "
-        "gateway (dispatch + membership + shared result cache) for a "
-        "manifest; status: print fleet health; drain: gracefully "
-        "decommission workers (finish in-flight job, deregister, exit 0)",
-    )
-    fleet.add_argument(
-        "--fleet", metavar="PATH",
-        help="fleet manifest JSON (required for serve/status, and for "
-        "drain without --url)",
-    )
-    fleet.add_argument(
-        "--host", metavar="HOST", default=None,
-        help="bind address (worker/serve; default 127.0.0.1 or the "
-        "manifest's gateway entry)",
-    )
-    fleet.add_argument(
-        "--port", type=int, metavar="N", default=None,
-        help="bind port (0 = ephemeral; default 0 for worker, the "
-        "manifest's gateway port for serve)",
-    )
-    fleet.add_argument(
-        "--port-file", metavar="PATH", default=None,
-        help="write the bound port to PATH once listening (for "
-        "launchers that bind ephemeral ports)",
-    )
-    fleet.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="gateway shared-cache directory (serve; default: "
-        "<package cache>/fleet); also holds the persisted membership "
-        "table a restarted gateway rehydrates from",
-    )
-    fleet.add_argument(
-        "--register", metavar="URL", default=None,
-        help="worker: announce to this gateway URL at boot and renew a "
-        "heartbeat lease, instead of appearing in a static manifest",
-    )
-    fleet.add_argument(
-        "--advertise-host", metavar="HOST", default=None,
-        help="worker: hostname to register (when the bind address is a "
-        "wildcard peers can't dial)",
-    )
-    fleet.add_argument(
-        "--weight", type=int, metavar="N", default=1,
-        help="worker: round-robin weight to register with (default 1)",
-    )
-    fleet.add_argument(
-        "--secret-file", metavar="PATH", default=None,
-        help="file holding the fleet's shared request-signing secret "
-        "(REPRO_FLEET_SECRET overrides; no secret = unsigned loopback)",
-    )
-    fleet.add_argument(
-        "--url", metavar="URL", default=None,
-        help="drain: target one worker URL directly instead of the "
-        "manifest/gateway fleet",
-    )
-    fleet.add_argument(
-        "--jobs-ttl", type=float, metavar="S", default=600.0,
-        help="worker: expire unfetched finished-job records after S "
-        "seconds (default 600)",
-    )
-    fleet.add_argument(
-        "--drain-grace", type=float, metavar="S", default=30.0,
-        help="worker: max seconds a drain waits for the in-flight job "
-        "and its result hand-off (default 30)",
-    )
-    fleet.set_defaults(fn=_cmd_fleet)
 
     characterize = sub.add_parser(
         "characterize", help="data-movement share per workload"

@@ -19,9 +19,10 @@ cost N buffered appends and a handful of file opens instead of N
 open/write/rename round trips.  The torn-write contract is unchanged: a
 corrupted entry (checksum mismatch) is counted as ``core.memo.corrupt``
 and never returned, and a truncated flush loses only its own uncommitted
-tail.  The pre-segment layout — one ``<key>.json`` document per entry —
-is still read transparently, and :meth:`MemoCache.compact` folds legacy
-files, quarantine debris, and accumulated blobs into one fresh segment.
+tail.  :meth:`MemoCache.compact` folds accumulated blobs into one fresh
+segment and sheds quarantine debris.  A pre-segment ``<key>.json``
+document (one file per entry) left in the directory is debris too: its
+key embeds an older code version, so no lookup can reach it.
 """
 
 from __future__ import annotations
@@ -78,13 +79,14 @@ def default_cache_dir() -> Path:
 
 _MISS = object()
 
+#: Files the cache owns but never reads: quarantined ``*.corrupt``
+#: entries, ``*.tmp.*`` files of writers that died mid-write, and
+#: pre-segment ``<key>.json`` documents.
+_DEBRIS = ("*.json", "*.corrupt", "*.tmp.*")
+
 
 def memo_key(name: str, config, version: str) -> str:
-    """The content address of a (name, config) entry at ``version``.
-
-    Shared by :class:`MemoCache` and the fleet's remote cache client so a
-    local run and a gateway-backed run address the same entries.
-    """
+    """The content address of a (name, config) entry at ``version``."""
     payload = json.dumps([name, config, version], sort_keys=True, default=repr)
     return hashlib.sha256(payload.encode()).hexdigest()[:32]
 
@@ -97,11 +99,10 @@ class MemoCache:
         version: cache namespace; defaults to :func:`code_version_hash`
             so edits to the model code invalidate prior entries.
         flush_every: entries buffered per segment flush.  The default
-            (1) writes each :meth:`put` through immediately — the same
-            read-your-writes durability as the old file-per-entry
-            layout; larger values batch N entries per file write for
-            high-rate producers (call :meth:`flush` or :meth:`close`
-            when done).
+            (1) writes each :meth:`put` through immediately
+            (read-your-writes durability); larger values batch N
+            entries per file write for high-rate producers (call
+            :meth:`flush` or :meth:`close` when done).
         compact_ratio: dead-bytes threshold for :meth:`maybe_compact`
             (forwarded to the segment store; ``None`` disables the
             auto-compaction trigger).
@@ -135,63 +136,23 @@ class MemoCache:
     def key(self, name: str, config=None) -> str:
         return memo_key(name, config, self.version)
 
-    def _path(self, name: str, config) -> Path:
-        """The legacy (pre-segment) per-entry document path."""
-        return self.directory / ("%s.json" % self.key(name, config))
-
-    @staticmethod
-    def _checksum(value_json: str) -> str:
-        return hashlib.sha256(value_json.encode()).hexdigest()[:16]
-
     def get(self, name: str, config=None, default=None):
         """The cached value for (name, config) at this code version.
 
-        A corrupted entry (checksum mismatch, in a segment or a legacy
-        document) is never returned as a value: it is counted as
-        ``core.memo.corrupt`` — distinct from an honest miss — and made
-        permanently invisible (legacy documents are quarantined to
-        ``<entry>.corrupt`` immediately; a bad segment frame hides its
-        entry at once and :meth:`compact` quarantines the blob), so a
-        torn write from a dead worker cannot poison later runs.
+        A corrupted entry (checksum mismatch) is never returned as a
+        value: it is counted as ``core.memo.corrupt`` and made
+        permanently invisible (a bad segment frame hides its entry at
+        once and :meth:`compact` quarantines the blob), so a torn write
+        from a dead worker cannot poison later runs.  Every lookup that
+        returns ``default`` counts ``core.memo.misses``.
         """
         counters = get_recorder().counters
         value = self._store.get(self.key(name, config), _MISS)
-        if value is not _MISS:
-            counters.add("core.memo.hits", 1)
-            return value
-        return self._get_legacy(name, config, default)
-
-    def _get_legacy(self, name: str, config, default):
-        """Read-transparency for the pre-segment one-file-per-entry layout."""
-        counters = get_recorder().counters
-        path = self._path(name, config)
-        try:
-            raw = path.read_text()
-        except OSError:
+        if value is _MISS:
             counters.add("core.memo.misses", 1)
-            return default
-        try:
-            document = json.loads(raw)
-            value = document["value"]
-            stored = document["checksum"]
-            recomputed = self._checksum(json.dumps(value, sort_keys=True))
-            if stored != recomputed:
-                raise ValueError(
-                    "checksum mismatch: %s != %s" % (stored, recomputed)
-                )
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            counters.add("core.memo.corrupt", 1)
             return default
         counters.add("core.memo.hits", 1)
         return value
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a bad entry aside so it is inspectable but never reread."""
-        try:
-            os.replace(path, path.with_suffix(".corrupt"))
-        except OSError:
-            pass
 
     def put(self, name: str, value, config=None) -> Path:
         """Store a JSON-serializable value; returns the segment path.
@@ -219,9 +180,7 @@ class MemoCache:
         files) were removed.
 
         Sweeps everything the cache can own: segment blobs (counted by
-        the committed entries inside them), legacy per-entry documents,
-        quarantined ``*.corrupt`` entries, and stale ``*.tmp.<pid>``
-        files from workers that died mid-write.
+        the committed entries inside them) and every debris file.
         """
         removed = 0
         self._store.discard()
@@ -232,7 +191,7 @@ class MemoCache:
                     path.unlink()
                 except OSError:
                     removed -= 1
-            for pattern in ("*.json", "*.corrupt", "*.tmp.*"):
+            for pattern in _DEBRIS:
                 for path in self.directory.glob(pattern):
                     try:
                         path.unlink()
@@ -257,33 +216,18 @@ class MemoCache:
     def prune(self, max_age_days: float = 30.0) -> int:
         """Remove files from old code versions, plus aged debris.
 
-        A legacy document or segment blob keyed by a different version
-        is unreachable (the key embeds the version) and only wastes
-        disk; it is deleted once older than ``max_age_days``, as are
-        ``*.corrupt`` quarantine files and stale ``*.tmp.*`` files past
-        the cutoff.  Current-version files are never pruned.  Returns
-        how many files were removed.  (:meth:`compact` subsumes this
-        *and* rewrites current-version data; ``prune`` alone never
-        touches live entries or legacy documents it can still read.)
+        A segment blob keyed by a different version is unreachable (the
+        key embeds the version) and only wastes disk; it is deleted once
+        older than ``max_age_days``, as is every debris file past the
+        cutoff.  Current-version blobs are never pruned.  Returns how
+        many files were removed.  (:meth:`compact` subsumes this *and*
+        rewrites current-version data; ``prune`` alone never touches
+        live entries.)
         """
         if not self.directory.is_dir():
             return 0
         cutoff = time.time() - max_age_days * 86400.0
         removed = 0
-        for path in self.directory.glob("*.json"):
-            try:
-                if path.stat().st_mtime >= cutoff:
-                    continue
-                version = json.loads(path.read_text()).get("version")
-            except (OSError, ValueError, AttributeError):
-                version = None
-            if version == self.version:
-                continue
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
         for path in self.directory.glob("*.seg"):
             try:
                 if path.stat().st_mtime >= cutoff:
@@ -297,7 +241,12 @@ class MemoCache:
                 removed += 1
             except OSError:
                 pass
-        for pattern in ("*.corrupt", "*.tmp.*"):
+        return removed + self._unlink_aged(_DEBRIS, cutoff)
+
+    def _unlink_aged(self, patterns, cutoff: float) -> int:
+        """Delete files matching ``patterns`` last modified before ``cutoff``."""
+        removed = 0
+        for pattern in patterns:
             for path in self.directory.glob(pattern):
                 try:
                     if path.stat().st_mtime < cutoff:
@@ -334,12 +283,9 @@ class MemoCache:
     def compact(self, max_age_days: float | None = None) -> CompactionStats:
         """Rewrite the cache as one fresh segment, folding in the chores.
 
-        Every live current-version entry — from segment blobs *and*
-        from readable legacy per-entry documents — is rewritten into a
-        single new blob; the merged blobs and folded legacy files are
-        removed, blobs that held corrupt/torn frames are quarantined to
-        ``*.corrupt`` (like a corrupt legacy document always was), and
-        an unreadable legacy document is quarantined on the spot.  With
+        Every live current-version entry is rewritten into a single new
+        blob; the merged blobs are removed, and blobs that held
+        corrupt/torn frames are quarantined to ``*.corrupt``.  With
         ``max_age_days``, aged foreign-version files and debris are
         pruned as :meth:`prune` would.  Safe under concurrent writers:
         compactors serialize on a cross-process lock
@@ -347,42 +293,13 @@ class MemoCache:
         blobs a live writer owns are skipped, not rewritten.  Returns
         the :class:`~repro.core.store.CompactionStats`.
         """
-        legacy: dict = {}
-        remove: list = []
-        pruned_json = 0
-        if self.directory.is_dir():
-            for path in sorted(self.directory.glob("*.json")):
-                try:
-                    document = json.loads(path.read_text())
-                    version = document["version"]
-                    value = document["value"]
-                    checksum = document["checksum"]
-                except (OSError, ValueError, KeyError, TypeError):
-                    self._quarantine(path)
-                    self._count("corrupt")
-                    continue
-                if version != self.version:
-                    continue  # left for the age-prune below
-                if checksum != self._checksum(
-                    json.dumps(value, sort_keys=True)
-                ):
-                    self._quarantine(path)
-                    self._count("corrupt")
-                    continue
-                legacy[path.stem] = value
-                remove.append(path)
-        stats = self._store.compact(
-            max_age_days=max_age_days, extra_entries=legacy, remove_paths=remove
-        )
+        stats = self._store.compact(max_age_days=max_age_days)
         if max_age_days is not None:
-            cutoff = time.time() - max_age_days * 86400.0
-            for path in self.directory.glob("*.json"):
-                try:
-                    if path.stat().st_mtime < cutoff:
-                        path.unlink()
-                        pruned_json += 1
-                except OSError:
-                    pass
-            stats.pruned += pruned_json
-            stats.files_removed += pruned_json
+            # The segment store prunes its own debris; documents of the
+            # pre-segment layout are the cache's.
+            pruned = self._unlink_aged(
+                ("*.json",), time.time() - max_age_days * 86400.0
+            )
+            stats.pruned += pruned
+            stats.files_removed += pruned
         return stats

@@ -19,9 +19,8 @@ retry — never the sweep.  This module is the resilience layer under
 * :class:`SweepCheckpoint` — an append-only, fsync'd journal of
   completed results keyed by config+code-version hash (like
   :class:`repro.core.memo.MemoCache`), stored as one
-  :mod:`repro.core.store` segment blob (legacy JSONL journals are read
-  and migrated transparently), so an interrupted sweep resumed with
-  ``--resume`` reproduces the uninterrupted result bit-for-bit;
+  :mod:`repro.core.store` segment blob, so an interrupted sweep resumed
+  with ``--resume`` reproduces the uninterrupted result bit-for-bit;
 * :func:`maybe_inject_fault` — the chaos hook the fault-injection test
   harness (and CI's chaos smoke step) uses to crash/hang/fail specific
   targets on schedule via the ``REPRO_FAULT_PLAN`` environment variable.
@@ -163,14 +162,6 @@ class ResilientMap:
         raise_failures: when True (the legacy contract), an exhausted
             item re-raises its original exception instead of being
             quarantined.  Strict mode forces a raise either way.
-        pool_factory: the executor seam — ``fn(mapper) -> executor``
-            called whenever a (re)spawn is needed.  Any object with the
-            ``ProcessPoolExecutor`` surface (``submit`` returning
-            futures, ``shutdown``, optionally ``_processes`` for hang
-            teardown) works, so the same retry/quarantine/checkpoint
-            policy can drive a local pool today and a remote worker
-            fleet tomorrow.  Default: a ``ProcessPoolExecutor`` built
-            from ``jobs``/``initializer``/``initargs``.
 
     :meth:`run` returns ``(values, failures)``: ``values`` holds one
     result per item in input order (``None`` for quarantined items), and
@@ -191,7 +182,6 @@ class ResilientMap:
         initargs=(),
         on_success=None,
         raise_failures: bool = False,
-        pool_factory=None,
     ):
         self.fn = fn
         self.items = list(items)
@@ -208,7 +198,6 @@ class ResilientMap:
         self.initargs = initargs
         self.on_success = on_success
         self.raise_failures = raise_failures
-        self.pool_factory = pool_factory
 
     # ------------------------------------------------------------------
     def run(self):
@@ -343,8 +332,6 @@ class ResilientMap:
         return values, failures
 
     def _new_pool(self):
-        if self.pool_factory is not None:
-            return self.pool_factory(self)
         from concurrent.futures import ProcessPoolExecutor
 
         return ProcessPoolExecutor(
@@ -360,30 +347,14 @@ class ResilientMap:
         installs a handler that dumps a traceback to stderr before
         exiting — then SIGKILL if they linger.
 
-        Custom executors (the ``pool_factory`` seam) opt into teardown
-        explicitly: a callable ``kill()`` on the executor is preferred
-        and owns the whole teardown (e.g. :class:`repro.fleet.executor.
-        FleetExecutor` aborts its poll threads); failing that, a callable
-        ``processes()`` returns the worker handles to terminate.  Only
-        when neither protocol method exists does discovery fall back to
-        the private ``ProcessPoolExecutor._processes`` attribute — and
-        only when *that* is also absent (e.g. a future Python renames
-        it) is the blind teardown counted
-        (``core.resilience.pool_kill_no_workers``) rather than silently
-        ignored; a pool that genuinely has zero live workers is not a
-        discovery failure.
+        Workers are discovered through the private
+        ``ProcessPoolExecutor._processes`` attribute; should it ever be
+        absent (e.g. a future Python renames it), the blind teardown is
+        counted (``core.resilience.pool_kill_no_workers``) rather than
+        silently ignored.  A pool that genuinely has zero live workers
+        is not a discovery failure.
         """
-        kill = getattr(pool, "kill", None)
-        if callable(kill):
-            try:
-                kill()
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-            return
-        discover = getattr(pool, "processes", None)
-        if callable(discover):
-            processes = list(discover())
-        elif hasattr(pool, "_processes"):
+        if hasattr(pool, "_processes"):
             processes = list((pool._processes or {}).values())
         else:
             processes = []
@@ -461,7 +432,7 @@ class ResilientMap:
 
 
 # ----------------------------------------------------------------------
-# Sweep checkpoints: append-only JSONL journal with resume
+# Sweep checkpoints: append-only segment journal with resume
 # ----------------------------------------------------------------------
 
 def sweep_key(config=None) -> str:
@@ -489,20 +460,16 @@ class SweepCheckpoint:
     truncates; committed entries are never lost, and a checksum
     mismatch means an entry is hidden, never silently altered.
 
-    A journal whose header key does not match (stale code or different
-    config) is rotated aside to ``<path>.stale`` rather than mixed into
-    the new run.  Pre-segment journals — the original fsync-per-line
-    JSONL layout — are still read transparently, and the first
-    :meth:`append` migrates a matching one to the segment format in a
-    single atomic rewrite.
+    Anything else at the path — a journal whose header key does not
+    match (stale code or different config), another layout, garbage —
+    is rotated aside to ``<path>.stale`` rather than mixed into the new
+    run.
     """
-
-    SCHEMA = "repro-sweep-checkpoint/v1"
 
     def __init__(self, path: str | Path, key: str):
         self.path = Path(path)
         self.key = key
-        self._reader = None  # shared SegmentReader (segment journals)
+        self._reader = None  # shared SegmentReader
         self._writer = None  # SegmentWriter once append() ran
 
     def _count(self, event: str, n: float = 1) -> None:
@@ -523,21 +490,17 @@ class SweepCheckpoint:
         """Completed entries from a matching journal, name -> payload.
 
         Torn or corrupted frames are dropped (counted as
-        ``core.resilience.checkpoint.torn``); a missing file or a key
-        mismatch yields no entries.  Legacy JSONL journals are parsed
-        in place without being rewritten.
+        ``core.resilience.checkpoint.torn``); a missing file or a
+        foreign one yields no entries.
         """
         from repro.core.store import SegmentReader
 
-        kind = self._classify()
-        if kind == "segment":
-            if self._reader is None:
-                self._reader = SegmentReader(self.path, count=self._count)
-            self._reader.refresh()
-            return self._reader.entries()
-        if kind == "legacy":
-            return self._legacy_entries()
-        return {}
+        if self._classify() != "segment":
+            return {}
+        if self._reader is None:
+            self._reader = SegmentReader(self.path, count=self._count)
+        self._reader.refresh()
+        return self._reader.entries()
 
     def close(self) -> None:
         """Release the journal's file descriptor."""
@@ -547,12 +510,12 @@ class SweepCheckpoint:
 
     # ------------------------------------------------------------------
     def _classify(self) -> str:
-        """What lives at ``path``: absent | segment | legacy | foreign.
+        """What lives at ``path``: absent | segment | foreign.
 
-        Only the first line is read, so classification (and therefore
+        Only the header frame is read, so classification (and therefore
         every append) stays O(1) I/O regardless of journal length.
         ``foreign`` covers everything that must be rotated aside before
-        writing: mismatched keys, other schemas, garbage.
+        writing: mismatched keys, other layouts, garbage.
         """
         from repro.core.store import peek_key
 
@@ -561,18 +524,7 @@ class SweepCheckpoint:
                 return "absent"
         except OSError:
             return "absent"
-        segment_key = peek_key(self.path)
-        if segment_key == self.key:
-            return "segment"
-        if segment_key is None:
-            try:
-                with open(self.path, "rb") as f:
-                    header = json.loads(f.readline(1 << 16))
-            except (OSError, ValueError):
-                header = None
-            if isinstance(header, dict) and header.get("schema") == self.SCHEMA:
-                return "legacy" if header.get("key") == self.key else "foreign"
-        return "foreign"
+        return "segment" if peek_key(self.path) == self.key else "foreign"
 
     def _ensure_writer(self) -> None:
         from repro.core.store import SegmentReader, SegmentWriter
@@ -586,9 +538,6 @@ class SweepCheckpoint:
                 self.path, self.path.with_suffix(self.path.suffix + ".stale")
             )
             kind = "absent"
-        if kind == "legacy":
-            self._writer = self._migrate_legacy()
-            return
         self._writer = SegmentWriter(self.path, self.key, count=self._count)
         if kind == "segment":
             if self._reader is None:
@@ -599,54 +548,6 @@ class SweepCheckpoint:
             self._reader = None
         else:
             self._writer.open()
-
-    def _migrate_legacy(self):
-        """Rewrite a matching legacy JSONL journal as one segment blob.
-
-        The new blob is built beside the journal and swapped in with
-        ``os.replace``, so a crash mid-migration leaves the legacy file
-        intact; the returned writer keeps appending to the swapped-in
-        blob.  Counts one checkpoint write for the fold-in chunk.
-        """
-        from repro.core.store import SegmentWriter
-
-        entries = self._legacy_entries()
-        tmp = self.path.with_suffix(self.path.suffix + ".migrate.%d" % os.getpid())
-        writer = SegmentWriter(tmp, self.key, count=self._count)
-        writer.open()
-        if entries:
-            writer.append_chunk(entries.items(), fsync=True)
-        os.replace(tmp, self.path)
-        writer.fsync()
-        writer.path = self.path  # the fd survives the rename
-        return writer
-
-    def _legacy_entries(self) -> dict:
-        counters = get_recorder().counters
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return {}
-        out: dict = {}
-        for line in lines[1:]:
-            record = self._parse_legacy_record(line)
-            if record is None:
-                counters.add("core.resilience.checkpoint.torn", 1)
-                continue
-            out[record["name"]] = record["payload"]
-        return out
-
-    @staticmethod
-    def _parse_legacy_record(line: str):
-        try:
-            record = json.loads(line)
-            body = json.dumps(record["payload"], sort_keys=True)
-            if record["sha"] != hashlib.sha256(body.encode()).hexdigest()[:16]:
-                return None
-            record["name"]
-        except (ValueError, KeyError, TypeError):
-            return None
-        return record
 
 
 # ----------------------------------------------------------------------

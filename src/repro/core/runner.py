@@ -269,7 +269,6 @@ class ExperimentRunner:
         retry_policy: RetryPolicy | None = None,
         checkpoint=None,
         resume: bool = False,
-        pool_factory=None,
     ) -> SweepResult:
         """Compare every target on all machines.
 
@@ -291,10 +290,6 @@ class ExperimentRunner:
             resume: reload matching journal entries instead of
                 recomputing them; the resumed result is bit-identical
                 to an uninterrupted run.
-            pool_factory: executor seam forwarded to
-                :class:`~repro.core.resilience.ResilientMap` — e.g. a
-                remote worker fleet via
-                :func:`repro.fleet.fleet_pool_factory`.
         """
         recorder = get_recorder()
         with recorder.span("core.runner.evaluate"):
@@ -325,7 +320,7 @@ class ExperimentRunner:
                     if jobs > 1 and len(pending) > 1:
                         values, failures = self._evaluate_parallel(
                             pending, jobs, retry_policy, recorder,
-                            journal_success, pool_factory,
+                            journal_success,
                         )
                     else:
                         values, failures = self._evaluate_serial(
@@ -367,8 +362,7 @@ class ExperimentRunner:
         ).run()
 
     def _evaluate_parallel(
-        self, targets, jobs, retry_policy, recorder, on_success,
-        pool_factory=None,
+        self, targets, jobs, retry_policy, recorder, on_success
     ):
         self._check_config_ships(recorder)
         mapper = ResilientMap(
@@ -381,7 +375,6 @@ class ExperimentRunner:
             initargs=(self.system, self.energy_params, recorder.enabled),
             on_success=on_success,
             raise_failures=retry_policy is None,
-            pool_factory=pool_factory,
         )
         values, failures = mapper.run()
         if recorder.enabled:
@@ -441,39 +434,17 @@ def _mean(values: list[float]) -> float:
 _SWEEP_TRACE_STATE = None
 
 
-def _open_shared_artifact(artifact_path, content_hash):
-    """Resolve a shard's trace by path, falling back to content hash.
-
-    Local pool workers share the client's filesystem, so the path wins.
-    A fleet worker on another machine resolves the same ``content_hash``
-    against its local :class:`~repro.sim.artifact.TraceStore` instead —
-    the pickled-by-content-reference half of remote shard dispatch.
-    Either way the bytes that replay are hash-verified.
-    """
-    from repro.sim.artifact import TraceArtifact, TraceStore
-
-    try:
-        return TraceArtifact.load(
-            artifact_path, mmap=True, expected_hash=content_hash
-        )
-    except (OSError, ValueError) as exc:
-        artifact = TraceStore().find_by_hash(content_hash)
-        if artifact is None:
-            raise FileNotFoundError(
-                "trace artifact %r unavailable and no local artifact "
-                "matches content hash %s" % (str(artifact_path), content_hash)
-            ) from exc
-        return artifact
-
-
 def _init_sweep_worker(
     artifact_path, content_hash, timing_params, instructions_per_access
 ):
     global _SWEEP_TRACE_STATE
     _install_worker_fault_handlers()
+    from repro.sim.artifact import TraceArtifact
 
     try:
-        artifact = _open_shared_artifact(artifact_path, content_hash)
+        artifact = TraceArtifact.load(
+            artifact_path, mmap=True, expected_hash=content_hash
+        )
         _SWEEP_TRACE_STATE = (
             artifact.trace(), timing_params, instructions_per_access
         )
@@ -507,15 +478,16 @@ def _init_shard_worker(
 ):
     global _SHARD_EVALUATOR
     _install_worker_fault_handlers()
+    from repro.sim.artifact import TraceArtifact
     from repro.sim.batch import ShardEvaluator
 
     try:
         # Zero-copy trace sharing: the worker opens the artifact by path
         # *and* content hash — no trace bytes cross the pool boundary,
-        # and a file swapped under the path is rejected at open.  A
-        # worker without the path (remote fleet) resolves the hash
-        # against its local store instead.
-        artifact = _open_shared_artifact(artifact_path, content_hash)
+        # and a file swapped under the path is rejected at open.
+        artifact = TraceArtifact.load(
+            artifact_path, mmap=True, expected_hash=content_hash
+        )
         _SHARD_EVALUATOR = ShardEvaluator(
             artifact.trace(),
             params=timing_params,
@@ -681,7 +653,6 @@ class ConfigSweep:
         retry_policy: RetryPolicy | None = None,
         checkpoint=None,
         resume: bool = False,
-        pool_factory=None,
     ) -> ConfigSweepResult:
         from repro.config import soc_cache_label
 
@@ -713,8 +684,7 @@ class ConfigSweep:
                 batched = False
                 if pending and batch and jobs > 1 and len(pending) > 1:
                     parallel = self._evaluate_batch_parallel(
-                        pending, jobs, retry_policy, journal, recorder,
-                        pool_factory,
+                        pending, jobs, retry_policy, journal, recorder
                     )
                     if parallel is not None:
                         shard_fresh, failures, used_fallback = parallel
@@ -732,8 +702,7 @@ class ConfigSweep:
                         pending = []
                 if pending:
                     values, failures = self._evaluate_serial(
-                        pending, jobs, retry_policy, journal, recorder,
-                        pool_factory,
+                        pending, jobs, retry_policy, journal, recorder
                     )
                     fresh.update(
                         (label, row)
@@ -790,8 +759,7 @@ class ConfigSweep:
         ]
 
     def _evaluate_batch_parallel(
-        self, pending, jobs, retry_policy, journal, recorder,
-        pool_factory=None,
+        self, pending, jobs, retry_policy, journal, recorder
     ):
         """Shards of one batch plan across pool workers; None = not sharded.
 
@@ -848,7 +816,6 @@ class ConfigSweep:
             ),
             on_success=journal_success,
             raise_failures=retry_policy is None,
-            pool_factory=pool_factory,
         ).run()
         fresh: dict[str, dict] = {}
         for value in values:
@@ -922,10 +889,7 @@ class ConfigSweep:
         get_recorder().counters.add("sim.artifact.autosaves", 1)
         return path
 
-    def _evaluate_serial(
-        self, pending, jobs, retry_policy, journal, recorder,
-        pool_factory=None,
-    ):
+    def _evaluate_serial(self, pending, jobs, retry_policy, journal, recorder):
         def journal_success(index, name, value):
             if journal is not None:
                 journal.append(name, value)
@@ -948,7 +912,6 @@ class ConfigSweep:
                 ),
                 on_success=journal_success,
                 raise_failures=retry_policy is None,
-                pool_factory=pool_factory,
             )
             return mapper.run()
         trace = self.artifact.trace()

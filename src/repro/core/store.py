@@ -3,7 +3,7 @@
 The file-per-entry memo cache and the line-per-append checkpoint journal
 share a disease with the paper's workloads: their cost is dominated by
 *data movement* — here, file-open/fsync **count**, not bytes.  At sweep
-or fleet scale every entry pays a full open + write + rename (and, for
+scale every entry pays a full open + write + rename (and, for
 the journal, an fsync), so the storage layer's throughput is set by
 syscall and metadata traffic rather than payload size.  Following the
 Sentry RFC-0098 segment design (SNIPPETS.md §1), this module buffers
@@ -45,10 +45,10 @@ recovery case — counts ``core.store.torn``.
 
 :meth:`SegmentStore.compact` folds the maintenance chores the per-file
 layouts scattered across ``prune()``/``clear()`` into one segment
-rewrite: committed entries (plus any legacy entries the caller folds
-in) are rewritten into a single fresh segment, segments containing
-corrupt frames are quarantined aside as ``*.corrupt`` instead of
-deleted, and aged foreign-key segments and debris are pruned.
+rewrite: committed entries are rewritten into a single fresh segment,
+segments containing corrupt frames are quarantined aside as
+``*.corrupt`` instead of deleted, and aged foreign-key segments and
+debris are pruned.
 Compaction is safe under concurrent writers: a pid-stamped lock file
 serializes compactors across processes, and segments owned by live
 foreign writers (the pid in the blob filename) are skipped rather than
@@ -566,8 +566,7 @@ class CompactionStats:
 
     entries: int = 0  # live entries carried into the fresh segment
     segments_merged: int = 0  # same-key segment blobs folded and removed
-    legacy_folded: int = 0  # legacy per-file entries folded in
-    files_removed: int = 0  # every file deleted (segments, legacy, debris)
+    files_removed: int = 0  # every file deleted (segments, debris)
     quarantined: int = 0  # blobs set aside as *.corrupt, not deleted
     pruned: int = 0  # aged foreign-key/debris files removed
     busy_skipped: int = 0  # blobs left alone: a live writer owns them
@@ -838,9 +837,9 @@ class SegmentStore:
         rewrite's own ``compactions``), else None.  A ``compact_ratio``
         of None disables the trigger.  A store another process is
         already compacting is left alone (counted as
-        ``core.store.compact_busy``) — during a long-lived fleet
-        session any client may trigger maintenance, and exactly one
-        should win.  Keyword arguments are forwarded to :meth:`compact`.
+        ``core.store.compact_busy``) — any process sharing the store
+        may trigger maintenance, and exactly one should win.  Keyword
+        arguments are forwarded to :meth:`compact`.
         """
         if self.compact_ratio is None:
             return None
@@ -903,20 +902,11 @@ class SegmentStore:
         except OSError:
             pass
 
-    def compact(
-        self,
-        max_age_days=None,
-        extra_entries=None,
-        remove_paths=(),
-        now=None,
-    ) -> CompactionStats:
+    def compact(self, max_age_days=None, now=None) -> CompactionStats:
         """Rewrite the store as one fresh segment; fold in the chores.
 
-        * every committed same-key entry (and each of
-          ``extra_entries``, which merge *under* segment entries — the
-          legacy layout is older by construction) is rewritten into a
-          single new blob, and the merged blobs plus ``remove_paths``
-          (the caller's folded legacy files) are deleted;
+        * every committed same-key entry is rewritten into a single new
+          blob, and the merged blobs are deleted;
         * a same-key blob that held corrupt or torn frames is
           quarantined to ``*.corrupt`` instead of deleted, so
           the evidence survives the rewrite;
@@ -942,20 +932,13 @@ class SegmentStore:
             self._writer = None
         self._acquire_compact_lock()
         try:
-            return self._compact_locked(
-                stats, max_age_days, extra_entries, remove_paths, now
-            )
+            return self._compact_locked(stats, max_age_days, now)
         finally:
             self._release_compact_lock()
 
-    def _compact_locked(
-        self, stats, max_age_days, extra_entries, remove_paths, now
-    ) -> CompactionStats:
+    def _compact_locked(self, stats, max_age_days, now) -> CompactionStats:
         self._refresh()
         merged: dict = {}
-        for name, payload in (extra_entries or {}).items():
-            merged[name] = payload
-            stats.legacy_folded += 1
         our_paths = []
         dirty_paths = []
         busy_names: set = set()
@@ -1011,12 +994,6 @@ class SegmentStore:
             except OSError:
                 continue
             stats.segments_merged += 1
-        for path in remove_paths:
-            try:
-                Path(path).unlink()
-                stats.files_removed += 1
-            except OSError:
-                pass
         if max_age_days is not None:
             stats.pruned = self._prune_aged(max_age_days, now=now)
             stats.files_removed += stats.pruned

@@ -424,37 +424,6 @@ class TraceStore:
         artifact.save(path)
         return artifact
 
-    def find_by_hash(
-        self, content_hash: str, mmap: bool = True
-    ) -> TraceArtifact | None:
-        """The stored artifact whose ``content_hash`` matches, or None.
-
-        This is the content-reference path for distributed sweeps: a
-        remote worker given only a shard's artifact hash resolves it
-        against its *local* store (headers only are scanned, so the
-        lookup stays cheap even over multi-GB artifacts).  A header
-        match is then verified by the normal ``expected_hash`` load, so
-        a lying header can never substitute a different trace.
-        """
-        if not self.directory.is_dir():
-            return None
-        for path in sorted(self.directory.glob("*.trace")):
-            try:
-                header = read_artifact_header(path)
-            except ArtifactError:
-                continue
-            if header.get("content_hash") != content_hash:
-                continue
-            try:
-                artifact = TraceArtifact.load(
-                    path, mmap=mmap, expected_hash=content_hash
-                )
-            except ArtifactError:
-                continue
-            get_recorder().counters.add("sim.artifact.hash_lookups", 1)
-            return artifact
-        return None
-
     # -- maintenance ---------------------------------------------------
     def artifacts(self) -> list[dict]:
         """Describe every entry in the store directory, newest first.

@@ -16,7 +16,6 @@ time; the bit-identity property itself is exercised in-process via
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CacheConfig, SocConfig, soc_cache_label
-from repro.core.resilience import ResilientMap, RetryPolicy
+from repro.core.resilience import RetryPolicy
 from repro.core.runner import ConfigSweep
 from repro.obs import get_recorder, recording
 from repro.sim.artifact import TraceArtifact
@@ -290,30 +289,6 @@ class TestParallelConfigSweep:
         counters = obs.counters.as_dict()
         assert counters["core.resilience.resumed"] == len(socs)
         assert "core.runner.parallel_batches" not in counters
-
-
-class TestPoolFactorySeam:
-    def test_custom_executor_drives_the_same_semantics(self):
-        created = []
-
-        def factory(mapper):
-            assert mapper.jobs == 2
-            pool = ThreadPoolExecutor(max_workers=mapper.jobs)
-            created.append(pool)
-            return pool
-
-        mapper = ResilientMap(
-            fn=lambda x: x * x,
-            items=[1, 2, 3],
-            names=["a", "b", "c"],
-            policy=RetryPolicy(max_attempts=2, backoff_base_s=0.0, jitter=0.0),
-            jobs=2,
-            pool_factory=factory,
-        )
-        results, failures = mapper.run()
-        assert results == [1, 4, 9]
-        assert not failures
-        assert len(created) == 1
 
 
 class TestInnerJobsAllocation:

@@ -607,7 +607,7 @@ class TestCompactUnderConcurrency:
 # ----------------------------------------------------------------------
 
 class TestCompaction:
-    def test_merges_blobs_folds_legacy_and_counts(self, tmp_path):
+    def test_merges_blobs_and_counts(self, tmp_path):
         store = SegmentStore(tmp_path, key="k", prefix="seg")
         store.append("a", 1)
         store.close()
@@ -616,16 +616,15 @@ class TestCompaction:
         other.append("a", 10)  # later blob wins on merge
         other.close()
         with recording() as rec:
-            stats = store.compact(extra_entries={"legacy": 9, "a": 0})
+            stats = store.compact()
         assert isinstance(stats, CompactionStats)
-        assert stats.entries == 3  # a, b, legacy
+        assert stats.entries == 2  # a, b
         assert stats.segments_merged == 2
-        assert stats.legacy_folded == 2
+        assert stats.files_removed == 2
         assert stats.quarantined == 0
         assert rec.counters.get("core.store.compactions") == 1
         merged = SegmentStore(tmp_path, key="k", prefix="seg").entries()
-        # Segment entries shadow legacy extras; the later blob wins.
-        assert merged == {"a": 10, "b": 2, "legacy": 9}
+        assert merged == {"a": 10, "b": 2}
         assert len(list(tmp_path.glob("seg-*.seg"))) == 1
 
     def test_dirty_blob_is_quarantined_not_deleted(self, tmp_path):

@@ -10,6 +10,12 @@ byte comparison, the same way the figure tests catch output drift.
 Regenerate the golden after an *intentional* model change with::
 
     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/obs/test_manifest.py
+
+``golden_evaluate_all.json`` and ``golden_cachesweep_all.json`` pin the
+manifests of two whole user commands the same way: ``evaluate
+--workload all`` and a cold ``cachesweep --workload all`` into a fresh
+memo cache and trace store, so the golden also pins the cache's
+``core.memo.misses``/``puts`` and the store's write counters.
 """
 
 from __future__ import annotations
@@ -18,6 +24,9 @@ import json
 import os
 from pathlib import Path
 
+import pytest
+
+from repro.cli import main
 from repro.config import default_system
 from repro.core.runner import ExperimentRunner
 from repro.obs import (
@@ -35,6 +44,12 @@ from repro.validate import strict_mode
 from repro.workloads.chrome.targets import browser_pim_targets
 
 GOLDEN_PATH = Path(__file__).parent / "golden_manifest.json"
+
+#: Whole-command goldens: file name -> CLI argv (``--manifest`` added).
+COMMAND_GOLDENS = {
+    "golden_evaluate_all.json": ["evaluate", "--workload", "all"],
+    "golden_cachesweep_all.json": ["cachesweep", "--workload", "all"],
+}
 
 
 def tiny_run_manifest() -> dict:
@@ -60,6 +75,22 @@ def tiny_run_manifest() -> dict:
             },
             recorder=rec,
         )
+
+
+def command_manifest(argv: list, root: Path, monkeypatch) -> dict:
+    """Run one CLI command in-process against a fresh cache directory and
+    trace store under ``root``; return its masked manifest.
+
+    Strict mode is pinned off for the same reason as
+    :func:`tiny_run_manifest`.
+    """
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(root / "cache"))
+    args = list(argv) + ["--manifest", str(root / "obs")]
+    if argv[0] == "cachesweep":
+        args += ["--trace-dir", str(root / "traces")]
+    with strict_mode(False):
+        assert main(args) == 0
+    return masked(load_manifest(root / "obs"))
 
 
 class TestManifestBasics:
@@ -191,3 +222,27 @@ class TestGoldenManifest:
         first = manifest_json(masked(tiny_run_manifest()))
         second = manifest_json(masked(tiny_run_manifest()))
         assert first == second
+
+
+class TestCommandGoldens:
+    @pytest.mark.parametrize("filename", sorted(COMMAND_GOLDENS))
+    def test_command_manifest_byte_stable(self, filename, tmp_path, monkeypatch):
+        got = manifest_json(
+            command_manifest(COMMAND_GOLDENS[filename], tmp_path, monkeypatch)
+        )
+        path = Path(__file__).parent / filename
+        if os.environ.get("REPRO_UPDATE_GOLDEN"):
+            path.write_text(got)
+        assert got == path.read_text(), (
+            "manifest drifted from tests/obs/%s — if the model change is "
+            "intentional, regenerate with REPRO_UPDATE_GOLDEN=1" % filename
+        )
+
+    @pytest.mark.parametrize("filename", sorted(COMMAND_GOLDENS))
+    def test_command_golden_is_deterministic_across_runs(
+        self, filename, tmp_path, monkeypatch
+    ):
+        argv = COMMAND_GOLDENS[filename]
+        first = command_manifest(argv, tmp_path / "a", monkeypatch)
+        second = command_manifest(argv, tmp_path / "b", monkeypatch)
+        assert manifest_json(first) == manifest_json(second)

@@ -1,10 +1,13 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import time
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.memo import MemoCache
 from repro.obs import headline_from_counters, load_manifest
 
 
@@ -136,7 +139,31 @@ class TestCommands:
 
     def test_cachesweep_unknown_workload(self, capsys):
         assert main(["cachesweep", "--workload", "nope"]) == 2
-        assert "unknown workload" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: unknown workload 'nope'; available: "
+        )
+        assert captured.err.count("\n") == 1
+        assert "tensorflow.gemm_packed" in captured.err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["cache", "prune"],
+            ["cache", "compact"],
+            ["trace", "prune"],
+        ],
+        ids=["cache-prune", "cache-compact", "trace-prune"],
+    )
+    def test_max_age_days_below_zero_rejected(self, args, tmp_path, capsys):
+        victim = tmp_path / "dead.tmp.1"
+        victim.write_text("{")
+        assert main(args + ["--dir", str(tmp_path), "--max-age-days", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-age-days must be >= 0, got -1\n"
+        assert victim.exists()
 
     def test_cachesweep_checkpoint_resume(self, tmp_path, capsys):
         store = str(tmp_path / "traces")
@@ -179,6 +206,46 @@ class TestCommands:
         capsys.readouterr()
         assert main(["trace", "list", "--dir", store]) == 0
         assert "tensorflow.gemm_packed" not in capsys.readouterr().out
+
+
+class TestCacheCommand:
+    """``cache compact|prune|clear`` over a directory the memo cache wrote."""
+
+    def test_compact_prune_clear(self, tmp_path, capsys):
+        for name in ("fig1", "fig2"):
+            writer = MemoCache(tmp_path)
+            writer.put(name, {"rows": [name]})
+            writer.close()
+        foreign = MemoCache(tmp_path, version="old")
+        foreign.put("fig1", {"rows": []})
+        foreign.close()
+        debris = tmp_path / "dead.tmp.12345"
+        debris.write_text("{")
+        ancient = time.time() - 90 * 86400
+        for path in tmp_path.iterdir():
+            os.utime(path, (ancient, ancient))
+        directory = ["--dir", str(tmp_path)]
+
+        assert main(["cache", "compact"] + directory) == 0
+        assert capsys.readouterr().out == (
+            "compacted %s: 2 live entries (2 segment(s) merged), "
+            "2 file(s) removed, 0 quarantined, 0 aged file(s) pruned\n"
+            % tmp_path
+        )
+        assert MemoCache(tmp_path).get("fig2") == {"rows": ["fig2"]}
+
+        # The fresh segment is new; the foreign blob and debris are old.
+        assert main(["cache", "prune"] + directory) == 0
+        assert capsys.readouterr().out == (
+            "pruned 2 file(s) older than 30 day(s) from %s\n" % tmp_path
+        )
+        assert MemoCache(tmp_path).get("fig1") == {"rows": ["fig1"]}
+
+        assert main(["cache", "clear"] + directory) == 0
+        assert capsys.readouterr().out == (
+            "cleared 2 entries/files from %s\n" % tmp_path
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestObservabilityFlags:
