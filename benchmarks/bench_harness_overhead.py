@@ -1,11 +1,9 @@
 """Harness overhead: what each instrumentation layer costs at replay time.
 
-The replay engine sits under several optional layers added across PRs —
-observability counters/spans (PR 3), strict validation invariants
-(PR 4), and resilient execution with retries (PR 5).  Each is free to
-*enable*, but not free to *run*: counters publish per replay, strict
-mode re-derives conservation checks, and ``ResilientMap`` adds per-item
-bookkeeping.  This benchmark measures replay throughput with the layers
+The replay engine sits under optional layers: observability
+counters/spans and strict validation invariants.  Each is free to
+*enable*, but not free to *run*: counters publish per replay, and strict
+mode re-derives conservation checks.  This benchmark measures replay throughput with the layers
 stacked one at a time, so a regression in any layer's overhead is
 visible as data rather than folklore:
 
@@ -13,7 +11,6 @@ visible as data rather than folklore:
 * ``obs``        -- the same replay inside ``recording()``
 * ``validate``   -- ``strict=True`` (invariant + conservation checks)
 * ``obs_validate`` -- both layers together
-* ``resilience`` -- the replay wrapped in a serial ``ResilientMap``
 
 This is a measurement-only benchmark: there is no speedup gate, because
 the acceptable overhead is a judgement call that belongs in review, not
@@ -34,7 +31,6 @@ import time
 from pathlib import Path
 
 from repro.config import SocConfig
-from repro.core.resilience import ResilientMap, RetryPolicy
 from repro.obs import recording
 from repro.sim.cache import CacheHierarchy
 from repro.workloads.chrome.texture import compositing_trace
@@ -74,18 +70,6 @@ def _obs_validate(soc, trace):
         return CacheHierarchy(soc).replay_fast(trace, strict=True)
 
 
-def _resilience(soc, trace):
-    values, failures = ResilientMap(
-        lambda t: CacheHierarchy(soc).replay_fast(t),
-        [trace],
-        names=["replay"],
-        policy=RetryPolicy(max_attempts=2, backoff_base_s=0.0, jitter=0.0),
-    ).run()
-    if failures:
-        raise failures[0].error
-    return values[0]
-
-
 #: (label, runner) in stacking order; ``bare`` must stay first — every
 #: other layer's overhead is reported relative to it.
 LAYERS = [
@@ -93,7 +77,6 @@ LAYERS = [
     ("obs", _obs),
     ("validate", _validate),
     ("obs_validate", _obs_validate),
-    ("resilience", _resilience),
 ]
 
 

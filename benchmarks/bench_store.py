@@ -1,28 +1,25 @@
 """Segment-store throughput: file-per-entry vs append-only segment blobs.
 
 The headline perf metric for the segment-merged result store: the cost
-of persisting, re-reading, and resuming from N cached results.  The
-baseline is the pre-segment layout — the memo cache's one-JSON-document-
-per-entry two-phase commit (write ``*.tmp.<pid>``, ``os.replace``) and
-the checkpoint journal's fsync-per-line JSONL — whose cost is dominated
-by per-entry file opens and renames, the storage-layer face of the
-paper's data-movement tax.  The segment path buffers entries and flushes
+of persisting and re-reading N cached results.  The baseline is the
+pre-segment layout — the memo cache's one-JSON-document-per-entry
+two-phase commit (write ``*.tmp.<pid>``, ``os.replace``) — whose cost is
+dominated by per-entry file opens and renames, the storage-layer face
+of the paper's data-movement tax.  The segment path buffers entries and flushes
 them as single append-only blobs with an in-blob offset index
 (:mod:`repro.core.store`), so N entries cost a handful of writes.
 
-Three paths are measured per payload shape, every run verifying the
+Two paths are measured per payload shape, every run verifying the
 values read back are identical between layouts:
 
 * **write**: persist N entries (the acceptance bar: a >=5x entries/sec
   geomean over file-per-entry);
 * **hit**: a fresh process re-reads all N entries through
-  :class:`repro.core.memo.MemoCache` (gate: no worse than legacy);
-* **resume**: :class:`repro.core.resilience.SweepCheckpoint` loads an
-  N-entry journal (gate: no worse than legacy JSONL).
+  :class:`repro.core.memo.MemoCache` (gate: no worse than legacy).
 
-The library no longer reads the pre-segment layouts, so this module
-carries their readers as well as their writers: each does the old
-work, a header check (journal) and a per-record checksum.
+The library no longer reads the pre-segment layout, so this module
+carries its reader as well as its writer: each does the old work,
+including a per-record checksum.
 
 Run directly to record the numbers EXPERIMENTS.md's Performance section
 cites::
@@ -32,11 +29,11 @@ cites::
 which rewrites ``benchmarks/BENCH_store.json`` with full-size and
 quick-size measurements.  ``--quick`` is the CI perf-smoke mode: it
 re-measures at the quick sizes and fails if any write speedup fell more
-than ``REGRESSION_FACTOR``x below the committed baseline, or a hit/
-resume path fell below ``NOT_WORSE_FLOOR`` (speedups, not wall-clock,
-so the gate is machine-independent).  Under pytest the module asserts
-the acceptance bar instead: a >=5x write geomean at full size, with
-hit/resume no worse than legacy within timer noise.
+than ``REGRESSION_FACTOR``x below the committed baseline, or a hit path
+fell below ``NOT_WORSE_FLOOR`` (speedups, not wall-clock, so the gate
+is machine-independent).  Under pytest the module asserts the
+acceptance bar instead: a >=5x write geomean at full size, with hit no
+worse than legacy within timer noise.
 """
 
 from __future__ import annotations
@@ -53,14 +50,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.memo import MemoCache, memo_key
-from repro.core.resilience import SweepCheckpoint
 
 JSON_PATH = Path(__file__).resolve().parent / "BENCH_store.json"
 
 #: Acceptance bar for the full-size write-path geomean (pytest gate).
 REQUIRED_WRITE_SPEEDUP = 5.0
-#: Hit/resume paths must be "no worse" than the legacy layout; timer
-#: noise on sub-100ms reads wobbles +-20%, so the floor is below 1.0.
+#: The hit path must be "no worse" than the legacy layout; timer noise
+#: on sub-100ms reads wobbles +-20%, so the floor is below 1.0.
 NOT_WORSE_FLOOR = 0.8
 #: ``--quick`` fails when a write speedup drops below
 #: committed_speedup / REGRESSION_FACTOR.
@@ -92,12 +88,8 @@ def _payloads(quick: bool) -> list:
 
 
 # ----------------------------------------------------------------------
-# Legacy layouts (the pre-segment read and write paths, reproduced exactly)
+# Legacy layout (the pre-segment read and write paths, reproduced exactly)
 # ----------------------------------------------------------------------
-
-#: Header schema of the pre-segment JSONL checkpoint journal.
-LEGACY_JOURNAL_SCHEMA = "repro-sweep-checkpoint/v1"
-
 
 def _legacy_checksum(value_json: str) -> str:
     return hashlib.sha256(value_json.encode()).hexdigest()[:16]
@@ -140,51 +132,6 @@ def _legacy_memo_get(directory: Path, version: str, name):
     return value if stored == recomputed else None
 
 
-def _legacy_journal_write(path: Path, key: str, items) -> None:
-    """The old SweepCheckpoint: header + one fsync'd JSONL line per entry."""
-    with open(path, "w") as f:
-        f.write(json.dumps({"schema": LEGACY_JOURNAL_SCHEMA, "key": key}))
-        f.write("\n")
-        f.flush()
-        os.fsync(f.fileno())
-        for name, payload in items:
-            body = json.dumps(payload, sort_keys=True)
-            f.write(json.dumps({
-                "name": name,
-                "payload": payload,
-                "sha": hashlib.sha256(body.encode()).hexdigest()[:16],
-            }))
-            f.write("\n")
-            f.flush()
-            os.fsync(f.fileno())
-
-
-def _legacy_journal_entries(path: Path, key: str) -> dict:
-    """The old SweepCheckpoint.entries: header check, then every record
-    whose checksum verifies, name -> payload."""
-    try:
-        lines = path.read_text().splitlines()
-        header = json.loads(lines[0])
-    except (OSError, IndexError, ValueError):
-        return {}
-    if not (
-        isinstance(header, dict)
-        and header.get("schema") == LEGACY_JOURNAL_SCHEMA
-        and header.get("key") == key
-    ):
-        return {}
-    out: dict = {}
-    for line in lines[1:]:
-        try:
-            record = json.loads(line)
-            body = json.dumps(record["payload"], sort_keys=True)
-            if record["sha"] == _legacy_checksum(body):
-                out[record["name"]] = record["payload"]
-        except (ValueError, KeyError, TypeError):
-            continue
-    return out
-
-
 # ----------------------------------------------------------------------
 # Measured paths
 # ----------------------------------------------------------------------
@@ -214,7 +161,7 @@ def _read_segment(directory: Path, names) -> list:
 
 
 def measure(name: str, count: int, make_payload) -> dict:
-    """Time write/hit/resume for one payload shape across both layouts."""
+    """Time write/hit for one payload shape across both layouts."""
     items = [("%s-%05d" % (name, i), make_payload(i)) for i in range(count)]
     names = [n for n, _ in items]
     values = [v for _, v in items]
@@ -243,31 +190,10 @@ def measure(name: str, count: int, make_payload) -> dict:
             "legacy_s": _best(lambda: _read_legacy(legacy_dir, names), 3),
             "segment_s": _best(lambda: _read_segment(segment_dir, names), 3),
         }
-
-        legacy_journal = root / "legacy.jsonl"
-        segment_journal = root / "segment.jsonl"
-        _legacy_journal_write(legacy_journal, "bench", items)
-        journal = SweepCheckpoint(segment_journal, key="bench")
-        for entry_name, payload in items:
-            journal.append(entry_name, payload)
-        journal.close()
-        reference = dict(items)
-        if _legacy_journal_entries(legacy_journal, "bench") != reference:
-            raise AssertionError("%s: legacy journal diverged" % name)
-        if SweepCheckpoint(segment_journal, key="bench").entries() != reference:
-            raise AssertionError("%s: segment journal diverged" % name)
-        resume = {
-            "legacy_s": _best(
-                lambda: _legacy_journal_entries(legacy_journal, "bench"), 3
-            ),
-            "segment_s": _best(
-                lambda: SweepCheckpoint(segment_journal, key="bench").entries(), 3
-            ),
-        }
     finally:
         shutil.rmtree(root, ignore_errors=True)
     row = {"name": name, "entries": count}
-    for path_name, timings in (("write", write), ("hit", hit), ("resume", resume)):
+    for path_name, timings in (("write", write), ("hit", hit)):
         row[path_name] = {
             "legacy_s": timings["legacy_s"],
             "segment_s": timings["segment_s"],
@@ -301,13 +227,12 @@ def run(quick: bool) -> list:
 def _print_rows(rows) -> None:
     for row in rows:
         print(
-            "%-14s %5d entries  write %6.1fx  hit %5.2fx  resume %5.2fx"
+            "%-14s %5d entries  write %6.1fx  hit %5.2fx"
             % (
                 row["name"],
                 row["entries"],
                 row["write"]["speedup"],
                 row["hit"]["speedup"],
-                row["resume"]["speedup"],
             )
         )
     print(
@@ -327,11 +252,10 @@ def test_write_path_meets_speedup_bar():
         "write path only %.1fx entries/sec over file-per-entry" % headline
     )
     for row in rows:
-        for path_name in ("hit", "resume"):
-            assert row[path_name]["speedup"] >= NOT_WORSE_FLOOR, (
-                "%s %s path %.2fx: worse than the legacy layout"
-                % (row["name"], path_name, row[path_name]["speedup"])
-            )
+        assert row["hit"]["speedup"] >= NOT_WORSE_FLOOR, (
+            "%s hit path %.2fx: worse than the legacy layout"
+            % (row["name"], row["hit"]["speedup"])
+        )
 
 
 def test_quick_write_path_faster_than_file_per_entry():
@@ -374,17 +298,11 @@ def _check_regressions(rows) -> int:
                     REGRESSION_FACTOR,
                 )
             )
-        for path_name in ("hit", "resume"):
-            if row[path_name]["speedup"] < NOT_WORSE_FLOOR:
-                failures.append(
-                    "%s %s: %.2fx, below the %.2fx no-worse floor"
-                    % (
-                        row["name"],
-                        path_name,
-                        row[path_name]["speedup"],
-                        NOT_WORSE_FLOOR,
-                    )
-                )
+        if row["hit"]["speedup"] < NOT_WORSE_FLOOR:
+            failures.append(
+                "%s hit: %.2fx, below the %.2fx no-worse floor"
+                % (row["name"], row["hit"]["speedup"], NOT_WORSE_FLOOR)
+            )
     for failure in failures:
         print("PERF REGRESSION %s" % failure)
     if not failures:

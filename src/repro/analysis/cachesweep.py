@@ -16,10 +16,10 @@ Layer composition (deliberately the same stack as the figure sweeps):
   points, processes, and sessions, keyed by workload + code version;
 * the **memo** layer (:class:`repro.core.memo.MemoCache`) caches whole
   sweep results, keyed by the artifact's ``content_hash`` + the
-  geometry grid, so a repeated sweep is a single JSON read;
-* the **resilience** layer (checkpoint / retry policy, forwarded to
-  :class:`repro.core.runner.ConfigSweep`) quarantines a faulty
-  geometry without discarding the shared trace.
+  geometry grid, so a repeated sweep is a single JSON read.
+
+A geometry, shard or workload that fails fails the sweep; nothing
+partial is returned or memoized.
 """
 
 from __future__ import annotations
@@ -86,9 +86,6 @@ def run_sweep(
     store=None,
     cache=None,
     jobs: int = 1,
-    retry_policy=None,
-    checkpoint=None,
-    resume: bool = False,
     timing_params=None,
     instructions_per_access: float = 2.0,
 ) -> dict:
@@ -97,22 +94,20 @@ def run_sweep(
     Returns a JSON-able document::
 
         {"workload", "artifact",   # trace content hash
-         "batched",                # engine actually used for fresh rows
-         "rows": [...],            # one dict per surviving geometry
-         "failures": [...]}        # quarantined geometries, if any
+         "batched",                # engine that produced the rows
+         "rows": [...],            # one dict per geometry
+         "failures": []}           # always empty: a failure raises
 
     Args:
         workload: a :data:`WORKLOADS` name.
         socs: geometry grid (default :func:`default_geometry_grid`).
-        batch: evaluate fresh geometries in one batched pass (serial
-            fallback still applies under a retry policy).
+        batch: evaluate all geometries in one batched pass.
         store: :class:`~repro.sim.artifact.TraceStore` holding the
             shared artifacts (default: the package cache directory).
         cache: optional :class:`~repro.core.memo.MemoCache`; hits skip
-            the replay entirely.  Degraded (quarantine) results are
-            never memoized.
-        jobs / retry_policy / checkpoint / resume:
-            forwarded to :class:`~repro.core.runner.ConfigSweep.evaluate`.
+            the replay entirely.
+        jobs: forwarded to
+            :meth:`~repro.core.runner.ConfigSweep.evaluate`.
     """
     from repro.core.runner import ConfigSweep
     from repro.sim.artifact import TraceStore
@@ -147,25 +142,15 @@ def run_sweep(
             timing_params=timing_params,
             instructions_per_access=instructions_per_access,
         )
-        result = sweep.evaluate(
-            socs,
-            batch=batch,
-            jobs=jobs,
-            retry_policy=retry_policy,
-            checkpoint=checkpoint,
-            resume=resume,
-        )
+        result = sweep.evaluate(socs, batch=batch, jobs=jobs)
         document = {
             "workload": workload,
             "artifact": artifact.content_hash,
             "batched": result.batched,
             "rows": result.rows,
-            "failures": [
-                {"config": f.target, "attempts": f.attempts, "error": f.error}
-                for f in result.failures
-            ],
+            "failures": [],
         }
-        if cache is not None and not result.degraded:
+        if cache is not None:
             cache.put("cachesweep.%s" % workload, document, memo_config)
     return document
 
@@ -196,11 +181,9 @@ def _sweep_workload_in_worker(job):
     writers safe by construction).
     """
     from repro.core.memo import MemoCache
-    from repro.core.resilience import maybe_inject_fault
     from repro.sim.artifact import TraceStore
 
-    name, checkpoint, inner_jobs = job
-    maybe_inject_fault(name)
+    name, inner_jobs = job
     s = _WORKLOAD_STATE
     store = TraceStore(s["store_dir"], version=s["store_version"])
     cache = None
@@ -218,9 +201,6 @@ def _sweep_workload_in_worker(job):
             store=store,
             cache=cache,
             jobs=inner_jobs,
-            retry_policy=s["retry_policy"],
-            checkpoint=checkpoint,
-            resume=s["resume"],
             timing_params=s["timing_params"],
             instructions_per_access=s["instructions_per_access"],
         )
@@ -263,45 +243,28 @@ def sweep_all(
     store=None,
     cache=None,
     jobs: int = 1,
-    retry_policy=None,
-    checkpoint=None,
-    resume: bool = False,
     timing_params=None,
     instructions_per_access: float = 2.0,
 ) -> dict[str, dict]:
     """:func:`run_sweep` for several workloads sharing one store.
 
     With ``jobs > 1`` and more than one workload, sweeps fan out across
-    pool workers — one workload per worker, dispatched through
-    :class:`~repro.core.resilience.ResilientMap` so crash/hang/retry
-    semantics match every other sweep; a workload that exhausts its
-    retries contributes a failure document instead of aborting the
-    rest.  Surplus jobs beyond the workload count flow into each
-    workload's sharded batch engine (:func:`plan_inner_jobs`), so
-    ``--workload all --jobs 8`` with 3 workloads still uses 8 cores.
-    With a single workload, ``jobs`` flows into the sharded batch
-    engine (:meth:`~repro.core.runner.ConfigSweep.evaluate`) directly.
-    ``checkpoint`` is a journal *path prefix*: with several workloads
-    each gets its own ``<prefix>.<workload>`` journal (each sweep has
-    its own artifact hash, and a shared file would rotate itself stale
-    on every workload switch).
+    pool workers through :class:`~repro.core.resilience.ResilientMap`,
+    one workload per worker.  Surplus jobs beyond the workload count
+    flow into each workload's sharded batch engine
+    (:func:`plan_inner_jobs`), so ``--workload all --jobs 8`` with 3
+    workloads still uses 8 cores.  With a single workload, ``jobs``
+    flows into the sharded batch engine
+    (:meth:`~repro.core.runner.ConfigSweep.evaluate`) directly.
     """
     from repro.sim.artifact import TraceStore
 
     store = store or TraceStore()
     names = list(workloads) if workloads is not None else workload_names()
-
-    def checkpoint_for(name):
-        if checkpoint is None:
-            return None
-        if len(names) > 1:
-            return "%s.%s" % (checkpoint, name)
-        return checkpoint
-
     if jobs > 1 and len(names) > 1:
         return _sweep_all_parallel(
-            names, socs, batch, store, cache, jobs, retry_policy,
-            checkpoint_for, resume, timing_params, instructions_per_access,
+            names, socs, batch, store, cache, jobs,
+            timing_params, instructions_per_access,
         )
     return {
         name: run_sweep(
@@ -311,9 +274,6 @@ def sweep_all(
             store=store,
             cache=cache,
             jobs=jobs,
-            retry_policy=retry_policy,
-            checkpoint=checkpoint_for(name),
-            resume=resume,
             timing_params=timing_params,
             instructions_per_access=instructions_per_access,
         )
@@ -322,8 +282,8 @@ def sweep_all(
 
 
 def _sweep_all_parallel(
-    names, socs, batch, store, cache, jobs, retry_policy,
-    checkpoint_for, resume, timing_params, instructions_per_access,
+    names, socs, batch, store, cache, jobs,
+    timing_params, instructions_per_access,
 ):
     from repro.core.resilience import ResilientMap
 
@@ -339,56 +299,26 @@ def _sweep_all_parallel(
         "cache_flush_every": (
             cache._store.flush_every if cache is not None else 1
         ),
-        "retry_policy": retry_policy,
-        "resume": resume,
         "timing_params": timing_params,
         "instructions_per_access": instructions_per_access,
     }
     jobs_used = min(jobs, len(names))
-    inner_jobs = plan_inner_jobs(jobs, len(names))
-    values, failures = ResilientMap(
+    values = ResilientMap(
         _sweep_workload_in_worker_observed if observe else _sweep_workload_in_worker,
-        [
-            (name, checkpoint_for(name), inner)
-            for name, inner in zip(names, inner_jobs)
-        ],
-        names=list(names),
-        policy=retry_policy,
+        list(zip(names, plan_inner_jobs(jobs, len(names)))),
         jobs=jobs_used,
         initializer=_init_workload_worker,
         initargs=(settings, observe),
-        raise_failures=retry_policy is None,
     ).run()
     documents = {}
-    for name, value in zip(names, values):
-        if value is None:
-            continue
+    for name, document in zip(names, values):
         if observe:
-            document, snapshot = value
+            document, snapshot = document
             recorder.merge_snapshot(snapshot)
-        else:
-            document = value
         documents[name] = document
-    for failure in failures:
-        # A quarantined *workload* (its worker kept dying) still gets a
-        # document, shaped like a fully-failed sweep, so reports can
-        # annotate it instead of silently dropping the workload.
-        documents[failure.target] = {
-            "workload": failure.target,
-            "artifact": None,
-            "batched": False,
-            "rows": [],
-            "failures": [
-                {
-                    "config": "*",
-                    "attempts": failure.attempts,
-                    "error": failure.error,
-                }
-            ],
-        }
     if observe:
         recorder.counters.add(
             "analysis.cachesweep.parallel_workloads", len(names)
         )
         recorder.counters.max("core.runner.pool_workers", jobs_used)
-    return {name: documents[name] for name in names if name in documents}
+    return documents

@@ -48,48 +48,21 @@ def workload_characterizations():
     return out
 
 
-def headline_summary(retry_policy=None) -> FigureResult:
-    """The paper's headline averages, recomputed from our models.
-
-    With a :class:`~repro.core.resilience.RetryPolicy`, the underlying
-    sweep survives per-target faults; a degraded sweep (quarantined
-    targets) is annotated in the figure's ``notes`` and its averages
-    are computed over the survivors — it never crashes the report.
-    """
+def headline_summary() -> FigureResult:
+    """The paper's headline averages, recomputed from our models."""
     characterizations = workload_characterizations()
     movement = [c.data_movement_fraction for c in characterizations]
     avg_movement = sum(movement) / len(movement)
-    result = ExperimentRunner().evaluate(
-        all_pim_targets(), retry_policy=retry_policy
-    )
+    result = ExperimentRunner().evaluate(all_pim_targets())
     rows = [
         {"workload": c.workload, "data_movement_fraction": c.data_movement_fraction}
         for c in characterizations
     ]
     rows += result.rows()
-    notes = ""
-    if result.degraded:
-        notes = (
-            "DEGRADED: %d target(s) quarantined after exhausting retries (%s); "
-            "averages cover the %d survivors only."
-            % (
-                len(result.failures),
-                ", ".join(f.target for f in result.failures),
-                len(result.comparisons),
-            )
-        )
-    if not result.comparisons:
-        return FigureResult(
-            figure_id="Headline",
-            title="Cross-workload averages",
-            rows=rows,
-            notes=notes or "DEGRADED: no surviving targets",
-        )
     return FigureResult(
         figure_id="Headline",
         title="Cross-workload averages",
         rows=rows,
-        notes=notes,
         anchors={
             "avg data-movement fraction of system energy": (0.627, avg_movement),
             "mean PIM-Core energy reduction": (

@@ -3,19 +3,13 @@
     python -m repro figures [--figure "Figure 18"] [--write PATH] [--chart]
                             [--jobs N] [--no-cache] [--cache-flush-every N]
                             [--manifest DIR] [--trace-out PATH] [--strict]
-                            [--max-retries N] [--target-timeout S]
-                            [--checkpoint PATH] [--resume]
     python -m repro export [--dir figures_data]
     python -m repro evaluate [--workload chrome|tensorflow|vp9|all] [--jobs N]
                              [--manifest DIR] [--trace-out PATH] [--strict]
-                             [--max-retries N] [--target-timeout S]
-                             [--checkpoint PATH] [--resume]
     python -m repro cachesweep [--workload NAME|all] [--batch|--no-batch]
                                [--trace-dir DIR] [--jobs N] [--no-cache]
                                [--cache-flush-every N]
                                [--manifest DIR] [--trace-out PATH] [--strict]
-                               [--max-retries N] [--target-timeout S]
-                               [--checkpoint PATH] [--resume]
     python -m repro cache {compact|clear|prune} [--dir PATH]
                           [--max-age-days DAYS]
     python -m repro trace {list|prune|clear} [--dir PATH]
@@ -92,52 +86,6 @@ def _add_cache_batch_flag(parser) -> None:
     )
 
 
-def _add_resilience_flags(parser) -> None:
-    parser.add_argument(
-        "--max-retries", type=int, metavar="N",
-        help="tolerate per-target faults: retry each failed/crashed/hung "
-        "target up to N times (N + 1 total attempts; 0 quarantines on "
-        "the first failure), then quarantine it (degraded result) "
-        "instead of aborting the sweep",
-    )
-    parser.add_argument(
-        "--target-timeout", type=float, metavar="SECONDS",
-        help="declare a target hung after SECONDS, kill its worker, "
-        "respawn the pool and retry (implies fault tolerance; "
-        "needs --jobs > 1)",
-    )
-    parser.add_argument(
-        "--checkpoint", metavar="PATH",
-        help="journal completed targets to PATH (append-only JSONL, "
-        "keyed by config+code version) as they finish",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="reload completed targets from --checkpoint instead of "
-        "recomputing them (bit-identical to an uninterrupted run)",
-    )
-
-
-def _retry_policy(args):
-    """The :class:`RetryPolicy` the resilience flags ask for (or None)."""
-    if args.resume and not args.checkpoint:
-        raise ValueError("--resume requires --checkpoint PATH")
-    if args.max_retries is not None and args.max_retries < 0:
-        raise ValueError(
-            "--max-retries must be >= 0, got %d" % args.max_retries
-        )
-    if args.max_retries is None and args.target_timeout is None:
-        return None
-    from repro.core.resilience import RetryPolicy
-
-    # --max-retries N means N *retries*: N + 1 total attempts.  With
-    # only --target-timeout, default to two retries per target.
-    return RetryPolicy(
-        max_attempts=args.max_retries + 1 if args.max_retries is not None else 3,
-        timeout_s=args.target_timeout,
-    )
-
-
 def _check_jobs(args) -> None:
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1, got %d" % args.jobs)
@@ -165,13 +113,7 @@ def _cmd_figures(args) -> int:
     _check_jobs(args)
     cache = _memo_cache(args)
     with _obs_session(args) as recorder:
-        results = all_results(
-            jobs=args.jobs,
-            cache=cache,
-            retry_policy=_retry_policy(args),
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-        )
+        results = all_results(jobs=args.jobs, cache=cache)
         if args.write:
             with open(args.write, "w") as f:
                 f.write(render_markdown(results))
@@ -237,25 +179,12 @@ def _cmd_evaluate(args) -> int:
         from repro.workloads.vp9.targets import video_pim_targets
 
         targets += video_pim_targets()
-    retry_policy = _retry_policy(args)
     with _obs_session(args) as recorder:
-        result = ExperimentRunner().evaluate(
-            targets,
-            jobs=args.jobs,
-            retry_policy=retry_policy,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-        )
+        result = ExperimentRunner().evaluate(targets, jobs=args.jobs)
         print(
             "%-26s %8s %8s %9s %9s" % ("kernel", "E core", "E acc", "S core", "S acc")
         )
         for row in result.rows():
-            if row.get("failed"):
-                print(
-                    "%-26s FAILED after %d attempt(s): %s"
-                    % (row["target"], row["attempts"], row["error"])
-                )
-                continue
             print(
                 "%-26s %8.2f %8.2f %8.2fx %8.2fx"
                 % (
@@ -273,13 +202,6 @@ def _cmd_evaluate(args) -> int:
                 100 * result.mean_pim_acc_energy_reduction,
             )
         )
-        if result.degraded:
-            print(
-                "DEGRADED: %d of %d targets quarantined; means cover "
-                "survivors only"
-                % (len(result.failures), len(result.failures) + len(result.names)),
-                file=sys.stderr,
-            )
         if recorder is not None:
             from repro.config import default_system
 
@@ -292,16 +214,6 @@ def _cmd_evaluate(args) -> int:
                 "mean_pim_acc_speedup": result.mean_pim_acc_speedup,
                 "targets": result.names,
             }
-            if retry_policy is not None or args.checkpoint:
-                results["degraded"] = result.degraded
-                results["failures"] = [
-                    {
-                        "target": f.target,
-                        "attempts": f.attempts,
-                        "error": f.error,
-                    }
-                    for f in result.failures
-                ]
             _write_obs_outputs(
                 args,
                 recorder,
@@ -328,28 +240,18 @@ def _cmd_cachesweep(args) -> int:
         )
     cache = _memo_cache(args)
     store = TraceStore(args.trace_dir) if args.trace_dir else TraceStore()
-    retry_policy = _retry_policy(args)
     with _obs_session(args) as recorder:
         # --jobs fans out across workloads (several names) or across
-        # shards of one workload's batch plan (a single name); the
-        # journal-per-workload suffixing lives in sweep_all.
+        # shards of one workload's batch plan (a single name).
         documents = sweep_all(
-            names,
-            batch=args.batch,
-            store=store,
-            cache=cache,
-            jobs=args.jobs,
-            retry_policy=retry_policy,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
+            names, batch=args.batch, store=store, cache=cache, jobs=args.jobs
         )
         for name, document in documents.items():
-            artifact = document["artifact"] or "(none)"
             print(
                 "%s  (artifact %s, %s)"
                 % (
                     name,
-                    artifact[:12],
+                    document["artifact"][:12],
                     "batched" if document["batched"] else "serial/cached",
                 )
             )
@@ -369,11 +271,6 @@ def _cmd_cachesweep(args) -> int:
                         row["cycles"] / 1e6,
                     )
                 )
-            for failure in document["failures"]:
-                print(
-                    "  %-22s FAILED after %d attempt(s): %s"
-                    % (failure["config"], failure["attempts"], failure["error"])
-                )
             print()
         if recorder is not None:
             from repro.config import default_system
@@ -388,7 +285,9 @@ def _cmd_cachesweep(args) -> int:
                         "artifact": doc["artifact"],
                         "batched": doc["batched"],
                         "configs": [r["config"] for r in doc["rows"]],
-                        "failures": [f["config"] for f in doc["failures"]],
+                        # Always empty (a failure raises); kept so the
+                        # manifest's shape is stable.
+                        "failures": [],
                     }
                     for name, doc in documents.items()
                 },
@@ -396,8 +295,6 @@ def _cmd_cachesweep(args) -> int:
     if cache is not None:
         cache.flush()
         cache.maybe_compact()
-    if any(doc["failures"] for doc in documents.values()):
-        print("DEGRADED: some geometries were quarantined", file=sys.stderr)
     return 0
 
 
@@ -574,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_batch_flag(figures)
     _add_obs_flags(figures)
-    _add_resilience_flags(figures)
     figures.set_defaults(fn=_cmd_figures)
 
     export = sub.add_parser("export", help="export figure data as JSON")
@@ -590,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="evaluate targets with N worker processes",
     )
     _add_obs_flags(evaluate)
-    _add_resilience_flags(evaluate)
     evaluate.set_defaults(fn=_cmd_evaluate)
 
     cachesweep = sub.add_parser(
@@ -625,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_batch_flag(cachesweep)
     _add_obs_flags(cachesweep)
-    _add_resilience_flags(cachesweep)
     cachesweep.set_defaults(fn=_cmd_cachesweep)
 
     cache_cmd = sub.add_parser(

@@ -260,7 +260,7 @@ def cache_label(cache: CacheConfig) -> str:
 def soc_cache_label(soc: SocConfig) -> str:
     """Stable identity of an SoC's cache geometry, e.g.
     ``l1=64kB/4w,llc=2MB/8w`` — used as the sweep-point name in
-    checkpoints, counters, and report rows."""
+    counters and report rows."""
     return "l1=%s,llc=%s" % (cache_label(soc.l1), cache_label(soc.l2))
 
 

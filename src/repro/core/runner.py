@@ -5,15 +5,8 @@ kernel for CPU-Only / PIM-Core / PIM-Acc) and the headline cross-workload
 averages (PIM-Core: -49.1% energy / +44.6% performance; PIM-Acc: -55.4% /
 +54.2%).
 
-Sweeps are fault-tolerant: pass a
-:class:`~repro.core.resilience.RetryPolicy` and a crashed or hung pool
-worker costs one retry instead of the sweep; targets that exhaust their
-retries are quarantined into :attr:`SweepResult.failures` (strict mode
-upgrades quarantine to a raise).  A :class:`~repro.core.resilience.SweepCheckpoint`
-journal makes long sweeps resumable: completed comparisons are appended
-as they finish and ``resume=True`` reloads them bit-identically instead
-of recomputing.  Without a policy or checkpoint, behaviour (and the
-published counter surface) is exactly the legacy fail-fast one.
+A target that raises fails the whole sweep with its own exception, so
+every aggregate is always over the full target list.
 """
 
 from __future__ import annotations
@@ -24,16 +17,7 @@ from pathlib import Path
 
 from repro.config import SystemConfig
 from repro.core.offload import OffloadEngine, TargetComparison
-from repro.core.resilience import (
-    ResilientMap,
-    RetryPolicy,
-    SweepCheckpoint,
-    TargetFailure,
-    comparison_from_jsonable,
-    comparison_to_jsonable,
-    maybe_inject_fault,
-    sweep_key,
-)
+from repro.core.resilience import ResilientMap
 from repro.core.target import PimTarget
 from repro.energy.components import EnergyParameters
 from repro.obs.recorder import get_recorder
@@ -41,16 +25,9 @@ from repro.obs.recorder import get_recorder
 
 @dataclass
 class SweepResult:
-    """Results for a set of PIM targets evaluated on all machines.
-
-    ``failures`` lists the targets a fault-tolerant sweep quarantined
-    after exhausting their retries; when it is non-empty the sweep is
-    ``degraded`` and every aggregate is computed over the survivors in
-    ``comparisons`` only.
-    """
+    """Results for a set of PIM targets evaluated on all machines."""
 
     comparisons: list[TargetComparison] = field(default_factory=list)
-    failures: list[TargetFailure] = field(default_factory=list)
     _index: dict | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -69,11 +46,6 @@ class SweepResult:
     @property
     def names(self) -> list[str]:
         return [c.target.name for c in self.comparisons]
-
-    @property
-    def degraded(self) -> bool:
-        """Whether any target was quarantined instead of evaluated."""
-        return bool(self.failures)
 
     # ------------------------------------------------------------------
     # Paper-style aggregates (arithmetic means across kernels, as the
@@ -95,41 +67,24 @@ class SweepResult:
     def mean_pim_acc_speedup(self) -> float:
         return _mean([c.pim_acc_speedup for c in self.comparisons])
 
-    def _survivors(self) -> list[TargetComparison]:
-        if not self.comparisons:
-            raise ValueError(
-                "empty sweep: no surviving comparisons to aggregate over"
-                + (
-                    " (%d target(s) quarantined)" % len(self.failures)
-                    if self.failures
-                    else ""
-                )
-            )
-        return self.comparisons
-
     @property
     def max_pim_core_energy_reduction(self) -> float:
-        return max(c.pim_core_energy_reduction for c in self._survivors())
+        return max(c.pim_core_energy_reduction for c in self.comparisons)
 
     @property
     def max_pim_acc_energy_reduction(self) -> float:
-        return max(c.pim_acc_energy_reduction for c in self._survivors())
+        return max(c.pim_acc_energy_reduction for c in self.comparisons)
 
     @property
     def max_pim_core_speedup(self) -> float:
-        return max(c.pim_core_speedup for c in self._survivors())
+        return max(c.pim_core_speedup for c in self.comparisons)
 
     @property
     def max_pim_acc_speedup(self) -> float:
-        return max(c.pim_acc_speedup for c in self._survivors())
+        return max(c.pim_acc_speedup for c in self.comparisons)
 
     def rows(self) -> list[dict]:
-        """Flat result rows for the figure/report harnesses.
-
-        Quarantined targets contribute a trailing stub row with
-        ``failed=True`` (and no metric keys), so report consumers can
-        annotate degraded sweeps instead of silently dropping targets.
-        """
+        """Flat result rows for the figure/report harnesses."""
         out = []
         for c in self.comparisons:
             energy = c.normalized_energy()
@@ -148,16 +103,6 @@ class SweepResult:
                     "speedup_pim_acc": c.pim_acc_speedup,
                 }
             )
-        for failure in self.failures:
-            out.append(
-                {
-                    "target": failure.target,
-                    "workload": "",
-                    "failed": True,
-                    "attempts": failure.attempts,
-                    "error": failure.error,
-                }
-            )
         return out
 
 
@@ -166,30 +111,13 @@ _WORKER_ENGINE: OffloadEngine | None = None
 
 
 def _install_worker_fault_handlers() -> None:
-    """Make worker deaths diagnosable.
-
-    ``faulthandler`` turns hard crashes (segfaults, aborts) into stderr
-    tracebacks, and a SIGTERM handler does the same for workers the
-    resilience layer kills after a timeout — so a killed/hung worker
-    leaves evidence of *where* it was instead of dying silently.
-    """
+    """Turn hard crashes in a pool worker (segfaults, aborts) into
+    stderr tracebacks, so a dead worker leaves evidence of where it was."""
     import faulthandler
-    import os
-    import signal
 
     try:
         faulthandler.enable()
     except (RuntimeError, OSError):
-        pass
-
-    def _dump_and_exit(signum, frame):
-        faulthandler.dump_traceback()
-        os._exit(128 + signum)
-
-    try:
-        signal.signal(signal.SIGTERM, _dump_and_exit)
-    except (ValueError, OSError):
-        # Not the main thread of the worker, or an exotic platform.
         pass
 
 
@@ -216,7 +144,6 @@ def _init_worker(system, energy_params, observe: bool = False) -> None:
 
 
 def _compare_in_worker(target: PimTarget) -> "TargetComparison":
-    maybe_inject_fault(target.name)
     return _WORKER_ENGINE.compare(target)
 
 
@@ -225,7 +152,6 @@ def _compare_in_worker_observed(target: PimTarget):
     recorder = get_recorder()
     recorder.reset()
     with recorder.span("core.runner.target.%s" % target.name):
-        maybe_inject_fault(target.name)
         comparison = _WORKER_ENGINE.compare(target)
     _publish_comparison(recorder, comparison)
     return comparison, recorder.snapshot()
@@ -262,14 +188,7 @@ class ExperimentRunner:
         self.energy_params = energy_params
         self.engine = OffloadEngine(system, energy_params)
 
-    def evaluate(
-        self,
-        targets: list[PimTarget],
-        jobs: int = 1,
-        retry_policy: RetryPolicy | None = None,
-        checkpoint=None,
-        resume: bool = False,
-    ) -> SweepResult:
+    def evaluate(self, targets: list[PimTarget], jobs: int = 1) -> SweepResult:
         """Compare every target on all machines.
 
         Args:
@@ -278,118 +197,46 @@ class ExperimentRunner:
                 worker builds one engine (via the pool initializer) and
                 streams targets through it, so results are identical to
                 the serial path, in input order.
-            retry_policy: per-target fault containment; ``None`` keeps
-                the legacy fail-fast contract (a failure raises).  With
-                a policy, failed targets retry with backoff and
-                exhausted ones are quarantined into
-                :attr:`SweepResult.failures` (strict mode raises
-                instead).
-            checkpoint: path (or :class:`SweepCheckpoint`) of an
-                append-only journal; completed comparisons are recorded
-                as they finish.
-            resume: reload matching journal entries instead of
-                recomputing them; the resumed result is bit-identical
-                to an uninterrupted run.
+
+        A target that raises fails the sweep with its own exception.
         """
         recorder = get_recorder()
         with recorder.span("core.runner.evaluate"):
-            journal = self._journal(checkpoint)
-            try:
-                resumed: dict[str, TargetComparison] = {}
-                if journal is not None and resume:
-                    for name, payload in journal.entries().items():
-                        resumed[name] = comparison_from_jsonable(payload)
-                resumed = {
-                    t.name: resumed[t.name] for t in targets if t.name in resumed
-                }
-                if recorder.enabled and resumed:
-                    recorder.counters.add("core.resilience.resumed", len(resumed))
-                    for comparison in resumed.values():
-                        _publish_comparison(recorder, comparison)
-                pending = [t for t in targets if t.name not in resumed]
-
-                fresh: dict[str, TargetComparison] = {}
-                failures: list[TargetFailure] = []
-                if pending:
-                    def journal_success(index, name, value):
-                        if journal is None:
-                            return
-                        comparison = value[0] if isinstance(value, tuple) else value
-                        journal.append(name, comparison_to_jsonable(comparison))
-
-                    if jobs > 1 and len(pending) > 1:
-                        values, failures = self._evaluate_parallel(
-                            pending, jobs, retry_policy, recorder,
-                            journal_success,
-                        )
-                    else:
-                        values, failures = self._evaluate_serial(
-                            pending, retry_policy, recorder, journal_success
-                        )
-                    fresh = {
-                        t.name: v for t, v in zip(pending, values) if v is not None
-                    }
-                comparisons = [
-                    resumed.get(t.name) or fresh.get(t.name)
-                    for t in targets
-                    if t.name in resumed or t.name in fresh
-                ]
-            finally:
-                # A journal built here from a path owns an fd; callers
-                # who passed a SweepCheckpoint keep control of theirs.
-                if journal is not None and journal is not checkpoint:
-                    journal.close()
-        return SweepResult(comparisons=comparisons, failures=failures)
+            if jobs > 1 and len(targets) > 1:
+                comparisons = self._evaluate_parallel(targets, jobs, recorder)
+            else:
+                comparisons = self._evaluate_serial(targets, recorder)
+        return SweepResult(comparisons=comparisons)
 
     # ------------------------------------------------------------------
-    def _evaluate_serial(self, targets, retry_policy, recorder, on_success):
-        def compare(target):
+    def _evaluate_serial(self, targets, recorder) -> list[TargetComparison]:
+        comparisons = []
+        for target in targets:
             with recorder.span("core.runner.target.%s" % target.name):
-                maybe_inject_fault(target.name)
                 comparison = self.engine.compare(target)
             if recorder.enabled:
                 _publish_comparison(recorder, comparison)
-            return comparison
+            comparisons.append(comparison)
+        return comparisons
 
-        return ResilientMap(
-            compare,
-            targets,
-            names=[t.name for t in targets],
-            policy=retry_policy,
-            jobs=1,
-            on_success=on_success,
-            raise_failures=retry_policy is None,
-        ).run()
-
-    def _evaluate_parallel(
-        self, targets, jobs, retry_policy, recorder, on_success
-    ):
+    def _evaluate_parallel(self, targets, jobs, recorder) -> list[TargetComparison]:
         self._check_config_ships(recorder)
-        mapper = ResilientMap(
+        values = ResilientMap(
             _compare_in_worker_observed if recorder.enabled else _compare_in_worker,
             targets,
-            names=[t.name for t in targets],
-            policy=retry_policy,
-            jobs=min(jobs, len(targets)),
+            jobs=jobs,
             initializer=_init_worker,
             initargs=(self.system, self.energy_params, recorder.enabled),
-            on_success=on_success,
-            raise_failures=retry_policy is None,
-        )
-        values, failures = mapper.run()
-        if recorder.enabled:
-            # Merge worker snapshots in input order, as the legacy
-            # pool.map path did, so additive sums stay deterministic.
-            unwrapped = []
-            for value in values:
-                if value is None:
-                    unwrapped.append(None)
-                    continue
-                comparison, snapshot = value
-                recorder.merge_snapshot(snapshot)
-                unwrapped.append(comparison)
-            values = unwrapped
-        return values, failures
+        ).run()
+        if not recorder.enabled:
+            return values
+        # Merge worker snapshots in input order, so additive sums stay
+        # deterministic.
+        comparisons = []
+        for comparison, snapshot in values:
+            recorder.merge_snapshot(snapshot)
+            comparisons.append(comparison)
+        return comparisons
 
     def _check_config_ships(self, recorder) -> None:
         """Fail fast, with a cause, when the config cannot reach workers.
@@ -407,15 +254,6 @@ class ExperimentRunner:
                 "configuration cannot be shipped to pool workers "
                 "(must pickle cleanly): %r" % exc
             ) from exc
-
-    def _journal(self, checkpoint) -> SweepCheckpoint | None:
-        if checkpoint is None:
-            return None
-        if isinstance(checkpoint, SweepCheckpoint):
-            return checkpoint
-        return SweepCheckpoint(
-            checkpoint, key=sweep_key((self.system, self.energy_params))
-        )
 
 
 def _mean(values: list[float]) -> float:
@@ -458,8 +296,7 @@ def _init_sweep_worker(
 
 
 def _sweep_config_in_worker(job):
-    label, soc = job
-    maybe_inject_fault(label)
+    _, soc = job
     trace, params, ipa = _SWEEP_TRACE_STATE
     return _evaluate_sweep_config(trace, soc, params, ipa)
 
@@ -507,16 +344,8 @@ def _init_shard_worker(
 
 
 def _sweep_shard_in_worker(job):
-    """One shard's rows: ``[(plan_index, label, row), ...]``.
-
-    Fault hooks fire on the shard name and then on each config label,
-    so fault plans can target either a whole shard (worker-level
-    crash/hang) or a single geometry within it.
-    """
-    shard_name, items = job
-    maybe_inject_fault(shard_name)
-    for _, label, _ in items:
-        maybe_inject_fault(label)
+    """One shard's rows: ``[(plan_index, label, row), ...]``."""
+    _, items = job
     stats, timings = _SHARD_EVALUATOR.evaluate([soc for _, _, soc in items])
     ipa = _SHARD_EVALUATOR.instructions_per_access
     return [
@@ -547,7 +376,7 @@ def _evaluate_sweep_config(trace, soc, timing_params, instructions_per_access):
 
 
 def _sweep_row(soc, stats, timing, instructions_per_access) -> dict:
-    """A JSON-able sweep-point row (also the checkpoint payload).
+    """A JSON-able sweep-point row.
 
     ``pim_candidate`` applies the paper's Section 3.2 memory-intensity
     criterion (LLC MPKI > 10) at this geometry's *measured* miss count,
@@ -584,17 +413,12 @@ def _sweep_row(soc, stats, timing, instructions_per_access) -> dict:
 
 @dataclass
 class ConfigSweepResult:
-    """Rows for every surviving geometry, in input order."""
+    """Rows for every geometry, in input order."""
 
     rows: list[dict] = field(default_factory=list)
-    failures: list[TargetFailure] = field(default_factory=list)
-    #: Whether the batched engine produced the fresh rows (False: serial
-    #: path, by request or after a fault-containment fallback).
+    #: Whether the batched engine produced the rows (False: the serial
+    #: path, by request).
     batched: bool = False
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.failures)
 
     def by_config(self, label: str) -> dict:
         for row in self.rows:
@@ -608,10 +432,9 @@ class ConfigSweep:
 
     The artifact (:class:`repro.sim.artifact.TraceArtifact`) is
     materialized once per workload; every geometry replays the same
-    memoized run stream.  ``batch=True`` evaluates all pending
-    geometries in a single pass (:func:`repro.sim.batch.replay_batch` —
-    bit-identical per config to the serial path, so the two modes can
-    be mixed freely across resume boundaries).
+    memoized run stream.  ``batch=True`` evaluates all geometries in a
+    single pass (:func:`repro.sim.batch.replay_batch` — bit-identical
+    per config to the serial path).
 
     With ``jobs > 1`` the batch plan itself is sharded across pool
     workers (:func:`repro.sim.batch.plan_shards`): each worker opens the
@@ -619,16 +442,8 @@ class ConfigSweep:
     is never pickled) and evaluates its shard through the same
     per-config finish helpers, so parallel rows are bit-identical to
     the single-process batch and to serial replay.  An in-memory
-    artifact is auto-saved to ``trace_dir`` first.
-
-    Resilience composes as in :class:`ExperimentRunner`: a checkpoint
-    journal keyed by the artifact's ``content_hash`` makes sweeps
-    resumable, and a retry policy quarantines a faulty *config* without
-    discarding the shared trace — a batched pass that fails falls back
-    to the resilient serial path over the same in-memory artifact, so
-    one bad geometry costs its own row, never the trace.  A shard whose
-    worker keeps dying is contained the same way: its configs fall back
-    to the in-process serial path after the retry budget is spent.
+    artifact is auto-saved to ``trace_dir`` first.  A geometry, shard
+    or worker that fails fails the sweep.
     """
 
     def __init__(
@@ -645,166 +460,67 @@ class ConfigSweep:
         self.instructions_per_access = instructions_per_access
         self.trace_dir = trace_dir
 
-    def evaluate(
-        self,
-        socs,
-        batch: bool = True,
-        jobs: int = 1,
-        retry_policy: RetryPolicy | None = None,
-        checkpoint=None,
-        resume: bool = False,
-    ) -> ConfigSweepResult:
+    def evaluate(self, socs, batch: bool = True, jobs: int = 1) -> ConfigSweepResult:
         from repro.config import soc_cache_label
 
         socs = list(socs)
         labels = [soc_cache_label(s) for s in socs]
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate cache geometries in sweep: %r" % labels)
+        pending = list(zip(labels, socs))
         recorder = get_recorder()
         with recorder.span("core.runner.config_sweep"):
-            journal = self._journal(checkpoint)
-            try:
-                resumed: dict[str, dict] = {}
-                if journal is not None and resume:
-                    entries = journal.entries()
-                    resumed = {
-                        label: entries[label] for label in labels if label in entries
-                    }
-                    if recorder.enabled and resumed:
-                        recorder.counters.add(
-                            "core.resilience.resumed", len(resumed)
-                        )
-                pending = [
-                    (label, soc)
-                    for label, soc in zip(labels, socs)
-                    if label not in resumed
-                ]
-                fresh: dict[str, dict] = {}
-                failures: list[TargetFailure] = []
-                batched = False
-                if pending and batch and jobs > 1 and len(pending) > 1:
-                    parallel = self._evaluate_batch_parallel(
-                        pending, jobs, retry_policy, journal, recorder
-                    )
-                    if parallel is not None:
-                        shard_fresh, failures, used_fallback = parallel
-                        fresh.update(shard_fresh)
-                        batched = not used_fallback
-                        pending = []
-                if pending and batch:
-                    rows = self._evaluate_batch(pending, retry_policy, recorder)
-                    if rows is not None:
-                        batched = True
-                        for (label, _), row in zip(pending, rows):
-                            fresh[label] = row
-                            if journal is not None:
-                                journal.append(label, row)
-                        pending = []
-                if pending:
-                    values, failures = self._evaluate_serial(
-                        pending, jobs, retry_policy, journal, recorder
-                    )
-                    fresh.update(
-                        (label, row)
-                        for (label, _), row in zip(pending, values)
-                        if row is not None
-                    )
-                if recorder.enabled:
-                    recorder.counters.add("core.runner.config_sweeps", 1)
-                    recorder.counters.add(
-                        "core.runner.config_sweep_points", len(fresh) + len(resumed)
-                    )
-            finally:
-                if journal is not None and journal is not checkpoint:
-                    journal.close()
-        rows = [
-            (resumed.get(label) or fresh.get(label))
-            for label in labels
-            if label in resumed or label in fresh
-        ]
-        return ConfigSweepResult(rows=rows, failures=failures, batched=batched)
+            if not pending:
+                rows = []
+            elif not batch:
+                rows = self._evaluate_serial(pending, jobs, recorder)
+            elif jobs > 1 and len(pending) > 1:
+                rows = self._evaluate_batch_parallel(pending, jobs, recorder)
+            else:
+                rows = self._evaluate_batch(pending)
+            if recorder.enabled:
+                recorder.counters.add("core.runner.config_sweeps", 1)
+                recorder.counters.add("core.runner.config_sweep_points", len(rows))
+        return ConfigSweepResult(rows=rows, batched=bool(pending) and batch)
 
     # ------------------------------------------------------------------
-    def _evaluate_batch(self, pending, retry_policy, recorder):
-        """All pending geometries in one shared pass; None = fall back.
-
-        Fault-injection hooks fire per config *before* the pass, so a
-        planned fault degrades to the serial path (where it is retried
-        and, if persistent, quarantined alone) instead of poisoning the
-        batch.  Any batch-path failure is contained the same way when a
-        retry policy is present; without one the legacy fail-fast
-        contract applies.
-        """
+    def _evaluate_batch(self, pending) -> list[dict]:
+        """All pending geometries in one shared pass."""
         from repro.sim.batch import sweep_batch
 
-        trace = self.artifact.trace()
-        try:
-            for label, _ in pending:
-                maybe_inject_fault(label)
-            stats, timings = sweep_batch(
-                trace,
-                [soc for _, soc in pending],
-                params=self.timing_params,
-                instructions_per_access=self.instructions_per_access,
-            )
-        except Exception:
-            if retry_policy is None:
-                raise
-            if recorder.enabled:
-                recorder.counters.add("core.runner.batch_fallbacks", 1)
-            return None
+        stats, timings = sweep_batch(
+            self.artifact.trace(),
+            [soc for _, soc in pending],
+            params=self.timing_params,
+            instructions_per_access=self.instructions_per_access,
+        )
         return [
             _sweep_row(soc, s, t, self.instructions_per_access)
             for (_, soc), s, t in zip(pending, stats, timings)
         ]
 
-    def _evaluate_batch_parallel(
-        self, pending, jobs, retry_policy, journal, recorder
-    ):
-        """Shards of one batch plan across pool workers; None = not sharded.
+    def _evaluate_batch_parallel(self, pending, jobs, recorder) -> list[dict]:
+        """Shards of one batch plan across pool workers.
 
-        Returns ``(fresh, failures, used_fallback)``.  The plan is
-        partitioned by L1 geometry (:func:`repro.sim.batch.plan_shards`)
-        and each shard runs in a pool worker that memory-maps the
-        artifact — only geometry specs travel out and compact row dicts
-        travel back.  Shard workers publish per-config ``sim.*``
-        counters into their own recorders (merged here); the plan-level
-        ``sim.replay_batch.*`` records are published exactly once by
-        this parent, so the merged registry matches a single-process
-        batched sweep.  A shard that exhausts its retries is contained:
-        its configs fall back to the in-process serial path
-        (``core.runner.shard_fallbacks``).
+        The plan is partitioned by L1 geometry
+        (:func:`repro.sim.batch.plan_shards`) and each shard runs in a
+        pool worker that memory-maps the artifact — only geometry specs
+        travel out and compact row dicts travel back.  Shard workers
+        publish per-config ``sim.*`` counters into their own recorders
+        (merged here); the plan-level ``sim.replay_batch.*`` records are
+        published exactly once by this parent, so the merged registry
+        matches a single-process batched sweep.
         """
         from repro.sim.batch import plan_shards, publish_sweep_plan
 
-        try:
-            path = self._ensure_artifact_path()
-        except Exception:
-            if retry_policy is None:
-                raise
-            if recorder.enabled:
-                recorder.counters.add("core.runner.batch_fallbacks", 1)
-            return None  # the in-memory single-process batch still works
+        path = self._ensure_artifact_path()
         items = [(i, label, soc) for i, (label, soc) in enumerate(pending)]
         shards = plan_shards(items, jobs)
-        if len(shards) < 2:
-            return None
-        shard_names = ["shard-%d" % k for k in range(len(shards))]
         observe = recorder.enabled
-
-        def journal_success(index, name, value):
-            if journal is None:
-                return
-            rows = value[0] if isinstance(value, tuple) else value
-            for _, label, row in rows:
-                journal.append(label, row)
-
         jobs_used = min(jobs, len(shards))
-        values, shard_failures = ResilientMap(
+        values = ResilientMap(
             _sweep_shard_in_worker_observed if observe else _sweep_shard_in_worker,
-            list(zip(shard_names, shards)),
-            names=shard_names,
-            policy=retry_policy,
+            [("shard-%d" % k, shard) for k, shard in enumerate(shards)],
             jobs=jobs_used,
             initializer=_init_shard_worker,
             initargs=(
@@ -814,51 +530,20 @@ class ConfigSweep:
                 self.instructions_per_access,
                 observe,
             ),
-            on_success=journal_success,
-            raise_failures=retry_policy is None,
         ).run()
-        fresh: dict[str, dict] = {}
+        rows = [None] * len(pending)
         for value in values:
-            if value is None:
-                continue
             if observe:
-                rows, snapshot = value
+                value, snapshot = value
                 recorder.merge_snapshot(snapshot)
-            else:
-                rows = value
-            for _, label, row in rows:
-                fresh[label] = row
-        failures: list[TargetFailure] = []
-        fb_pending = []
-        if shard_failures:
-            by_name = dict(zip(shard_names, shards))
-            fb_items = sorted(
-                (item for f in shard_failures for item in by_name[f.target]),
-                key=lambda item: item[0],
-            )
-            fb_pending = [(label, soc) for _, label, soc in fb_items]
-            if recorder.enabled:
-                recorder.counters.add(
-                    "core.runner.shard_fallbacks", len(shard_failures)
-                )
-            fb_values, failures = self._evaluate_serial(
-                fb_pending, 1, retry_policy, journal, recorder
-            )
-            fresh.update(
-                (label, row)
-                for (label, _), row in zip(fb_pending, fb_values)
-                if row is not None
-            )
-        if recorder.enabled:
-            n_sharded = len(pending) - len(fb_pending)
-            if n_sharded:
-                publish_sweep_plan(
-                    recorder, n_sharded, self.artifact.num_runs
-                )
+            for index, _, row in value:
+                rows[index] = row
+        if observe:
+            publish_sweep_plan(recorder, len(pending), self.artifact.num_runs)
             recorder.counters.add("core.runner.parallel_batches", 1)
             recorder.counters.add("core.runner.shards", len(shards))
             recorder.counters.max("core.runner.pool_workers", jobs_used)
-        return fresh, failures, bool(shard_failures)
+        return rows
 
     def _ensure_artifact_path(self) -> Path:
         """The artifact's on-disk path, auto-saving an in-memory one.
@@ -889,20 +574,13 @@ class ConfigSweep:
         get_recorder().counters.add("sim.artifact.autosaves", 1)
         return path
 
-    def _evaluate_serial(self, pending, jobs, retry_policy, journal, recorder):
-        def journal_success(index, name, value):
-            if journal is not None:
-                journal.append(name, value)
-
-        names = [label for label, _ in pending]
+    def _evaluate_serial(self, pending, jobs, recorder) -> list[dict]:
         if jobs > 1 and len(pending) > 1:
             path = self._ensure_artifact_path()
-            mapper = ResilientMap(
+            return ResilientMap(
                 _sweep_config_in_worker,
                 pending,
-                names=names,
-                policy=retry_policy,
-                jobs=min(jobs, len(pending)),
+                jobs=jobs,
                 initializer=_init_sweep_worker,
                 initargs=(
                     str(path),
@@ -910,43 +588,14 @@ class ConfigSweep:
                     self.timing_params,
                     self.instructions_per_access,
                 ),
-                on_success=journal_success,
-                raise_failures=retry_policy is None,
-            )
-            return mapper.run()
+            ).run()
         trace = self.artifact.trace()
-
-        def evaluate_one(job):
-            label, soc = job
+        rows = []
+        for label, soc in pending:
             with recorder.span("core.runner.config.%s" % label):
-                maybe_inject_fault(label)
-                return _evaluate_sweep_config(
-                    trace, soc, self.timing_params, self.instructions_per_access
+                rows.append(
+                    _evaluate_sweep_config(
+                        trace, soc, self.timing_params, self.instructions_per_access
+                    )
                 )
-
-        return ResilientMap(
-            evaluate_one,
-            pending,
-            names=names,
-            policy=retry_policy,
-            jobs=1,
-            on_success=journal_success,
-            raise_failures=retry_policy is None,
-        ).run()
-
-    def _journal(self, checkpoint) -> SweepCheckpoint | None:
-        """Journal keyed by artifact content + sweep parameters.
-
-        Embedding ``content_hash`` means a journal written against one
-        trace can never resume a sweep over a different one — the
-        mismatched key rotates the file aside, exactly like a code edit.
-        """
-        if checkpoint is None:
-            return None
-        if isinstance(checkpoint, SweepCheckpoint):
-            return checkpoint
-        key = "%s:%s" % (
-            self.artifact.content_hash,
-            sweep_key((self.timing_params, self.instructions_per_access)),
-        )
-        return SweepCheckpoint(checkpoint, key=key)
+        return rows

@@ -1,11 +1,10 @@
-"""Segment-merged result store: append-only blobs for memo + checkpoints.
+"""Segment-merged result store: append-only blobs for the memo cache.
 
-The file-per-entry memo cache and the line-per-append checkpoint journal
-share a disease with the paper's workloads: their cost is dominated by
-*data movement* — here, file-open/fsync **count**, not bytes.  At sweep
-scale every entry pays a full open + write + rename (and, for
-the journal, an fsync), so the storage layer's throughput is set by
-syscall and metadata traffic rather than payload size.  Following the
+A file-per-entry memo cache shares a disease with the paper's
+workloads: its cost is dominated by *data movement* — here,
+file-open/rename **count**, not bytes.  At sweep scale every entry pays
+a full open + write + rename, so the storage layer's throughput is set
+by syscall and metadata traffic rather than payload size.  Following the
 Sentry RFC-0098 segment design (SNIPPETS.md §1), this module buffers
 many entries in memory and flushes them as a **single append-only
 segment blob** carrying an in-blob offset index, so N entries cost one
@@ -23,10 +22,10 @@ verification never re-serializes the payload and is immune to key-order
 drift.  A flush appends its entry frames followed by one index frame in
 a single ``write`` — the index maps each entry name to the absolute
 byte offset and length of its ``E`` line, so point lookups decode one
-entry without parsing the rest of the blob.  A single-entry flush (the
-fsync-per-append checkpoint pattern, or ``flush_every=1``) collapses
-the pair into one ``S`` frame that is its own commit record, so such
-blobs carry one line per entry like the JSONL layout they replace.
+entry without parsing the rest of the blob.  A single-entry flush (an
+fsync'd one-entry append, or ``flush_every=1``) collapses the pair into
+one ``S`` frame that is its own commit record, so such blobs carry one
+line per entry.
 
 **Commit contract.**  An entry is *committed* if and only if it is
 covered by a valid index frame (an ``S`` frame covers itself).  A
@@ -64,6 +63,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,10 +73,15 @@ from repro.obs.recorder import get_recorder
 SCHEMA = "repro-segment/v1"
 
 #: Testing aid for the crash harness: when set, a flush's blob is
-#: written in slices of this many bytes (with a ``store.flush`` fault
+#: written in slices of this many bytes (with a ``store.flush`` crash
 #: point before each slice) instead of one ``write``, so a scheduled
 #: ``kill`` lands mid-flush and leaves a genuinely torn blob.
 WRITE_CHUNK_ENV = "REPRO_STORE_WRITE_CHUNK"
+
+#: Testing aid for the crash harness: names a JSON plan,
+#: ``{"faults": {"store.flush": ["ok", ..., "kill"]}}``, with one spec
+#: per write slice ("ok" once the list runs out).
+FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 
 _DIGEST_BYTES = 8  # BLAKE2b digest size -> 16 hex chars per frame
 _CHECKSUM_LEN = 2 * _DIGEST_BYTES
@@ -138,6 +143,33 @@ def _entry_name(body: bytes):
 
 def _default_count(event: str, n: float = 1) -> None:
     get_recorder().counters.add("core.store." + event, n)
+
+
+def _crash_point(name: str) -> None:
+    """SIGKILL this process if the fault plan schedules ``kill`` here.
+
+    No-op unless :data:`FAULT_PLAN_ENV` names a readable plan listing
+    ``name``.  Each call takes the next spec: the call count lives in
+    ``<plan>.attempts/<name>`` (one byte appended per call), so it
+    survives the process it kills and is shared across processes.
+    """
+    plan_path = os.environ.get(FAULT_PLAN_ENV)
+    if not plan_path:
+        return
+    try:
+        specs = json.loads(Path(plan_path).read_text())["faults"][name]
+    except (OSError, ValueError, KeyError, TypeError):
+        return
+    counter = Path(plan_path + ".attempts") / name
+    counter.parent.mkdir(parents=True, exist_ok=True)
+    fd = os.open(counter, os.O_CREAT | os.O_WRONLY | os.O_APPEND, 0o644)
+    try:
+        attempt = os.fstat(fd).st_size
+        os.write(fd, b".")
+    finally:
+        os.close(fd)
+    if attempt < len(specs) and specs[attempt] == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def peek_key(path):
@@ -302,7 +334,7 @@ class SegmentReader:
         if tag == b"X":
             try:
                 # bytes -> str before loads: json's encoding sniff costs
-                # a regex per call, measurable at journal line counts.
+                # a regex per call, measurable at high line counts.
                 index = json.loads(body.decode("utf-8"))["i"]
                 items = list(index.items())
             except (ValueError, KeyError, AttributeError, TypeError):
@@ -428,10 +460,9 @@ class SegmentWriter:
     """Exclusive append handle on one segment blob.
 
     One writer owns one blob: concurrent stores write distinct
-    per-process files, and the checkpoint journal has one appender per
-    sweep.  Re-opening an existing blob (the journal's crash-recovery
-    path) truncates the uncommitted tail first, so appends never land
-    after torn bytes.
+    per-process files.  Re-opening an existing blob (crash recovery)
+    truncates the uncommitted tail first, so appends never land after
+    torn bytes.
     """
 
     def __init__(self, path, key, count=_default_count):
@@ -543,10 +574,7 @@ class SegmentWriter:
             step = len(blob) or 1
         view = memoryview(blob)
         while view.nbytes:
-            if os.environ.get("REPRO_FAULT_PLAN"):
-                from repro.core.resilience import maybe_inject_fault
-
-                maybe_inject_fault("store.flush")
+            _crash_point("store.flush")
             written = os.write(self._fd, view[:step])
             view = view[written:]
 
@@ -617,9 +645,8 @@ class SegmentStore:
         flush_every: buffered entries per automatic flush; 1 flushes on
             every :meth:`append` (the durable, read-your-writes-now
             default), larger values batch N entries per write.
-        fsync: whether each flush is fsync'd (checkpoints want this;
-            the memo cache historically never fsync'd and still
-            does not).
+        fsync: whether each flush is fsync'd (the memo cache does
+            not fsync).
         compact_ratio: dead-bytes ratio above which
             :meth:`maybe_compact` rewrites the store (``None`` disables
             auto-compaction).  The conservative default only triggers

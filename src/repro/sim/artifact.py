@@ -18,8 +18,7 @@ File layout (single file, everything 64-byte aligned so columns can be
 The header pins a schema tag, the workload name, the recording
 ``line_bytes``, a per-column SHA-256, the package code-version hash,
 and a ``content_hash`` over the access stream itself.  Integrity
-follows the :class:`repro.core.resilience.SweepCheckpoint` /
-:class:`repro.core.memo.MemoCache` contracts:
+follows the :class:`repro.core.memo.MemoCache` contract:
 
 * writes are atomic (tmp file + fsync + ``os.replace``), so a crashed
   writer can never publish a partial artifact under the final name;
@@ -31,7 +30,7 @@ follows the :class:`repro.core.resilience.SweepCheckpoint` /
   cache entry costs one rebuild — never a wrong result.
 
 The ``content_hash`` is the sweep-facing identity of the trace: memo
-keys and checkpoint namespaces embed it (see
+keys embed it (see
 :mod:`repro.analysis.cachesweep`), so a cached sweep row can never be
 reused against a different trace.
 """
@@ -163,7 +162,7 @@ class TraceArtifact:
         """Write the artifact atomically; returns the final path.
 
         The file appears under ``path`` only after a full fsync'd write
-        (tmp + ``os.replace``), matching the checkpoint/memo contracts:
+        (tmp + ``os.replace``), matching the memo contract:
         a crash mid-save can never leave a torn file under the real
         name, and :meth:`load`'s checksums catch anything else.
         """
@@ -367,8 +366,7 @@ class TraceStore:
     Artifacts that fail validation are quarantined to ``*.corrupt``
     (``sim.artifact.corrupt``) and rebuilt; artifacts from an older code
     version are rebuilt in place.  A failed *config* during a sweep
-    never touches the store — quarantine of sweep points is the
-    resilience layer's job, and the shared trace must survive it.
+    never touches the store.
     """
 
     def __init__(self, directory: str | Path | None = None, version: str | None = None):

@@ -550,8 +550,8 @@ def plan_shards(items, jobs: int):
     parallelizes).
 
     Deterministic: the same items and ``jobs`` always produce the same
-    plan, in the same order, so fault plans can key on stable shard
-    names and reruns schedule identically.
+    plan, in the same order, so shard names are stable and reruns
+    schedule identically.
     """
     items = list(items)
     if not items:

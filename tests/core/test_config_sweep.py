@@ -1,11 +1,9 @@
 """Tests for :class:`repro.core.runner.ConfigSweep` and its wiring.
 
-The sweep executor is the composition point of this PR: one shared
-trace artifact, N geometries, batched or serial engines, resilience and
-checkpointing from PR 5, memoization from PR 1.  The core contract is
-path-independence — batched, serial, parallel, and resumed sweeps all
-produce identical rows — plus fault containment that never costs the
-shared trace.
+The sweep executor is a composition point: one shared trace artifact,
+N geometries, batched or serial engines, memoization.  The core
+contract is path-independence — batched, serial and parallel sweeps
+all produce identical rows — and a failing geometry fails the sweep.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import pytest
 
 from repro.config import CacheConfig, SocConfig, soc_cache_label
 from repro.core.offload import measured_profile
-from repro.core.resilience import RetryPolicy
 from repro.core.runner import ConfigSweep
 from repro.obs import recording
 from repro.sim.artifact import TraceArtifact, TraceStore
@@ -25,7 +22,6 @@ from repro.sim.cache import CacheHierarchy
 from repro.sim.profile import KernelProfile
 from repro.sim.timing import TimingParameters
 from repro.sim.trace import MemoryTrace
-from repro.validate import strict_mode
 
 
 def small_grid() -> list[SocConfig]:
@@ -110,72 +106,18 @@ class TestConfigSweep:
         )
         assert row["pim_candidate"] == (row["llc_mpki"] > 10.0)
 
-    def test_checkpoint_resume_is_bit_identical(self, tmp_path):
-        artifact = make_artifact(tmp_path)
-        socs = small_grid()
-        journal = tmp_path / "sweep.jsonl"
-        full = ConfigSweep(artifact).evaluate(socs, checkpoint=journal)
-        # A fresh sweep with resume reloads every row without replaying.
-        with recording() as obs:
-            resumed = ConfigSweep(artifact).evaluate(
-                socs, checkpoint=journal, resume=True
-            )
-        assert resumed.rows == full.rows
-        counters = obs.counters.as_dict()
-        assert counters["core.resilience.resumed"] == len(socs)
-        assert "sim.cache.replays" not in counters
-
-    def test_checkpoint_keyed_by_artifact_content(self, tmp_path):
-        socs = small_grid()[:2]
-        journal = tmp_path / "sweep.jsonl"
-        first = make_artifact(seed=1)
-        ConfigSweep(first).evaluate(socs, checkpoint=journal)
-        # A different trace must not resume from the first one's rows.
-        other = make_artifact(seed=2)
-        resumed = ConfigSweep(other).evaluate(
-            socs, checkpoint=journal, resume=True
-        )
-        expected = ConfigSweep(make_artifact(seed=2)).evaluate(socs)
-        assert resumed.rows == expected.rows
-
-    def test_fault_quarantines_config_not_trace(self, tmp_path, monkeypatch):
-        """An injected per-config fault degrades the batch to the serial
-        path, quarantines only that config, and keeps the shared trace:
-        the surviving rows equal an undisturbed sweep's.  Quarantine is
-        the non-strict contract, so the test pins ``strict_mode(False)``
-        (under strict, exhaustion raises instead — by design)."""
-        artifact = make_artifact()
-        socs = small_grid()
-        bad = soc_cache_label(socs[1])
-        plan = tmp_path / "faults.json"
-        plan.write_text(
-            json.dumps({"faults": {bad: ["raise", "raise", "raise", "raise"]}})
-        )
-        monkeypatch.setenv("REPRO_FAULT_PLAN", str(plan))
-        with strict_mode(False), recording() as obs:
-            result = ConfigSweep(artifact).evaluate(
-                socs, batch=True, retry_policy=RetryPolicy(
-                    max_attempts=2, backoff_base_s=0.0, jitter=0.0
-                )
-            )
-        monkeypatch.delenv("REPRO_FAULT_PLAN")
-        assert result.degraded
-        assert [f.target for f in result.failures] == [bad]
-        assert not result.batched  # fell back to the contained path
-        clean = ConfigSweep(make_artifact()).evaluate(
-            [socs[0], socs[2]], batch=False
-        )
-        assert result.rows == clean.rows
-        assert obs.counters.as_dict()["core.runner.batch_fallbacks"] == 1
-
     def test_fault_without_policy_raises(self, tmp_path, monkeypatch):
+        import repro.sim.batch as batch
+
         artifact = make_artifact()
         socs = small_grid()[:2]
         bad = soc_cache_label(socs[0])
-        plan = tmp_path / "faults.json"
-        plan.write_text(json.dumps({"faults": {bad: ["raise"]}}))
-        monkeypatch.setenv("REPRO_FAULT_PLAN", str(plan))
-        with pytest.raises(Exception, match="injected"):
+
+        def failing_batch(trace, socs, **kwargs):
+            raise RuntimeError("injected fault for %r" % bad)
+
+        monkeypatch.setattr(batch, "sweep_batch", failing_batch)
+        with pytest.raises(RuntimeError, match="injected"):
             ConfigSweep(artifact).evaluate(socs, batch=True)
 
     def test_sweep_counters_published(self):

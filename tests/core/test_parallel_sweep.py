@@ -3,27 +3,29 @@
 The contract under test is bit-identity: a sweep sharded across worker
 processes — each memory-mapping the same on-disk trace artifact — must
 produce exactly the rows, stats, timings, and published counters of the
-single-process batched engine, which PR 6 already pinned to the serial
-engine.  Shard planning, fault containment, and the executor seam ride
-the same PR 5 resilience semantics as per-config parallelism.
+single-process batched engine, which is itself pinned to the serial
+engine.  A shard worker that dies fails the sweep.
 
-Pool-spinning tests are kept to a minimum (one happy path, two fault
-paths, one workload fan-out) because process pools dominate test wall
+Pool-spinning tests are kept to a minimum (one happy path, one killed
+worker, one workload fan-out) because process pools dominate test wall
 time; the bit-identity property itself is exercised in-process via
 :class:`ShardEvaluator`, which is exactly what the workers run.
 """
 
 from __future__ import annotations
 
-import json
+import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.runner as runner
 from repro.config import CacheConfig, SocConfig, soc_cache_label
-from repro.core.resilience import RetryPolicy
+from repro.core.memo import MemoCache
 from repro.core.runner import ConfigSweep
 from repro.obs import get_recorder, recording
 from repro.sim.artifact import TraceArtifact
@@ -36,7 +38,6 @@ from repro.sim.batch import (
 from repro.sim.cache import CacheHierarchy
 from repro.sim.timing import TimingSimulator
 from repro.sim.trace import MemoryTrace
-from repro.validate import strict_mode
 
 # L1 geometries deliberately collide across some SoCs so shard planning
 # has real sharing groups to preserve.
@@ -194,6 +195,22 @@ class TestShardBitIdentity:
         assert strip(sharded) == strip(batched)
 
 
+#: Two distinct L1 geometries, so a single-workload sweep shards.
+_SWEEP_SOCS = [
+    SocConfig(l1=CacheConfig(size_bytes=1024, associativity=2), l2=_L2S[1]),
+    SocConfig(l1=CacheConfig(size_bytes=2048, associativity=4), l2=_L2S[2]),
+]
+
+_real_shard = runner._sweep_shard_in_worker
+
+
+def _kill_first_shard(job):
+    """Shard task whose ``shard-0`` worker dies by SIGKILL mid-sweep."""
+    if job[0] == "shard-0":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _real_shard(job)
+
+
 class TestParallelConfigSweep:
     def socs(self):
         return _GRID[:4]
@@ -212,8 +229,7 @@ class TestParallelConfigSweep:
 
         # validate.* strict-check counters scale with how many evaluator
         # instances ran the checks, not with results — skip them too.
-        skip = ("sim.artifact.", "core.runner.", "core.resilience.",
-                "validate.")
+        skip = ("sim.artifact.", "core.runner.", "validate.")
         def published(obs):
             return {
                 k: v for k, v in obs.counters.as_dict().items()
@@ -224,71 +240,30 @@ class TestParallelConfigSweep:
         assert many_counters["core.runner.parallel_batches"] == 1
         assert many_counters["core.runner.pool_workers"] == 2
 
-    def test_shard_worker_killed_once_is_retried(
+    def test_killed_shard_worker_fails_the_sweep(
         self, tmp_path, monkeypatch
     ):
-        """A shard worker killed mid-pass is retried on a fresh worker
-        and the final rows are identical — the strict-safe containment
-        contract (CI runs this under ``REPRO_STRICT=1``)."""
-        artifact = make_saved_artifact(tmp_path)
-        socs = self.socs()
-        expected = ConfigSweep(artifact).evaluate(socs, batch=True, jobs=1)
-        plan = tmp_path / "faults.json"
-        plan.write_text(json.dumps({"faults": {"shard-0": ["kill"]}}))
-        monkeypatch.setenv("REPRO_FAULT_PLAN", str(plan))
-        result = ConfigSweep(artifact).evaluate(
-            socs, batch=True, jobs=2,
-            retry_policy=RetryPolicy(
-                max_attempts=3, backoff_base_s=0.0, jitter=0.0
-            ),
-        )
-        monkeypatch.delenv("REPRO_FAULT_PLAN")
-        assert result.rows == expected.rows
-        assert result.batched
-        assert not result.failures
+        """A SIGKILLed shard worker surfaces as ``BrokenProcessPool`` from
+        the sweep, and no partial document reaches the memo cache."""
+        from repro.analysis.cachesweep import sweep_all
+        from repro.sim.artifact import TraceStore
 
-    def test_shard_exhaustion_falls_back_contained(
-        self, tmp_path, monkeypatch
-    ):
-        """A shard that keeps failing is quarantined and its configs
-        re-run through the contained serial path — no row is lost and
-        the output stays identical.  Quarantine is the non-strict
-        contract, hence ``strict_mode(False)``."""
-        artifact = make_saved_artifact(tmp_path)
-        socs = self.socs()
-        expected = ConfigSweep(artifact).evaluate(socs, batch=True, jobs=1)
-        plan = tmp_path / "faults.json"
-        plan.write_text(json.dumps({"faults": {"shard-0": ["raise"] * 6}}))
-        monkeypatch.setenv("REPRO_FAULT_PLAN", str(plan))
-        with strict_mode(False), recording() as obs:
-            result = ConfigSweep(artifact).evaluate(
-                socs, batch=True, jobs=2,
-                retry_policy=RetryPolicy(
-                    max_attempts=2, backoff_base_s=0.0, jitter=0.0
-                ),
-            )
-        monkeypatch.delenv("REPRO_FAULT_PLAN")
-        assert result.rows == expected.rows
-        assert not result.batched  # fallback path is the serial engine
-        assert not result.failures  # every config still produced a row
-        counters = obs.counters.as_dict()
-        assert counters["core.runner.shard_fallbacks"] == 1
+        monkeypatch.setattr(runner, "_sweep_shard_in_worker", _kill_first_shard)
+        name = "chrome.compositing_tiled"
+        store = TraceStore(tmp_path / "traces")
+        cache = MemoCache(tmp_path / "memo")
+        with pytest.raises(BrokenProcessPool):
+            sweep_all([name], socs=_SWEEP_SOCS, store=store, cache=cache, jobs=2)
+        cache.close()
+        assert not list((tmp_path / "memo").glob("*.seg"))
 
-    def test_checkpoint_resume_composes_with_shards(self, tmp_path):
-        artifact = make_saved_artifact(tmp_path)
-        socs = self.socs()
-        journal = tmp_path / "sweep.jsonl"
-        full = ConfigSweep(artifact).evaluate(
-            socs, batch=True, jobs=2, checkpoint=journal
-        )
+        monkeypatch.undo()
+        cache = MemoCache(tmp_path / "memo")
         with recording() as obs:
-            resumed = ConfigSweep(artifact).evaluate(
-                socs, batch=True, jobs=2, checkpoint=journal, resume=True
-            )
-        assert resumed.rows == full.rows
-        counters = obs.counters.as_dict()
-        assert counters["core.resilience.resumed"] == len(socs)
-        assert "core.runner.parallel_batches" not in counters
+            sweep_all([name], socs=_SWEEP_SOCS, store=store, cache=cache, jobs=1)
+        cache.close()
+        assert obs.counters.get("core.memo.hits") == 0
+        assert obs.counters.get("core.memo.misses") == 1
 
 
 class TestInnerJobsAllocation:
@@ -318,20 +293,19 @@ class TestInnerJobsAllocation:
 
     def test_fanout_jobs_carry_allocation_to_workers(self, monkeypatch):
         """The dispatched job tuples carry the per-workload inner-jobs
-        split — the regression for the hardcoded ``inner_jobs=1``."""
+        split, so surplus jobs reach each workload's sharded engine."""
         import repro.core.resilience as resilience
         from repro.analysis.cachesweep import sweep_all
 
         captured = {}
 
         class _CaptureMap:
-            def __init__(self, fn, items, names=None, **kwargs):
+            def __init__(self, fn, items, jobs=1, initializer=None, initargs=()):
                 captured["items"] = list(items)
-                captured["jobs"] = kwargs.get("jobs")
-                self._names = list(names)
+                captured["jobs"] = jobs
 
             def run(self):
-                return [None] * len(self._names), []
+                return [{"workload": name} for name, _ in captured["items"]]
 
         monkeypatch.setattr(resilience, "ResilientMap", _CaptureMap)
         workloads = [
@@ -339,10 +313,11 @@ class TestInnerJobsAllocation:
             "tensorflow.gemm_unpacked",
             "chrome.compositing_tiled",
         ]
-        sweep_all(workloads=workloads, socs=_GRID[:1], jobs=8)
+        documents = sweep_all(workloads=workloads, socs=_GRID[:1], jobs=8)
         assert captured["jobs"] == 3  # outer fan-out: one per workload
-        assert [item[2] for item in captured["items"]] == [3, 3, 2]
+        assert [item[1] for item in captured["items"]] == [3, 3, 2]
         assert [item[0] for item in captured["items"]] == workloads
+        assert list(documents) == workloads
 
 
 class TestSweepAllFanout:

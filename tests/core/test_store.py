@@ -27,8 +27,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.resilience import FAULT_PLAN_ENV
 from repro.core.store import (
+    FAULT_PLAN_ENV,
     WRITE_CHUNK_ENV,
     CompactionBusy,
     CompactionStats,

@@ -2,9 +2,7 @@
 
 ``sweep_all`` is driven with ``jobs > 1`` (the "fleet" of pool workers)
 and with ``jobs=1`` over Hypothesis-drawn workload subsets, geometry
-grids and job counts.  The contract covers the documents, the
-checkpoint journals the pooled run writes, and a serial ``--resume``
-from those journals.
+grids and job counts, and the documents must agree byte for byte.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.cachesweep import sweep_all, workload_names
 from repro.config import CacheConfig, SocConfig
-from repro.core.resilience import RetryPolicy, SweepCheckpoint, sweep_key
 from repro.sim.artifact import TraceStore
 
 _L1S = [
@@ -28,27 +25,10 @@ _L2S = [
     CacheConfig(size_bytes=8192, associativity=8),
 ]
 GRID = [SocConfig(l1=l1, l2=l2) for l1 in _L1S for l2 in _L2S]
-FAST = RetryPolicy(max_attempts=3, backoff_base_s=0.05, jitter=0.0)
 
 
 def canon(document) -> str:
     return json.dumps(document, sort_keys=True)
-
-
-def canon_data(documents) -> str:
-    """Canon minus the ``batched`` engine-provenance flag.
-
-    A fully-resumed sweep reports ``batched: false`` (rows came from the
-    journal, not the batch engine), so the resume comparison covers the
-    data: artifact, rows, failures.
-    """
-    return json.dumps(
-        {
-            name: {k: v for k, v in doc.items() if k != "batched"}
-            for name, doc in documents.items()
-        },
-        sort_keys=True,
-    )
 
 
 class TestFleetBitIdentity:
@@ -72,53 +52,7 @@ class TestFleetBitIdentity:
         local = sweep_all(
             names, socs=socs, store=TraceStore(base / "local"), jobs=1
         )
-        checkpoint = str(base / "sweep.ckpt")
         pooled = sweep_all(
-            names, socs=socs, store=TraceStore(base / "pooled"),
-            jobs=jobs, retry_policy=FAST, checkpoint=checkpoint,
+            names, socs=socs, store=TraceStore(base / "pooled"), jobs=jobs
         )
         assert canon(pooled) == canon(local)
-
-        # The journals the pooled run wrote resume a serial run to the
-        # same bytes: checkpoint/resume semantics ignore the job count.
-        resumed = sweep_all(
-            names, socs=socs, store=TraceStore(base / "pooled"),
-            jobs=1, retry_policy=FAST, checkpoint=checkpoint, resume=True,
-        )
-        assert canon_data(resumed) == canon_data(local)
-
-    def test_fleet_checkpoint_matches_local_checkpoint(self, tmp_path):
-        """The journal entries themselves, not just the documents, agree."""
-        from repro.sim.timing import TimingParameters
-
-        names = [workload_names()[0]]
-        # Two distinct L1 geometries, so the single-workload path shards
-        # across the pool (one shard per L1 group) instead of staying
-        # in-process.
-        socs = [GRID[0], GRID[3]]
-        local_ckpt = str(tmp_path / "local.ckpt")
-        pooled_ckpt = str(tmp_path / "pooled.ckpt")
-
-        local = sweep_all(
-            names, socs=socs, store=TraceStore(tmp_path / "local"), jobs=1,
-            retry_policy=FAST, checkpoint=local_ckpt,
-        )
-        pooled = sweep_all(
-            names, socs=socs, store=TraceStore(tmp_path / "pooled"),
-            jobs=2, retry_policy=FAST, checkpoint=pooled_ckpt,
-        )
-        assert canon(pooled) == canon(local)
-
-        # The same journal key ConfigSweep derives for this sweep.
-        artifact = local[names[0]]["artifact"]
-        key = "%s:%s" % (artifact, sweep_key((TimingParameters(), 2.0)))
-        local_journal = SweepCheckpoint(local_ckpt, key=key)
-        pooled_journal = SweepCheckpoint(pooled_ckpt, key=key)
-        try:
-            local_entries = local_journal.entries()
-            pooled_entries = pooled_journal.entries()
-        finally:
-            local_journal.close()
-            pooled_journal.close()
-        assert local_entries
-        assert canon(pooled_entries) == canon(local_entries)

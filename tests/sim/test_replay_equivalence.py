@@ -154,16 +154,13 @@ def registry_output(trace: MemoryTrace, soc: SocConfig, fast: bool) -> dict:
     ``validate.*`` counters are excluded: under REPRO_STRICT the two
     engines run different *structural* self-checks (only replay_fast
     consumes line runs), so check counts differ by design while every
-    simulation statistic must still match exactly.  ``core.resilience.*``
-    counters are filtered the same way: fault bookkeeping (retries,
-    checkpoint writes) describes the harness run, not the simulation,
-    and must never enter an equivalence verdict.  ``sim.replay_batch.*``
+    simulation statistic must still match exactly.  ``sim.replay_batch.*``
     is batch-shape bookkeeping (configs per batch, shared-trace hits),
     published only by the batched engine, and likewise excluded — the
     batched-vs-serial test below asserts every *simulation* counter
     matches across engines.
     """
-    excluded = ("validate.", "core.resilience.", "sim.replay_batch.")
+    excluded = ("validate.", "sim.replay_batch.")
     with recording() as rec:
         hierarchy = CacheHierarchy(soc)
         (hierarchy.replay_fast if fast else hierarchy.replay)(trace)
@@ -241,7 +238,7 @@ class TestCounterRegistryEquivalence:
                 l2=CacheConfig(size_bytes=8192, associativity=8),
             ),
         ]
-        excluded = ("validate.", "core.resilience.", "sim.replay_batch.")
+        excluded = ("validate.", "sim.replay_batch.")
         with recording() as serial_rec:
             for soc in socs:
                 CacheHierarchy(soc).replay_fast(trace())

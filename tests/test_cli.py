@@ -20,6 +20,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize("command", ["figures", "evaluate", "cachesweep"])
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--max-retries", "3"],
+            ["--target-timeout", "5"],
+            ["--checkpoint", "sweep.log"],
+            ["--resume"],
+        ],
+        ids=["max-retries", "target-timeout", "checkpoint", "resume"],
+    )
+    def test_fault_tolerance_flags_are_gone(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command] + flag)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: %s" % flag[0] in capsys.readouterr().err
+
 
 class TestCommands:
     def test_areas(self, capsys):
@@ -164,17 +181,6 @@ class TestCommands:
         assert captured.out == ""
         assert captured.err == "error: --max-age-days must be >= 0, got -1\n"
         assert victim.exists()
-
-    def test_cachesweep_checkpoint_resume(self, tmp_path, capsys):
-        store = str(tmp_path / "traces")
-        journal = str(tmp_path / "sweep.jsonl")
-        args = ["cachesweep", "--workload", "chrome.compositing_tiled",
-                "--trace-dir", store, "--no-cache", "--checkpoint", journal]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert main(args + ["--resume"]) == 0
-        resumed = capsys.readouterr().out
-        assert resumed.replace("serial/cached", "batched") == first
 
     def test_cachesweep_parallel_rows_identical(self, tmp_path, capsys):
         store = str(tmp_path / "traces")

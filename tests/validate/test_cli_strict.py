@@ -60,8 +60,6 @@ class TestStrictFlag:
             mean_pim_acc_energy_reduction = 0.6
             mean_pim_core_speedup = 1.5
             mean_pim_acc_speedup = 2.0
-            degraded = False
-            failures = []
 
             @staticmethod
             def rows():
