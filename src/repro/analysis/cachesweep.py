@@ -109,7 +109,6 @@ def run_sweep(
         jobs: forwarded to
             :meth:`~repro.core.runner.ConfigSweep.evaluate`.
     """
-    from repro.core.runner import ConfigSweep
     from repro.sim.artifact import TraceStore
     from repro.sim.timing import TimingParameters
 
@@ -137,6 +136,9 @@ def run_sweep(
             hit = cache.get("cachesweep.%s" % workload, memo_config)
             if hit is not None:
                 return hit
+        # Only a miss replays: the engine (offload, energy, batch) loads here.
+        from repro.core.runner import ConfigSweep
+
         sweep = ConfigSweep(
             artifact,
             timing_params=timing_params,

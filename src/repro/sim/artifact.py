@@ -10,21 +10,26 @@ the precomputed :meth:`repro.sim.trace.MemoryTrace.line_runs` columns
 (``run_lines``, ``run_counts``, ``run_writes``), so every later sweep
 point pays only the replay.
 
-File layout (single file, everything 64-byte aligned so columns can be
-``np.memmap``-ed directly)::
+File layout (single file, everything 64-byte aligned so each column is
+an aligned view into one mapping of the file)::
 
     magic (8 B) | header length (8 B LE) | JSON header | pad | columns
 
 The header pins a schema tag, the workload name, the recording
-``line_bytes``, a per-column SHA-256, the package code-version hash,
-and a ``content_hash`` over the access stream itself.  Integrity
-follows the :class:`repro.core.memo.MemoCache` contract:
+``line_bytes``, each column's dtype, count and SHA-256, the package
+code-version hash, and a ``content_hash`` over the access stream itself.
+Integrity follows the :class:`repro.core.memo.MemoCache` contract:
 
 * writes are atomic (tmp file + fsync + ``os.replace``), so a crashed
   writer can never publish a partial artifact under the final name;
-* loads verify structure and checksums; a torn, truncated, or
-  bit-flipped file raises :class:`ArtifactError` rather than returning
-  corrupt data;
+* a load maps the file once and checks that one buffer — structure,
+  each column's dtype and count against the schema and header, and the
+  checksums — so a torn, truncated, relabelled or bit-flipped file
+  raises :class:`ArtifactError` rather than returning corrupt data.
+  The checks hash raw bytes with :mod:`hashlib` and import no NumPy;
+  each column becomes an ``np.frombuffer`` view of those verified bytes
+  on first use, so a file replaced under the path after the load
+  cannot change what a replay reads;
 * :class:`TraceStore` quarantines bad artifacts to ``*.corrupt``
   (counted as ``sim.artifact.corrupt``) and rebuilds, so a damaged
   cache entry costs one rebuild — never a wrong result.
@@ -39,16 +44,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.config import CACHE_LINE_BYTES
 from repro.obs.recorder import get_recorder
-from repro.sim.trace import MemoryTrace
+
+if TYPE_CHECKING:  # annotation-only: loading and verifying needs no NumPy
+    import numpy as np
+
+    from repro.sim.trace import MemoryTrace
 
 #: File magic: 8 bytes, versioned with the schema below.
 _MAGIC = b"RPROTRC1"
@@ -56,38 +64,79 @@ SCHEMA = "repro-trace-artifact/v1"
 #: Column alignment; also the pad unit between header and data.
 _ALIGN = 64
 
-#: Column order and dtypes are fixed by the schema.
+#: Column order, dtypes and item sizes are fixed by the schema.
 _COLUMNS = (
-    ("addresses", np.uint64),
-    ("is_write", np.bool_),
-    ("run_lines", np.uint64),
-    ("run_counts", np.int64),
-    ("run_writes", np.bool_),
+    ("addresses", "uint64", 8),
+    ("is_write", "bool", 1),
+    ("run_lines", "uint64", 8),
+    ("run_counts", "int64", 8),
+    ("run_writes", "bool", 1),
 )
+#: Header count fields, and the columns whose length each one fixes.
+_COUNTS = (
+    ("num_accesses", ("addresses", "is_write")),
+    ("num_runs", ("run_lines", "run_counts", "run_writes")),
+)
+#: JSON types of the header's fields (past ``schema``) and of each
+#: column record's.
+_HEADER_FIELDS = {
+    "workload": str,
+    "line_bytes": int,
+    "content_hash": str,
+    "code_version": str,
+    "num_accesses": int,
+    "num_runs": int,
+    "columns": list,
+    "data_bytes": int,
+}
+_COLUMN_FIELDS = {
+    "name": str,
+    "dtype": str,
+    "count": int,
+    "offset": int,
+    "nbytes": int,
+    "sha256": str,
+}
 
 
 class ArtifactError(ValueError):
     """A trace artifact failed structural or checksum validation."""
 
 
-def _sha256(data: bytes) -> str:
+def _sha256(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _content_hash(
-    addresses: np.ndarray, is_write: np.ndarray, line_bytes: int
-) -> str:
-    """Identity of the access stream (independent of workload/code)."""
+def _content_hash(addresses, is_write, line_bytes: int) -> str:
+    """Identity of the access stream (independent of workload/code).
+
+    ``addresses`` and ``is_write`` are the two columns' bytes, as any
+    C-contiguous buffer (a ``memoryview`` or a contiguous array).
+    """
     digest = hashlib.sha256()
     digest.update(SCHEMA.encode())
     digest.update(b"\0%d\0" % line_bytes)
-    digest.update(np.ascontiguousarray(addresses).tobytes())
+    digest.update(addresses)
     digest.update(b"\0")
-    digest.update(np.ascontiguousarray(is_write).tobytes())
+    digest.update(is_write)
     return digest.hexdigest()
 
 
-@dataclass
+def _column(name: str) -> property:
+    """A column attribute: an array, made from verified bytes on first use."""
+    dtype = {column: dtype for column, dtype, _ in _COLUMNS}[name]
+
+    def get(self):
+        value = self._columns[name]
+        if isinstance(value, memoryview):
+            import numpy as np
+
+            value = self._columns[name] = np.frombuffer(value, dtype=dtype)
+        return value
+
+    return property(get, doc="The ``%s`` column (dtype %s)." % (name, dtype))
+
+
 class TraceArtifact:
     """One workload trace, materialized with its line-run columns.
 
@@ -98,16 +147,38 @@ class TraceArtifact:
     entirely.
     """
 
-    workload: str
-    line_bytes: int
-    content_hash: str
-    code_version: str
-    addresses: np.ndarray
-    is_write: np.ndarray
-    run_lines: np.ndarray
-    run_counts: np.ndarray
-    run_writes: np.ndarray
-    path: Path | None = field(default=None, compare=False)
+    addresses = _column("addresses")
+    is_write = _column("is_write")
+    run_lines = _column("run_lines")
+    run_counts = _column("run_counts")
+    run_writes = _column("run_writes")
+
+    def __init__(
+        self,
+        workload: str,
+        line_bytes: int,
+        content_hash: str,
+        code_version: str,
+        addresses,
+        is_write,
+        run_lines,
+        run_counts,
+        run_writes,
+        path: Path | None = None,
+    ):
+        self.workload = workload
+        self.line_bytes = line_bytes
+        self.content_hash = content_hash
+        self.code_version = code_version
+        self.path = path
+        # Arrays, or (from load) memoryviews of verified file bytes.
+        self._columns = {
+            "addresses": addresses,
+            "is_write": is_write,
+            "run_lines": run_lines,
+            "run_counts": run_counts,
+            "run_writes": run_writes,
+        }
 
     @property
     def num_accesses(self) -> int:
@@ -124,15 +195,21 @@ class TraceArtifact:
         trace: MemoryTrace,
         workload: str = "",
         line_bytes: int = CACHE_LINE_BYTES,
-    ) -> "TraceArtifact":
+    ) -> TraceArtifact:
         """Materialize a trace (and its line runs) as an artifact."""
+        import numpy as np
+
         from repro.core.memo import code_version_hash
 
         run_lines, run_counts, run_writes = trace.line_runs(line_bytes)
         return cls(
             workload=workload,
             line_bytes=line_bytes,
-            content_hash=_content_hash(trace.addresses, trace.is_write, line_bytes),
+            content_hash=_content_hash(
+                np.ascontiguousarray(trace.addresses),
+                np.ascontiguousarray(trace.is_write),
+                line_bytes,
+            ),
             code_version=code_version_hash(),
             addresses=trace.addresses,
             is_write=trace.is_write,
@@ -143,6 +220,8 @@ class TraceArtifact:
 
     def trace(self) -> MemoryTrace:
         """The artifact's trace, with ``line_runs`` pre-seeded."""
+        from repro.sim.trace import MemoryTrace
+
         trace = MemoryTrace(addresses=self.addresses, is_write=self.is_write)
         trace._line_runs_cache[self.line_bytes] = (
             self.run_lines,
@@ -153,9 +232,11 @@ class TraceArtifact:
 
     # ------------------------------------------------------------------
     def _column_arrays(self) -> list[tuple[str, np.ndarray]]:
+        import numpy as np
+
         return [
             (name, np.ascontiguousarray(getattr(self, name), dtype=dtype))
-            for name, dtype in _COLUMNS
+            for name, dtype, _ in _COLUMNS
         ]
 
     def save(self, path: str | Path) -> Path:
@@ -226,60 +307,41 @@ class TraceArtifact:
         mmap: bool = True,
         verify: bool = True,
         expected_hash: str | None = None,
-    ) -> "TraceArtifact":
-        """Load an artifact, memory-mapping its columns by default.
+    ) -> TraceArtifact:
+        """Load an artifact, memory-mapping the file by default.
 
-        Raises :class:`ArtifactError` on any structural damage: bad
-        magic, unparseable or schema-mismatched header, a file shorter
-        than the header promises (torn write), or — with ``verify`` —
-        a per-column or content checksum mismatch.  ``expected_hash``
-        additionally pins the trace identity: a sharded sweep's pool
-        workers open the artifact by path *and* content hash, so a file
-        swapped under the path between dispatch and open is rejected
-        before any column is read.
+        The file is opened once and mapped read-only (``mmap=False``
+        reads it into memory instead); every check runs on that one
+        buffer.  Raises :class:`ArtifactError` on any structural damage:
+        bad magic, an unparseable, schema-mismatched or mistyped header,
+        a file shorter than the header promises (torn write), a column
+        whose dtype, count or extent disagrees with the schema and
+        header, or — with ``verify`` — a per-column or content checksum
+        mismatch.  ``expected_hash`` additionally pins the trace
+        identity: a sharded sweep's pool workers open the artifact by
+        path *and* content hash, so a file swapped under the path
+        between dispatch and open is rejected before any column is read.
         """
         path = Path(path)
-        header, data_start = _read_header(path)
-        if (
-            expected_hash is not None
-            and header.get("content_hash") != expected_hash
-        ):
+        buffer = _read(path, mmap)
+        header, data_start = _parse_header(path, buffer)
+        if expected_hash is not None and header["content_hash"] != expected_hash:
             raise ArtifactError(
                 "%s: artifact content hash %s does not match the "
                 "dispatched trace %s"
-                % (path, header.get("content_hash"), expected_hash)
+                % (path, header["content_hash"], expected_hash)
             )
-        specs = header["columns"]
-        if [s["name"] for s in specs] != [name for name, _ in _COLUMNS]:
-            raise ArtifactError("%s: unexpected column set" % path)
-        arrays = {}
-        for spec in specs:
-            dtype = np.dtype(spec["dtype"])
-            count = int(spec["count"])
-            if dtype.itemsize * count != int(spec["nbytes"]):
-                raise ArtifactError(
-                    "%s: column %r size mismatch" % (path, spec["name"])
-                )
-            offset = data_start + int(spec["offset"])
-            if mmap and count:
-                array = np.memmap(path, dtype=dtype, mode="r", offset=offset, shape=(count,))
-            else:
-                with open(path, "rb") as f:
-                    f.seek(offset)
-                    array = np.frombuffer(
-                        f.read(int(spec["nbytes"])), dtype=dtype
-                    ).copy()
-            arrays[spec["name"]] = array
+        columns = _column_views(path, header, memoryview(buffer)[data_start:])
         if verify:
-            for spec in specs:
-                digest = _sha256(arrays[spec["name"]].tobytes())
+            for spec in header["columns"]:
+                digest = _sha256(columns[spec["name"]])
                 if digest != spec["sha256"]:
                     raise ArtifactError(
                         "%s: column %r checksum mismatch (%s != %s)"
                         % (path, spec["name"], digest, spec["sha256"])
                     )
             recomputed = _content_hash(
-                arrays["addresses"], arrays["is_write"], int(header["line_bytes"])
+                columns["addresses"], columns["is_write"], header["line_bytes"]
             )
             if recomputed != header["content_hash"]:
                 raise ArtifactError(
@@ -289,11 +351,11 @@ class TraceArtifact:
         get_recorder().counters.add("sim.artifact.loads", 1)
         return cls(
             workload=header["workload"],
-            line_bytes=int(header["line_bytes"]),
+            line_bytes=header["line_bytes"],
             content_hash=header["content_hash"],
             code_version=header["code_version"],
             path=path,
-            **arrays,
+            **columns,
         )
 
 
@@ -303,45 +365,107 @@ def _data_start(header_len: int) -> int:
     return -(-raw // _ALIGN) * _ALIGN
 
 
-def _read_header(path: Path) -> tuple[dict, int]:
+def _read(path: Path, use_mmap: bool):
+    """The artifact file's bytes: one read-only mapping, or a copy."""
+    try:
+        with open(path, "rb") as f:
+            if use_mmap and os.fstat(f.fileno()).st_size:
+                return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+            return f.read()
+    except OSError as exc:
+        raise ArtifactError("%s: unreadable artifact: %s" % (path, exc)) from exc
+
+
+def _check_fields(path: Path, record, fields: dict, what: str) -> None:
+    """Raise :class:`ArtifactError` unless ``record`` has ``fields``' types."""
+    if not isinstance(record, dict):
+        raise ArtifactError("%s: %s is not a JSON object" % (path, what))
+    for key, kind in fields.items():
+        if type(record.get(key)) is not kind:
+            raise ArtifactError(
+                "%s: %s field %r is %r, expected %s"
+                % (path, what, key, record.get(key), kind.__name__)
+            )
+
+
+def _parse_header(path: Path, buffer) -> tuple[dict, int]:
     """Parse and structurally validate an artifact's header.
 
     Returns ``(header, data_start)``.  Raises :class:`ArtifactError`
     on bad magic, a truncated or unparseable header, a schema
-    mismatch, or a file size that disagrees with the header's
-    ``data_bytes`` promise (torn write).
+    mismatch, a header field of the wrong JSON type, or a file size
+    that disagrees with the header's ``data_bytes`` promise (torn
+    write).
     """
-    try:
-        file_size = path.stat().st_size
-        with open(path, "rb") as f:
-            magic = f.read(len(_MAGIC))
-            if magic != _MAGIC:
-                raise ArtifactError("%s: bad magic %r" % (path, magic))
-            raw_len = f.read(8)
-            if len(raw_len) != 8:
-                raise ArtifactError("%s: truncated header length" % path)
-            header_len = int.from_bytes(raw_len, "little")
-            header_bytes = f.read(header_len)
-    except OSError as exc:
-        raise ArtifactError("%s: unreadable artifact: %s" % (path, exc)) from exc
+    magic = bytes(buffer[: len(_MAGIC)])
+    if magic != _MAGIC:
+        raise ArtifactError("%s: bad magic %r" % (path, magic))
+    raw_len = buffer[len(_MAGIC) : len(_MAGIC) + 8]
+    if len(raw_len) != 8:
+        raise ArtifactError("%s: truncated header length" % path)
+    header_len = int.from_bytes(raw_len, "little")
+    header_bytes = buffer[len(_MAGIC) + 8 : len(_MAGIC) + 8 + header_len]
     if len(header_bytes) != header_len:
         raise ArtifactError("%s: truncated header" % path)
     try:
         header = json.loads(header_bytes)
     except ValueError as exc:
         raise ArtifactError("%s: corrupt header: %s" % (path, exc)) from exc
-    if header.get("schema") != SCHEMA:
-        raise ArtifactError(
-            "%s: schema %r, expected %r" % (path, header.get("schema"), SCHEMA)
-        )
+    schema = header.get("schema") if isinstance(header, dict) else None
+    if schema != SCHEMA:
+        raise ArtifactError("%s: schema %r, expected %r" % (path, schema, SCHEMA))
+    _check_fields(path, header, _HEADER_FIELDS, "header")
     data_start = _data_start(header_len)
-    expected = data_start + int(header.get("data_bytes", -1))
-    if file_size != expected:
+    expected = data_start + header["data_bytes"]
+    if len(buffer) != expected:
         raise ArtifactError(
             "%s: torn artifact: %d bytes on disk, header promises %d"
-            % (path, file_size, expected)
+            % (path, len(buffer), expected)
         )
     return header, data_start
+
+
+def _column_views(path: Path, header: dict, data: memoryview) -> dict:
+    """Each column's bytes within ``data`` (the data section), by name.
+
+    Raises :class:`ArtifactError` unless the columns are the schema's,
+    in order and with its dtypes; each one's size is its count times
+    the item size and lies inside ``data``; and the columns of each
+    :data:`_COUNTS` group have the length the header records for it.
+    """
+    specs = header["columns"]
+    for spec in specs:
+        _check_fields(path, spec, _COLUMN_FIELDS, "column")
+    if [spec["name"] for spec in specs] != [name for name, _, _ in _COLUMNS]:
+        raise ArtifactError("%s: unexpected column set" % path)
+    views = {}
+    for spec, (name, dtype, itemsize) in zip(specs, _COLUMNS):
+        if spec["dtype"] != dtype:
+            raise ArtifactError(
+                "%s: column %r dtype %r, schema says %r"
+                % (path, name, spec["dtype"], dtype)
+            )
+        count, offset, nbytes = spec["count"], spec["offset"], spec["nbytes"]
+        if count < 0 or count * itemsize != nbytes:
+            raise ArtifactError("%s: column %r size mismatch" % (path, name))
+        if offset < 0 or offset + nbytes > len(data):
+            raise ArtifactError(
+                "%s: column %r extends past the data section" % (path, name)
+            )
+        views[name] = data[offset : offset + nbytes]
+    counts = {spec["name"]: spec["count"] for spec in specs}
+    for field, names in _COUNTS:
+        if any(counts[name] != header[field] for name in names):
+            raise ArtifactError(
+                "%s: column count mismatch: %s=%d but %s"
+                % (
+                    path,
+                    field,
+                    header[field],
+                    ", ".join("%s has %d" % (name, counts[name]) for name in names),
+                )
+            )
+    return views
 
 
 def read_artifact_header(path: str | Path) -> dict:
@@ -351,7 +475,8 @@ def read_artifact_header(path: str | Path) -> dict:
     ``TraceStore.artifacts()`` and the ``trace list`` CLI to describe a
     store without paging in trace data.
     """
-    header, _ = _read_header(Path(path))
+    path = Path(path)
+    header, _ = _parse_header(path, _read(path, use_mmap=True))
     return header
 
 

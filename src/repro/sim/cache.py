@@ -12,11 +12,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.config import CacheConfig, SocConfig, CACHE_LINE_BYTES
 from repro.obs.recorder import get_recorder
-from repro.sim.trace import MemoryTrace
 from repro.validate.strict import invariant, resolve_strict
+
+if TYPE_CHECKING:  # annotation-only: importing the simulator loads no NumPy
+    from repro.sim.trace import MemoryTrace
 
 
 @dataclass

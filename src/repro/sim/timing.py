@@ -24,13 +24,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.config import SocConfig, CACHE_LINE_BYTES
 from repro.obs.recorder import get_recorder
 from repro.sim.cache import CacheHierarchy
-from repro.sim.trace import MemoryTrace
 from repro.validate.fields import require_non_negative, require_positive_int
 from repro.validate.strict import invariant, resolve_strict
+
+if TYPE_CHECKING:  # annotation-only: a memo hit needs TimingParameters, not NumPy
+    from repro.sim.trace import MemoryTrace
 
 
 @dataclass(frozen=True)

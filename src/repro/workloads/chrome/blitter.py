@@ -14,10 +14,12 @@ fixed-point arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.sim.profile import KernelProfile
+
+if TYPE_CHECKING:  # annotation-only; the kernels import NumPy in their bodies
+    import numpy as np
 
 BYTES_PER_PIXEL = 4
 
@@ -43,12 +45,16 @@ class BlitStats:
 
 
 def _check_rgba(img: np.ndarray, name: str) -> None:
+    import numpy as np
+
     if img.ndim != 3 or img.shape[2] != BYTES_PER_PIXEL or img.dtype != np.uint8:
         raise ValueError("%s must be HxWx4 uint8, got %r/%s" % (name, img.shape, img.dtype))
 
 
 def fill_rect(dst: np.ndarray, x: int, y: int, w: int, h: int, color) -> BlitStats:
     """Solid fill (the memset-like blit).  Modifies ``dst`` in place."""
+    import numpy as np
+
     _check_rgba(dst, "dst")
     color = np.asarray(color, dtype=np.uint8)
     if color.shape != (4,):
@@ -81,6 +87,8 @@ def alpha_blend(dst: np.ndarray, src: np.ndarray, x: int, y: int) -> BlitStats:
     computed in 16-bit fixed point exactly as a scalar blitter would
     (per-channel multiply, add, shift).
     """
+    import numpy as np
+
     _check_rgba(dst, "dst")
     _check_rgba(src, "src")
     region = _clip(dst, src, x, y)

@@ -17,12 +17,15 @@ profile used by the characterization pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.obs.recorder import get_recorder
 from repro.sim.profile import KernelProfile
-from repro.sim.trace import TraceRecorder
+
+if TYPE_CHECKING:  # annotation-only; the kernels import NumPy in their bodies
+    import numpy as np
+
+    from repro.sim.trace import MemoryTrace, TraceRecorder
 
 #: Tile geometry: 32x32 pixels * 4 B/pixel = 4096 B, one page-sized tile,
 #: matching the Intel i965 driver behaviour the paper emulates.
@@ -54,6 +57,8 @@ class TiledTexture:
 
 
 def _check_bitmap(bitmap: np.ndarray) -> None:
+    import numpy as np
+
     if bitmap.ndim != 3 or bitmap.shape[2] != BYTES_PER_PIXEL:
         raise ValueError(
             "bitmap must be HxWx4 (RGBA) uint8, got shape %r" % (bitmap.shape,)
@@ -68,6 +73,8 @@ def linear_to_tiled(bitmap: np.ndarray) -> TiledTexture:
     Edges are zero-padded to whole tiles, as real drivers allocate whole
     tiles and ignore the slack.
     """
+    import numpy as np
+
     _check_bitmap(bitmap)
     height, width = bitmap.shape[:2]
     rows = (height + TILE_H - 1) // TILE_H
@@ -112,6 +119,8 @@ def linear_to_tiled_traced(
     read + one write call per tile row.  Both produce identical
     (base, count, is_write) range records, hence identical traces.
     """
+    import numpy as np
+
     _check_bitmap(bitmap)
     height, width = bitmap.shape[:2]
     pitch = width * BYTES_PER_PIXEL
@@ -180,6 +189,8 @@ def compositing_trace(
       the rasterizer can process **tile-locally**; the same vertical
       sampling happens 32 rows at a time inside one resident 4 kB tile.
     """
+    import numpy as np
+
     from repro.sim.trace import TraceRecorder
 
     quad = 4 * BYTES_PER_PIXEL  # a 4-texel sampling quad

@@ -18,11 +18,13 @@ target's pages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.workload import WorkloadFunction
 from repro.sim.profile import KernelProfile
+
+if TYPE_CHECKING:  # annotation-only; the kernels import NumPy in their bodies
+    import numpy as np
 
 MB = 1024 * 1024
 GB = 1024 * MB
@@ -91,6 +93,8 @@ class TabSwitchingSession:
     """Discrete-time simulation of the 50-tab experiment."""
 
     def __init__(self, config: ZramConfig | None = None):
+        import numpy as np
+
         self.config = config or ZramConfig()
         rng = np.random.default_rng(self.config.seed)
         self.tabs = [
@@ -166,6 +170,8 @@ class TabSwitchingSession:
     # ------------------------------------------------------------------
     def timeline(self) -> SwapTimeline:
         """Bucket swap events into 1-second bins (Figure 4 series)."""
+        import numpy as np
+
         duration = int(np.ceil(self._clock)) + 1
         bytes_out = np.zeros(duration)
         bytes_in = np.zeros(duration)

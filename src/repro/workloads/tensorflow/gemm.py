@@ -14,16 +14,21 @@ with correct zero-point handling:
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.config import SocConfig
 from repro.sim.profile import KernelProfile
 from repro.workloads.tensorflow.packing import pack_matrix
 from repro.workloads.tensorflow.quantization import QuantizedTensor
 
+if TYPE_CHECKING:  # annotation-only; the kernels import NumPy in their bodies
+    import numpy as np
+
 
 def quantized_gemm_reference(lhs: QuantizedTensor, rhs: QuantizedTensor) -> np.ndarray:
     """Direct int32 reference: (A - za) @ (B - zb)."""
+    import numpy as np
+
     a = lhs.values.astype(np.int32) - np.int32(lhs.zero_point)
     b = rhs.values.astype(np.int32) - np.int32(rhs.zero_point)
     return a @ b
@@ -37,6 +42,8 @@ def quantized_gemm(
     Packs the LHS exactly as gemmlowp would, then runs the kernel panel by
     panel.  Bit-identical to :func:`quantized_gemm_reference`.
     """
+    import numpy as np
+
     if lhs.values.ndim != 2 or rhs.values.ndim != 2:
         raise ValueError("quantized_gemm expects 2-D operands")
     m, k = lhs.values.shape

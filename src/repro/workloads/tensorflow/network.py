@@ -17,8 +17,7 @@ Two uses:
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.core.workload import WorkloadFunction
 from repro.sim.profile import KernelProfile
@@ -35,6 +34,9 @@ from repro.workloads.tensorflow.quantization import (
     quantize_tensor,
     requantize,
 )
+
+if TYPE_CHECKING:  # annotation-only; the kernels import NumPy in their bodies
+    import numpy as np
 
 MB = 1024 * 1024
 
@@ -138,6 +140,8 @@ def im2col(
     ``pad_value`` fills the border when ``padding > 0``; quantized callers
     must pass their zero point so padding represents a real zero.
     """
+    import numpy as np
+
     if x.ndim != 3:
         raise ValueError("im2col expects a HxWxC tensor")
     h, w, c = x.shape
@@ -208,6 +212,8 @@ def infer(network: Network, x: np.ndarray, rng: np.random.Generator | None = Non
     Weights are generated deterministically from the layer name; intended
     for small test networks, not the full paper models.
     """
+    import numpy as np
+
     rng = rng or np.random.default_rng(0)
     activations = np.asarray(x, dtype=np.float32)
     for layer in network.layers:

@@ -15,10 +15,12 @@ kernel in :mod:`repro.workloads.tensorflow.gemm` can consume it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.sim.profile import KernelProfile
+
+if TYPE_CHECKING:  # annotation-only; the kernels import NumPy in their bodies
+    import numpy as np
 
 #: gemmlowp-like kernel panel height (rows of LHS packed together).
 DEFAULT_PANEL_ROWS = 4
@@ -52,6 +54,8 @@ class PackedMatrix:
 
 def pack_matrix(matrix: np.ndarray, panel_rows: int = DEFAULT_PANEL_ROWS) -> PackedMatrix:
     """Pack a row-major uint8 matrix into panel-major layout."""
+    import numpy as np
+
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError("pack_matrix expects a 2-D matrix")

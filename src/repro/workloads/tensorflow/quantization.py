@@ -11,10 +11,12 @@ target (73.5% of quantization energy is data movement for ResNet).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.sim.profile import KernelProfile
+
+if TYPE_CHECKING:  # annotation-only; the kernels import NumPy in their bodies
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,8 @@ def quantize_tensor(x: np.ndarray) -> QuantizedTensor:
     two-scan structure (and therefore the same data movement) as
     TensorFlow Mobile's quantization routine.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=np.float32)
     if x.size == 0:
         raise ValueError("cannot quantize an empty tensor")
@@ -61,6 +65,8 @@ def quantize_tensor(x: np.ndarray) -> QuantizedTensor:
 
 def dequantize_tensor(q: QuantizedTensor) -> np.ndarray:
     """Recover float values (lossy inverse of :func:`quantize_tensor`)."""
+    import numpy as np
+
     return (q.values.astype(np.float32) - q.zero_point) * q.scale
 
 
@@ -71,6 +77,8 @@ def requantize(acc: np.ndarray, result_scale: float) -> QuantizedTensor:
     ``result_scale`` is the product of the input scales.  Scans the matrix
     twice (min/max, then convert), like TensorFlow Mobile.
     """
+    import numpy as np
+
     acc = np.asarray(acc, dtype=np.int64)
     real = acc.astype(np.float64) * result_scale
     return quantize_tensor(real.astype(np.float32))

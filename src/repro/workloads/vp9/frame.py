@@ -9,8 +9,10 @@ chroma would only rescale the traffic numbers by a constant factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # annotation-only; the kernels import NumPy in their bodies
+    import numpy as np
 
 #: Macroblock edge length (pixels); motion vectors are per macroblock.
 MACROBLOCK = 16
@@ -23,6 +25,8 @@ class Frame:
     pixels: np.ndarray  # (h, w) uint8
 
     def __post_init__(self):
+        import numpy as np
+
         self.pixels = np.asarray(self.pixels)
         if self.pixels.ndim != 2:
             raise ValueError("Frame expects a 2-D (h, w) array")
@@ -70,6 +74,8 @@ class Frame:
 
     def psnr(self, other: "Frame") -> float:
         """Peak signal-to-noise ratio against another frame (dB)."""
+        import numpy as np
+
         if self.pixels.shape != other.pixels.shape:
             raise ValueError("frame size mismatch")
         diff = self.pixels.astype(np.float64) - other.pixels.astype(np.float64)
@@ -80,6 +86,8 @@ class Frame:
 
     @staticmethod
     def blank(width: int, height: int, value: int = 128) -> "Frame":
+        import numpy as np
+
         return Frame(pixels=np.full((height, width), value, dtype=np.uint8))
 
 

@@ -9,6 +9,7 @@ trace, stat for stat.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro.config import CacheConfig, SocConfig
 from repro.obs import recording
 from repro.sim.artifact import (
     _MAGIC,
+    _content_hash,
     _data_start,
     ArtifactError,
     TraceArtifact,
@@ -49,6 +51,47 @@ def header_span(raw: bytes) -> tuple[int, dict]:
     header_len = int.from_bytes(raw[len(_MAGIC) : len(_MAGIC) + 8], "little")
     header = json.loads(raw[len(_MAGIC) + 8 : len(_MAGIC) + 8 + header_len])
     return _data_start(header_len), header
+
+
+def rewrite_header(path, raw: bytes, header: dict) -> None:
+    """Write ``raw``'s data section back under a (forged) ``header``."""
+    data_start, _ = header_span(raw)
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    pad = _data_start(len(header_bytes)) - len(_MAGIC) - 8 - len(header_bytes)
+    path.write_bytes(
+        _MAGIC
+        + len(header_bytes).to_bytes(8, "little")
+        + header_bytes
+        + b"\0" * pad
+        + raw[data_start:]
+    )
+
+
+def column_bytes(raw: bytes, name: str) -> bytes:
+    data_start, header = header_span(raw)
+    spec = next(s for s in header["columns"] if s["name"] == name)
+    start = data_start + spec["offset"]
+    return raw[start : start + spec["nbytes"]]
+
+
+def shorten_column(raw: bytes, header: dict, name: str) -> None:
+    """Drop ``name``'s last element in ``header``, re-signing what it covers.
+
+    The column's SHA-256 and, for ``is_write``, the content hash are
+    recomputed over the shortened bytes, so every checksum still matches.
+    """
+    spec = next(s for s in header["columns"] if s["name"] == name)
+    itemsize = spec["nbytes"] // spec["count"]
+    spec["count"] -= 1
+    spec["nbytes"] -= itemsize
+    kept = column_bytes(raw, name)[: spec["nbytes"]]
+    spec["sha256"] = hashlib.sha256(kept).hexdigest()
+    if name == "is_write":
+        header["content_hash"] = _content_hash(
+            np.frombuffer(column_bytes(raw, "addresses"), dtype=np.uint64),
+            np.frombuffer(kept, dtype=bool),
+            header["line_bytes"],
+        )
 
 
 class TestRoundTrip:
@@ -170,6 +213,91 @@ class TestValidation:
         path.write_bytes(bytes(body))
         with pytest.raises(ArtifactError, match="checksum mismatch"):
             TraceArtifact.load(path)
+
+    @pytest.mark.parametrize(
+        "column",
+        ["addresses", "is_write", "run_lines", "run_counts", "run_writes"],
+    )
+    def test_flipped_byte_rejected_in_every_column(self, saved, column):
+        path, raw = saved
+        data_start, header = header_span(raw)
+        spec = next(s for s in header["columns"] if s["name"] == column)
+        body = bytearray(raw)
+        body[data_start + spec["offset"] + spec["nbytes"] - 1] ^= 0xFF
+        path.write_bytes(bytes(body))
+        with pytest.raises(ArtifactError, match="%r checksum mismatch" % column):
+            TraceArtifact.load(path)
+
+    @pytest.mark.parametrize(
+        "column, dtype, scale",
+        [
+            # Same bytes read as twice as many 4-byte addresses: every
+            # checksum still matches, so only the dtype check catches it.
+            ("addresses", "uint32", 2),
+            ("run_counts", "uint64", 1),
+        ],
+    )
+    def test_relabelled_column_dtype_rejected(self, saved, column, dtype, scale):
+        path, raw = saved
+        _, header = header_span(raw)
+        spec = next(s for s in header["columns"] if s["name"] == column)
+        spec["dtype"] = dtype
+        spec["count"] *= scale
+        if column == "addresses":
+            header["num_accesses"] *= scale
+        rewrite_header(path, raw, header)
+        with pytest.raises(ArtifactError, match="dtype"):
+            TraceArtifact.load(path)
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda raw, header: header.update(num_accesses=header["num_accesses"] + 1),
+            lambda raw, header: shorten_column(raw, header, "is_write"),
+            lambda raw, header: header.update(num_runs=header["num_runs"] - 1),
+            lambda raw, header: shorten_column(raw, header, "run_counts"),
+        ],
+        ids=["num_accesses", "is_write", "num_runs", "run_counts"],
+    )
+    def test_column_count_mismatch_rejected(self, saved, forge):
+        """Column counts must agree with each other and with the header."""
+        path, raw = saved
+        _, header = header_span(raw)
+        forge(raw, header)
+        rewrite_header(path, raw, header)
+        with pytest.raises(ArtifactError, match="count mismatch"):
+            TraceArtifact.load(path)
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda header: header.pop("workload"),
+            lambda header: header.update(columns=None),
+            lambda header: header["columns"][0].update(offset=header["data_bytes"]),
+        ],
+        ids=["missing-field", "columns-not-a-list", "column-past-end"],
+    )
+    def test_malformed_header_rejected(self, saved, forge):
+        """Header damage surfaces as ArtifactError, so the store rebuilds."""
+        path, raw = saved
+        _, header = header_span(raw)
+        forge(header)
+        rewrite_header(path, raw, header)
+        with pytest.raises(ArtifactError):
+            TraceArtifact.load(path)
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    def test_columns_survive_path_replacement(self, tmp_path, mmap):
+        """Replays read the bytes the load verified, not the path's later file."""
+        art = TraceArtifact.from_trace(random_trace(7), workload="first")
+        path = art.save(tmp_path / "t.trace")
+        loaded = TraceArtifact.load(path, mmap=mmap)
+        TraceArtifact.from_trace(random_trace(8, n=300), workload="second").save(path)
+        assert TraceArtifact.load(path).num_accesses == 300
+        for name in ("addresses", "is_write", "run_lines", "run_counts", "run_writes"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(art, name))
+        direct = CacheHierarchy(small_soc()).replay_fast(random_trace(7))
+        assert CacheHierarchy(small_soc()).replay_fast(loaded.trace()) == direct
 
     def test_content_hash_mismatch_rejected(self, saved):
         """Header/columns individually valid but mutually inconsistent."""

@@ -3,9 +3,12 @@
 Package ``__init__`` modules re-export their public names lazily
 (:mod:`repro._lazy`), so ``import repro.cli`` loads no model code and a
 warm ``figures`` answers every figure from the memo cache without
-importing a figure harness, a workload model or NumPy.  The first two
-checks run fresh interpreters, since this test process has long since
-imported everything.
+importing a figure harness, a workload model or NumPy.  ``evaluate``
+runs only analytic profiles, so it loads no NumPy either, and a warm
+``cachesweep`` verifies its trace artifacts and reads its memo entries
+without loading NumPy or the replay engine.  The budget checks run
+fresh interpreters, since this test process has long since imported
+everything.
 """
 
 from __future__ import annotations
@@ -53,6 +56,16 @@ FIGURE_MODULES = (
     "repro.analysis.video_figures",
     "repro.analysis.headline",
 )
+
+#: Trace building and replay, which a fully warm ``cachesweep`` must not import.
+REPLAY_MODULES = (
+    "repro.core.runner",
+    "repro.sim.batch",
+    "repro.sim.trace",
+    "repro.workloads",
+)
+
+CACHESWEEP_ALL = ["-m", "repro", "cachesweep", "--workload", "all"]
 
 
 def _env(cache_dir: Path) -> dict:
@@ -116,6 +129,24 @@ class TestImportBudget:
         assert "numpy" not in warm
         assert sorted(m for m in warm if _in_package(m, ("repro.workloads",))) == []
         assert sorted(m for m in warm if _in_package(m, FIGURE_MODULES)) == []
+
+    def test_evaluate_imports_no_numpy(self, tmp_path):
+        loaded, out = _imported_by(
+            ["-m", "repro", "evaluate", "--workload", "all"], _env(tmp_path / "memo")
+        )
+        assert "mean energy reduction" in out
+        assert "repro.workloads.tensorflow.network" in loaded  # the model ran
+        assert "numpy" not in loaded
+
+    def test_warm_cachesweep_imports_no_replay_engine(self, tmp_path):
+        env = _env(tmp_path / "memo")
+        cold, cold_out = _imported_by(CACHESWEEP_ALL, env)
+        assert "repro.sim.batch" in cold  # the cold run traced and replayed
+        warm, warm_out = _imported_by(CACHESWEEP_ALL, env)
+        assert warm_out == cold_out
+        assert "repro.sim.artifact" in warm  # every hit still verifies its trace
+        assert "numpy" not in warm
+        assert sorted(m for m in warm if _in_package(m, REPLAY_MODULES)) == []
 
 
 class TestLazyExports:
