@@ -4,11 +4,12 @@ The headline perf metric for the batched columnar replay engine: the
 end-to-end cost of a cache-geometry sweep.  The baseline is the
 pre-batching figure/sensitivity path — every geometry re-traces the
 workload kernel and replays it serially through ``replay_fast`` (cache)
-and ``TimingSimulator.replay_fast`` (timing).  The batched path traces
+and ``TimingSimulator.replay_fast`` (timing), the line-run engines now
+kept as test oracles (``tests/sim/oracle.py``).  The batched path traces
 the kernel once, materializes the columnar :class:`TraceArtifact`, and
-evaluates every geometry in one :func:`replay_batch` /
-:func:`timing_batch_for_socs` pass over the shared line runs.  Both
-paths are checked bit-identical on every run before timing.
+evaluates every geometry in one :func:`sweep_batch` pass over the
+shared line runs.  Both paths are checked bit-identical on every run
+before timing.
 
 Run directly to record the numbers EXPERIMENTS.md's Performance section
 is generated from::
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -36,10 +38,14 @@ import numpy as np
 from repro.config import KB, MB, CacheConfig, SocConfig, soc_cache_label
 from repro.sim.artifact import TraceArtifact
 from repro.sim.batch import sweep_batch
-from repro.sim.cache import CacheHierarchy
-from repro.sim.timing import TimingParameters, TimingSimulator
+from repro.sim.timing import TimingParameters
 from repro.workloads.chrome.texture import compositing_trace
 from repro.workloads.tensorflow.access_patterns import gemm_lhs_trace
+
+# The serial baseline replays are test oracles; make the repo root
+# importable.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.sim.oracle import CacheHierarchy, TimingSimulator
 
 JSON_PATH = Path(__file__).resolve().parent / "BENCH_batched_replay.json"
 

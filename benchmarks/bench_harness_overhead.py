@@ -8,6 +8,9 @@ stacked one at a time, so a regression in any layer's overhead is
 visible as data rather than folklore:
 
 * ``bare``       -- ``CacheHierarchy.replay_fast`` with no recorder active
+  (the line-run serial replay, kept as a test oracle in
+  ``tests/sim/oracle.py``; it ends in the same counter and strict-check
+  tail as the production batched engine)
 * ``obs``        -- the same replay inside ``recording()``
 * ``validate``   -- ``strict=True`` (invariant + conservation checks)
 * ``obs_validate`` -- both layers together
@@ -27,14 +30,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
 from repro.config import SocConfig
 from repro.obs import recording
-from repro.sim.cache import CacheHierarchy
 from repro.workloads.chrome.texture import compositing_trace
 from repro.workloads.tensorflow.access_patterns import gemm_lhs_trace
+
+# The replay measured here is a test oracle; make the repo root importable.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.sim.oracle import CacheHierarchy
 
 JSON_PATH = Path(__file__).resolve().parent / "BENCH_harness_overhead.json"
 

@@ -154,12 +154,9 @@ def _sweeps(quick: bool) -> list:
 
 
 def _sweep_rows(artifact, socs, params, jobs: int) -> list:
-    result = ConfigSweep(artifact, timing_params=params).evaluate(
-        socs, batch=True, jobs=jobs
-    )
-    if jobs > 1 and not result.batched:
-        raise AssertionError("parallel sweep degraded to the serial path")
-    return result.rows
+    return ConfigSweep(artifact, timing_params=params).evaluate(
+        socs, jobs=jobs
+    ).rows
 
 
 def measure(name, build_trace, socs, jobs: int, reps: int = 2) -> dict:

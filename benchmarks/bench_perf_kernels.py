@@ -4,7 +4,9 @@ Times every scalar/fast engine pair introduced by the vectorized kernel
 engine — VP9 sub-pixel interpolation, deblocking, motion-search SAD,
 texture-tiling tracing, compositing tracing, LZO compress/decompress,
 and the event-driven timing replay — and checks on every run that the
-two engines still agree exactly.
+two engines still agree exactly.  The timing pair is the per-access and
+line-run serial replays kept as test oracles (``tests/sim/oracle.py``);
+production timing runs the batched engine (``repro.sim.batch``).
 
 Run directly to record the numbers EXPERIMENTS.md's kernel table is
 generated from::
@@ -23,12 +25,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.sim.timing import TimingParameters, TimingSimulator
+from repro.sim.timing import TimingParameters
 from repro.sim.trace import TraceRecorder
 from repro.workloads.chrome import lzo
 from repro.workloads.chrome.texture import compositing_trace, linear_to_tiled_traced
@@ -36,6 +39,11 @@ from repro.workloads.vp9.deblock import DeblockStats, deblock_frame
 from repro.workloads.vp9.frame import Frame
 from repro.workloads.vp9.mc import interpolate_block
 from repro.workloads.vp9.me import full_search, diamond_search, SearchStats
+
+# The timing-replay pair is a pair of test oracles; make the repo root
+# importable.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.sim.oracle import TimingSimulator
 
 JSON_PATH = Path(__file__).resolve().parent / "BENCH_kernels.json"
 

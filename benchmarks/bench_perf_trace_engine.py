@@ -1,9 +1,12 @@
 """Trace-engine replay throughput: per-access oracle vs line-run fast path.
 
-The headline perf metric for the fast trace engine: replay throughput
-(trace lines replayed per second) of ``CacheHierarchy.replay`` (the
-per-access oracle) against ``CacheHierarchy.replay_fast`` (line-run
-compression), on byte-granularity traces of ≥1M accesses.
+Replay throughput (trace lines replayed per second) of
+``CacheHierarchy.replay`` (the per-access oracle) against
+``CacheHierarchy.replay_fast`` (line-run compression), on
+byte-granularity traces of ≥1M accesses.  Both engines are the serial
+test oracles in ``tests/sim/oracle.py``, which the production batched
+engine (``repro.sim.batch``) is differentially tested against; this
+bench times those two oracles and no production code.
 
 Run directly to record the numbers that EXPERIMENTS.md's Performance
 section is generated from::
@@ -18,13 +21,17 @@ module asserts the acceptance bar instead: bit-identical statistics and
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro.sim.cache import CacheHierarchy
 from repro.sim.trace import MemoryTrace, TraceRecorder
+
+# The replays timed here are test oracles; make the repo root importable.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.sim.oracle import CacheHierarchy
 
 JSON_PATH = Path(__file__).resolve().parent / "BENCH_trace_engine.json"
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.core.offload import OffloadEngine
 from repro.core.target import PimTarget, evaluate_candidate
-from repro.sim.cache import CacheHierarchy
+from repro.sim.cache import replay_trace
 from repro.sim.profile import KernelProfile
 from repro.sim.trace import AddressSpace, TraceRecorder
 
@@ -56,7 +56,7 @@ def main():
     space = AddressSpace()
     hist = histogram_kernel(image, recorder, space.alloc(image.nbytes))
     assert hist.sum() == image.size
-    stats = CacheHierarchy().replay(recorder.trace())
+    stats = replay_trace(recorder.trace())
     print(
         "traced kernel: %.1f MB image -> %.1f MB DRAM traffic (simulated)"
         % (image.nbytes / MB, stats.dram_bytes / MB)

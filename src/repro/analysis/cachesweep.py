@@ -5,10 +5,9 @@ are claims about how an access stream interacts with a cache hierarchy.
 This module turns them into design-space sweeps: each workload's memory
 trace is materialized **once** as an on-disk columnar artifact
 (:class:`repro.sim.artifact.TraceStore`) and then replayed under a grid
-of cache geometries — by default through the config-batched engine
-(:func:`repro.sim.batch.replay_batch`), which evaluates every geometry
-in a single pass over the shared run stream and is bit-identical per
-config to the serial path.
+of cache geometries through the config-batched engine
+(:func:`repro.sim.batch.sweep_batch`), which evaluates every geometry
+in a single pass over the shared run stream.
 
 Layer composition (deliberately the same stack as the figure sweeps):
 
@@ -82,7 +81,6 @@ def default_geometry_grid() -> list[SocConfig]:
 def run_sweep(
     workload: str,
     socs=None,
-    batch: bool = True,
     store=None,
     cache=None,
     jobs: int = 1,
@@ -94,14 +92,13 @@ def run_sweep(
     Returns a JSON-able document::
 
         {"workload", "artifact",   # trace content hash
-         "batched",                # engine that produced the rows
+         "batched": True,          # always: one engine produces the rows
          "rows": [...],            # one dict per geometry
          "failures": []}           # always empty: a failure raises
 
     Args:
         workload: a :data:`WORKLOADS` name.
         socs: geometry grid (default :func:`default_geometry_grid`).
-        batch: evaluate all geometries in one batched pass.
         store: :class:`~repro.sim.artifact.TraceStore` holding the
             shared artifacts (default: the package cache directory).
         cache: optional :class:`~repro.core.memo.MemoCache`; hits skip
@@ -144,11 +141,13 @@ def run_sweep(
             timing_params=timing_params,
             instructions_per_access=instructions_per_access,
         )
-        result = sweep.evaluate(socs, batch=batch, jobs=jobs)
+        result = sweep.evaluate(socs, jobs=jobs)
         document = {
             "workload": workload,
             "artifact": artifact.content_hash,
-            "batched": result.batched,
+            # Always True (the batched engine is the only one); kept so
+            # the document's shape is stable.
+            "batched": True,
             "rows": result.rows,
             "failures": [],
         }
@@ -199,7 +198,6 @@ def _sweep_workload_in_worker(job):
         return run_sweep(
             name,
             socs=s["socs"],
-            batch=s["batch"],
             store=store,
             cache=cache,
             jobs=inner_jobs,
@@ -241,7 +239,6 @@ def plan_inner_jobs(jobs: int, n_workloads: int) -> list[int]:
 def sweep_all(
     workloads=None,
     socs=None,
-    batch: bool = True,
     store=None,
     cache=None,
     jobs: int = 1,
@@ -265,14 +262,13 @@ def sweep_all(
     names = list(workloads) if workloads is not None else workload_names()
     if jobs > 1 and len(names) > 1:
         return _sweep_all_parallel(
-            names, socs, batch, store, cache, jobs,
+            names, socs, store, cache, jobs,
             timing_params, instructions_per_access,
         )
     return {
         name: run_sweep(
             name,
             socs=socs,
-            batch=batch,
             store=store,
             cache=cache,
             jobs=jobs,
@@ -284,7 +280,7 @@ def sweep_all(
 
 
 def _sweep_all_parallel(
-    names, socs, batch, store, cache, jobs,
+    names, socs, store, cache, jobs,
     timing_params, instructions_per_access,
 ):
     from repro.core.resilience import ResilientMap
@@ -293,7 +289,6 @@ def _sweep_all_parallel(
     observe = recorder.enabled
     settings = {
         "socs": list(socs) if socs is not None else None,
-        "batch": batch,
         "store_dir": str(store.directory),
         "store_version": store.version,
         "cache_dir": str(cache.directory) if cache is not None else None,

@@ -103,20 +103,18 @@ def sweep(parameter: str, scales=(0.5, 0.75, 1.0, 1.5, 2.0)) -> list[Sensitivity
 
 
 def cache_geometry_sweep(
-    workload: str, socs=None, batch: bool = True, store=None, cache=None
+    workload: str, socs=None, store=None, cache=None
 ) -> list[dict]:
     """One workload's sweep rows across cache geometries.
 
     Thin delegation to :func:`repro.analysis.cachesweep.run_sweep`; the
-    workload is traced once (shared artifact) and every geometry —
-    batched by default — contributes one row of measured miss/traffic/
+    workload is traced once (shared artifact) and every geometry, all
+    in one batched pass, contributes one row of measured miss/traffic/
     timing statistics.
     """
     from repro.analysis.cachesweep import run_sweep
 
-    return run_sweep(
-        workload, socs=socs, batch=batch, store=store, cache=cache
-    )["rows"]
+    return run_sweep(workload, socs=socs, store=store, cache=cache)["rows"]
 
 
 def locality_robust_across_geometries(
@@ -125,7 +123,6 @@ def locality_robust_across_geometries(
         ("chrome.compositing_tiled", "chrome.compositing_linear"),
     ),
     socs=None,
-    batch: bool = True,
     store=None,
 ) -> list[dict]:
     """Does each locality optimization win at *every* geometry?
@@ -142,8 +139,8 @@ def locality_robust_across_geometries(
     store = store or TraceStore()
     verdicts = []
     for optimized, baseline in pairs:
-        opt = run_sweep(optimized, socs=socs, batch=batch, store=store)
-        base = run_sweep(baseline, socs=socs, batch=batch, store=store)
+        opt = run_sweep(optimized, socs=socs, store=store)
+        base = run_sweep(baseline, socs=socs, store=store)
         points = []
         for opt_row, base_row in zip(opt["rows"], base["rows"]):
             points.append(

@@ -6,9 +6,8 @@
     python -m repro export [--dir figures_data]
     python -m repro evaluate [--workload chrome|tensorflow|vp9|all] [--jobs N]
                              [--manifest DIR] [--trace-out PATH] [--strict]
-    python -m repro cachesweep [--workload NAME|all] [--batch|--no-batch]
-                               [--trace-dir DIR] [--jobs N] [--no-cache]
-                               [--cache-flush-every N]
+    python -m repro cachesweep [--workload NAME|all] [--trace-dir DIR]
+                               [--jobs N] [--no-cache] [--cache-flush-every N]
                                [--manifest DIR] [--trace-out PATH] [--strict]
     python -m repro cache {compact|clear|prune} [--dir PATH]
                           [--max-age-days DAYS]
@@ -243,17 +242,10 @@ def _cmd_cachesweep(args) -> int:
     with _obs_session(args) as recorder:
         # --jobs fans out across workloads (several names) or across
         # shards of one workload's batch plan (a single name).
-        documents = sweep_all(
-            names, batch=args.batch, store=store, cache=cache, jobs=args.jobs
-        )
+        documents = sweep_all(names, store=store, cache=cache, jobs=args.jobs)
         for name, document in documents.items():
             print(
-                "%s  (artifact %s, %s)"
-                % (
-                    name,
-                    document["artifact"][:12],
-                    "batched" if document["batched"] else "serial/cached",
-                )
+                "%s  (artifact %s, batched)" % (name, document["artifact"][:12])
             )
             print(
                 "  %-22s %9s %9s %8s %12s %8s"
@@ -497,22 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep workload name, or 'all' (default)",
     )
     cachesweep.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help="evaluate all geometries in one batched replay pass "
-        "(--no-batch replays each geometry serially; results are "
-        "bit-identical either way)",
-    )
-    cachesweep.add_argument(
         "--trace-dir", metavar="DIR",
         help="directory for the shared trace artifacts "
         "(default: the package cache directory)",
     )
     cachesweep.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes, on every path: shards of the batched "
-        "plan, per-config serial replays (--no-batch), and whole "
-        "workloads (--workload all); each worker memory-maps the "
-        "shared artifact — results are bit-identical to --jobs 1",
+        help="worker processes: shards of one workload's batched plan, "
+        "or whole workloads (--workload all); each worker memory-maps "
+        "the shared artifact — results are bit-identical to --jobs 1",
     )
     cachesweep.add_argument(
         "--no-cache", action="store_true",

@@ -205,11 +205,11 @@ class ExperimentRunner:
             if jobs > 1 and len(targets) > 1:
                 comparisons = self._evaluate_parallel(targets, jobs, recorder)
             else:
-                comparisons = self._evaluate_serial(targets, recorder)
+                comparisons = self._evaluate_in_process(targets, recorder)
         return SweepResult(comparisons=comparisons)
 
     # ------------------------------------------------------------------
-    def _evaluate_serial(self, targets, recorder) -> list[TargetComparison]:
+    def _evaluate_in_process(self, targets, recorder) -> list[TargetComparison]:
         comparisons = []
         for target in targets:
             with recorder.span("core.runner.target.%s" % target.name):
@@ -265,41 +265,6 @@ def _mean(values: list[float]) -> float:
 # ----------------------------------------------------------------------
 # Cache-geometry config sweeps over one shared trace artifact
 # ----------------------------------------------------------------------
-
-#: Per-process replay state for parallel config sweeps: (trace, params,
-#: instructions_per_access), set by the pool initializer from the
-#: memory-mapped artifact so workers never re-trace the kernel.
-_SWEEP_TRACE_STATE = None
-
-
-def _init_sweep_worker(
-    artifact_path, content_hash, timing_params, instructions_per_access
-):
-    global _SWEEP_TRACE_STATE
-    _install_worker_fault_handlers()
-    from repro.sim.artifact import TraceArtifact
-
-    try:
-        artifact = TraceArtifact.load(
-            artifact_path, mmap=True, expected_hash=content_hash
-        )
-        _SWEEP_TRACE_STATE = (
-            artifact.trace(), timing_params, instructions_per_access
-        )
-    except BaseException as exc:
-        print(
-            "repro: sweep worker initializer failed: %r" % exc,
-            file=sys.stderr,
-            flush=True,
-        )
-        raise
-
-
-def _sweep_config_in_worker(job):
-    _, soc = job
-    trace, params, ipa = _SWEEP_TRACE_STATE
-    return _evaluate_sweep_config(trace, soc, params, ipa)
-
 
 #: Per-process batch engine for sharded sweeps (set by the shard pool
 #: initializer from the memory-mapped artifact; reused across shards).
@@ -363,18 +328,6 @@ def _sweep_shard_in_worker_observed(job):
     return rows, recorder.snapshot()
 
 
-def _evaluate_sweep_config(trace, soc, timing_params, instructions_per_access):
-    """One geometry's row: serial cache replay + serial timing replay."""
-    from repro.sim.cache import CacheHierarchy
-    from repro.sim.timing import TimingSimulator
-
-    stats = CacheHierarchy(soc).replay_fast(trace)
-    timing = TimingSimulator(soc, timing_params).replay_fast(
-        trace, instructions_per_access
-    )
-    return _sweep_row(soc, stats, timing, instructions_per_access)
-
-
 def _sweep_row(soc, stats, timing, instructions_per_access) -> dict:
     """A JSON-able sweep-point row.
 
@@ -416,9 +369,6 @@ class ConfigSweepResult:
     """Rows for every geometry, in input order."""
 
     rows: list[dict] = field(default_factory=list)
-    #: Whether the batched engine produced the rows (False: the serial
-    #: path, by request).
-    batched: bool = False
 
     def by_config(self, label: str) -> dict:
         for row in self.rows:
@@ -432,18 +382,19 @@ class ConfigSweep:
 
     The artifact (:class:`repro.sim.artifact.TraceArtifact`) is
     materialized once per workload; every geometry replays the same
-    memoized run stream.  ``batch=True`` evaluates all geometries in a
-    single pass (:func:`repro.sim.batch.replay_batch` — bit-identical
-    per config to the serial path).
+    memoized run stream, all of them in one batched pass
+    (:func:`repro.sim.batch.sweep_batch`, cache and timing together —
+    bit-identical per config to the serial replays the tests keep as
+    oracles).
 
     With ``jobs > 1`` the batch plan itself is sharded across pool
     workers (:func:`repro.sim.batch.plan_shards`): each worker opens the
     on-disk artifact by path + content hash (memory-mapped — the trace
     is never pickled) and evaluates its shard through the same
     per-config finish helpers, so parallel rows are bit-identical to
-    the single-process batch and to serial replay.  An in-memory
-    artifact is auto-saved to ``trace_dir`` first.  A geometry, shard
-    or worker that fails fails the sweep.
+    the single-process batch.  An in-memory artifact is auto-saved to
+    ``trace_dir`` first.  A geometry, shard or worker that fails fails
+    the sweep.
     """
 
     def __init__(
@@ -460,7 +411,7 @@ class ConfigSweep:
         self.instructions_per_access = instructions_per_access
         self.trace_dir = trace_dir
 
-    def evaluate(self, socs, batch: bool = True, jobs: int = 1) -> ConfigSweepResult:
+    def evaluate(self, socs, jobs: int = 1) -> ConfigSweepResult:
         from repro.config import soc_cache_label
 
         socs = list(socs)
@@ -472,8 +423,6 @@ class ConfigSweep:
         with recorder.span("core.runner.config_sweep"):
             if not pending:
                 rows = []
-            elif not batch:
-                rows = self._evaluate_serial(pending, jobs, recorder)
             elif jobs > 1 and len(pending) > 1:
                 rows = self._evaluate_batch_parallel(pending, jobs, recorder)
             else:
@@ -481,7 +430,7 @@ class ConfigSweep:
             if recorder.enabled:
                 recorder.counters.add("core.runner.config_sweeps", 1)
                 recorder.counters.add("core.runner.config_sweep_points", len(rows))
-        return ConfigSweepResult(rows=rows, batched=bool(pending) and batch)
+        return ConfigSweepResult(rows=rows)
 
     # ------------------------------------------------------------------
     def _evaluate_batch(self, pending) -> list[dict]:
@@ -573,29 +522,3 @@ class ConfigSweep:
         self.artifact.save(path)
         get_recorder().counters.add("sim.artifact.autosaves", 1)
         return path
-
-    def _evaluate_serial(self, pending, jobs, recorder) -> list[dict]:
-        if jobs > 1 and len(pending) > 1:
-            path = self._ensure_artifact_path()
-            return ResilientMap(
-                _sweep_config_in_worker,
-                pending,
-                jobs=jobs,
-                initializer=_init_sweep_worker,
-                initargs=(
-                    str(path),
-                    self.artifact.content_hash,
-                    self.timing_params,
-                    self.instructions_per_access,
-                ),
-            ).run()
-        trace = self.artifact.trace()
-        rows = []
-        for label, soc in pending:
-            with recorder.span("core.runner.config.%s" % label):
-                rows.append(
-                    _evaluate_sweep_config(
-                        trace, soc, self.timing_params, self.instructions_per_access
-                    )
-                )
-        return rows

@@ -8,13 +8,14 @@ reproduction:
 * :mod:`repro.sim.profile` -- the ``KernelProfile`` abstraction: exact
   dynamic operation counts and memory-traffic statistics produced by the
   instrumented workload kernels (stand-in for performance counters);
-* :mod:`repro.sim.trace` / :mod:`repro.sim.cache` -- a trace-driven
-  set-associative cache-hierarchy simulator used to validate the locality
-  assumptions baked into the analytic profiles;
+* :mod:`repro.sim.trace` / :mod:`repro.sim.cache` -- memory traces and
+  the statistics of a trace-driven set-associative cache hierarchy, used
+  to validate the locality assumptions baked into the analytic profiles;
 * :mod:`repro.sim.artifact` / :mod:`repro.sim.batch` -- memory-mapped
-  columnar trace artifacts and config-batched replay, so design-space
-  sweeps trace each workload once and evaluate many cache
-  configurations in one pass;
+  columnar trace artifacts and the config-batched replay, the one cache
+  and timing engine: design-space sweeps trace each workload once and
+  evaluate many cache configurations in one pass, and a single-config
+  replay (``replay_trace``) is a batch of one;
 * :mod:`repro.sim.dram` -- LPDDR3 and 3D-stacked DRAM bandwidth/latency
   models;
 * :mod:`repro.sim.cpu` / :mod:`repro.sim.pim` -- roofline-style timing and
@@ -30,19 +31,8 @@ _EXPORTS = {
     ".profile": ("KernelProfile",),
     ".trace": ("MemoryTrace", "TraceRecorder"),
     ".artifact": ("ArtifactError", "TraceArtifact", "TraceStore"),
-    ".batch": (
-        "replay_batch",
-        "replay_timing_batch",
-        "sweep_batch",
-        "timing_batch_for_socs",
-    ),
-    ".cache": (
-        "Cache",
-        "CacheHierarchy",
-        "CacheStats",
-        "HierarchyStats",
-        "replay_trace",
-    ),
+    ".batch": ("replay_batch", "replay_timing_batch", "sweep_batch"),
+    ".cache": ("CacheStats", "HierarchyStats", "replay_trace"),
     ".dram": ("DramTimings", "OffChipDram", "StackedDramInternal"),
     ".cpu": ("CpuModel", "Execution"),
     ".pim": ("PimCoreModel", "PimAcceleratorModel"),

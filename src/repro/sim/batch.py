@@ -1,27 +1,28 @@
 """Config-batched replay: N cache configurations over one trace, one pass.
 
-A design-space sweep replays the *same* run stream under many cache
-geometries.  The serial path (:meth:`repro.sim.cache.CacheHierarchy.
-replay_fast`) costs one full Python-level loop over the trace per
-configuration; this module factors that work by what actually differs
-between configurations:
+This is the one cache replay and the one timing replay; a single-config
+replay (:func:`repro.sim.cache.replay_trace`) is a batch of one.  A
+design-space sweep replays the *same* run stream under many cache
+geometries.  A serial replay costs one full Python-level loop over the
+trace per configuration; this module factors that work by what actually
+differs between configurations:
 
 * **L1 pass** — the L1's behaviour depends only on its own geometry
   (sets x ways), so configs sharing an L1 geometry share one pass over
   the :meth:`repro.sim.trace.MemoryTrace.line_runs` stream.  The pass
-  replays the exact inlined serial L1 loop (OrderedDict recency = true
-  LRU) and records the *LLC event stream* it induces: for every L1 miss,
-  an optional dirty-victim writeback-install followed by the line fetch.
+  replays the serial line-run L1 loop (OrderedDict recency = true LRU)
+  and records the *LLC event stream* it induces: for every L1 miss, an
+  optional dirty-victim writeback-install followed by the line fetch.
 * **LLC pass** — each (L1 geometry, LLC geometry) pair replays only that
   event stream, which is as long as the L1 miss traffic, not the trace.
 * **Timing** — the event-driven model's cache state evolves through the
-  same ``Cache.access`` sequence as the hierarchy replay, so its
-  per-event outcomes (L1 hit / LLC hit / DRAM miss) are exactly the
-  passes above.  Runs between latency events only accumulate integer
-  issue gaps, so the ``pending`` value at each event is a prefix-sum
-  difference over the shared run counts; the per-config loop touches
-  only latency events, with the *same float expressions in the same
-  order* as the serial engine.
+  same access sequence as the hierarchy replay, so its per-event
+  outcomes (L1 hit / LLC hit / DRAM miss) are exactly the passes above.
+  Runs between latency events only accumulate integer issue gaps, so
+  the ``pending`` value at each event is a prefix-sum difference over
+  the shared run counts; the per-config loop touches only latency
+  events, with the *same float expressions in the same order* as the
+  serial per-access replay.
 
 Each config then finishes straight from the shared pass end states.
 The end-of-replay flush walks the L1 end state in (set, recency) order
@@ -29,18 +30,21 @@ and installs every dirty line into a private copy of only the LLC set
 it lands in — copy-on-write, so passes that several configs share are
 never mutated — and the LLC flush adds the dirty-line count the LLC
 pass kept as it ran, corrected for the copied sets.  The final counts
-go through the serial tail, :func:`repro.sim.cache.finish_stats` —
-same strict accounting checks, same published counters — which is why
-:func:`replay_batch` and :func:`replay_timing_batch` are bit-identical
-per config to serial ``replay_fast`` (property-tested in
+go through :func:`repro.sim.cache.finish_stats` — the strict accounting
+checks and the published counters.
+
+The serial engines this replaced live on as test oracles in
+``tests/sim/oracle.py``: a per-access replay and a line-run replay for
+each simulator.  :func:`replay_batch` and :func:`replay_timing_batch`
+are bit-identical per config to them (property-tested in
 ``tests/sim/test_replay_batch.py``).  :func:`sweep_batch` evaluates both
-engines from one set of shared passes — the sweep executor's fast path.
+simulators from one set of shared passes — the sweep executor's engine.
 
 Counters: each batch publishes ``sim.replay_batch.batches`` /
 ``.configs`` / ``.runs``, plus ``.shared_trace_hits`` (config
 evaluations that reused an already-materialized run stream — a memoized
 trace or a loaded artifact).  Per-config ``sim.cache.*`` /
-``sim.timing.*`` counters are identical to a serial sweep's; the
+``sim.timing.*`` counters are identical to N serial replays'; the
 differential test in ``tests/sim/test_replay_equivalence.py`` pins
 this.
 """
@@ -55,9 +59,9 @@ import numpy as np
 
 from repro.obs.recorder import get_recorder
 from repro.sim.cache import (
-    CacheHierarchy,
     CacheStats,
     HierarchyStats,
+    check_line_runs,
     finish_stats,
 )
 from repro.sim.timing import TimingParameters, TimingResult, TimingSimulator
@@ -66,13 +70,19 @@ from repro.validate.strict import invariant, resolve_strict
 
 
 def _line_runs_for_batch(trace: MemoryTrace):
-    """The trace's run columns as int64 lines, plus a shared-memo flag."""
+    """The trace's run columns as int64 lines, plus a shared-memo flag.
+
+    Lines computed from uint64 byte addresses stay below 2**58, so only
+    a stored ``run_lines`` column (a loaded artifact's, which the
+    decoder checksums but does not re-derive) can exceed int64; without
+    the guard the cast would wrap it negative.
+    """
     shared = bool(getattr(trace, "_line_runs_cache", None))
     run_lines, run_counts, run_writes = trace.line_runs()
     if run_lines.size and int(run_lines.max()) > np.iinfo(np.int64).max:
         raise ValueError(
-            "replay_batch requires line addresses < 2**63; "
-            "use the serial replay for exotic address spaces"
+            "line-run column run_lines holds line %d; the replay requires "
+            "lines < 2**63" % int(run_lines.max())
         )
     return run_lines.astype(np.int64), run_counts, run_writes, shared
 
@@ -166,9 +176,9 @@ class _SharedOutcomes:
     def _run_l1(self, num_sets: int, assoc: int) -> _L1Pass:
         """The inlined serial L1 loop, recording induced LLC events.
 
-        Mirrors ``CacheHierarchy._replay_line_runs`` exactly: per run one
-        lookup; on a miss the dirty victim's writeback-install event is
-        emitted *before* the install, then the fetch event.
+        Mirrors the line-run oracle's L1 exactly: per run one lookup; on
+        a miss the dirty victim's writeback-install event is emitted
+        *before* the install, then the fetch event.
         """
         setv = (self.run_lines % num_sets).tolist()
         tagv = (self.run_lines // num_sets).tolist()
@@ -364,9 +374,9 @@ def replay_batch(
     """Replay ``trace`` under every SoC in ``socs`` in one shared pass.
 
     Returns one :class:`HierarchyStats` per config, in input order,
-    each bit-identical to ``CacheHierarchy(soc).replay_fast(trace,
-    flush=flush, instructions_hint=instructions_hint)`` — including the
-    published ``sim.cache.*`` counters.
+    each bit-identical to a serial replay of ``trace`` through a fresh
+    hierarchy with the same ``flush`` and ``instructions_hint`` —
+    including the published ``sim.cache.*`` counters.
     """
     socs = list(socs)
     if not socs:
@@ -387,9 +397,7 @@ def _hierarchy_results(
 ) -> list[HierarchyStats]:
     num_accesses = outcomes.num_accesses
     if strict:
-        CacheHierarchy._check_line_runs(
-            num_accesses, outcomes.run_lines, outcomes.run_counts
-        )
+        check_line_runs(num_accesses, outcomes.run_lines, outcomes.run_counts)
     return [
         _config_stats(outcomes, soc, flush, instructions_hint, recorder, strict)
         for soc in socs
@@ -407,8 +415,9 @@ def replay_timing_batch(
     ``simulators`` is a sequence of :class:`TimingSimulator` (each
     carries its SoC geometry and :class:`TimingParameters`).  Returns
     one :class:`TimingResult` per simulator, in input order, each
-    bit-identical to ``sim.replay_fast(trace, instructions_per_access)``
-    — the per-event float expressions match the serial engine's exactly.
+    bit-identical to a serial replay with the same
+    ``instructions_per_access`` — the per-event float expressions match
+    the serial engine's exactly.
     """
     simulators = list(simulators)
     if not simulators:
@@ -507,29 +516,16 @@ def _timing_results(
             )
         results.append(
             sim._finish(
-                _TraceLength(num_accesses),
+                num_accesses,
                 clock,
                 dram_misses,
                 issue_gap,
                 recorder,
-                fast=True,
                 strict=strict,
                 mshr_overflows=mshr_overflows,
             )
         )
     return results
-
-
-class _TraceLength:
-    """Stand-in passing only ``len(trace)`` to ``TimingSimulator._finish``."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __len__(self) -> int:
-        return self.n
 
 
 # ----------------------------------------------------------------------
@@ -582,8 +578,7 @@ class ShardEvaluator:
     same ``_hierarchy_results`` / ``_timing_results`` helpers as
     :func:`sweep_batch`, straight from the shared pass end states, so
     per-config stats, timings, and published ``sim.cache.*`` /
-    ``sim.timing.*`` counters are bit-identical to it (and therefore to
-    serial replay).
+    ``sim.timing.*`` counters are bit-identical to it.
 
     What is deliberately *not* published here: the plan-level
     ``sim.replay_batch.*`` records.  Those belong to the dispatching
@@ -652,13 +647,13 @@ def sweep_batch(
 ):
     """Hierarchy stats *and* timing for every SoC from one set of passes.
 
-    The sweep executor's fast path: because the timing engine's cache
+    The sweep executor's engine: because the timing engine's cache
     state evolves through the same access sequence as the hierarchy
     replay, both engines share the per-geometry passes.  Returns
-    ``(stats, timings)``, each a list in ``socs`` order and bit-identical
-    to the corresponding serial ``replay_fast`` call.  Publishes the
-    same two batch counter records as calling :func:`replay_batch` then
-    :func:`replay_timing_batch`.
+    ``(stats, timings)``, each a list in ``socs`` order and equal to
+    :func:`replay_batch` and :func:`replay_timing_batch` over the same
+    configs.  Publishes the same two batch counter records as calling
+    :func:`replay_batch` then :func:`replay_timing_batch`.
     """
     socs = list(socs)
     if not socs:
@@ -682,23 +677,6 @@ def sweep_batch(
     return stats, timings
 
 
-def timing_batch_for_socs(
-    trace: MemoryTrace,
-    socs,
-    params: TimingParameters | None = None,
-    instructions_per_access: float = 2.0,
-    strict: bool | None = None,
-) -> list[TimingResult]:
-    """:func:`replay_timing_batch` over SoCs sharing one parameter set."""
-    shared = params or TimingParameters()
-    return replay_timing_batch(
-        trace,
-        [TimingSimulator(soc, shared) for soc in socs],
-        instructions_per_access=instructions_per_access,
-        strict=strict,
-    )
-
-
 __all__ = [
     "ShardEvaluator",
     "plan_shards",
@@ -706,5 +684,4 @@ __all__ = [
     "replay_batch",
     "replay_timing_batch",
     "sweep_batch",
-    "timing_batch_for_socs",
 ]

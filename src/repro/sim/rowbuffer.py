@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.config import CACHE_LINE_BYTES
 from repro.sim.trace import MemoryTrace
 
@@ -98,9 +96,6 @@ class RowBufferModel:
                 else:
                     open_rows[bank] = row
         return stats
-
-    def replay(self, trace: MemoryTrace) -> RowBufferStats:
-        return self.replay_lines(np.unique(trace.line_addresses()))
 
     def replay_in_order(self, trace: MemoryTrace) -> RowBufferStats:
         """Replay preserving the trace's order (no dedup)."""

@@ -3,17 +3,17 @@
 A ``MemoryTrace`` is a flat sequence of (address, is_write) pairs at byte
 granularity, stored as numpy arrays.  Workload kernels can record their
 actual access patterns through a ``TraceRecorder`` while executing; the
-cache simulator (:mod:`repro.sim.cache`) then replays the trace to measure
-hit rates, MPKI, and off-chip traffic.  This is how the test suite checks
+cache simulator (:func:`repro.sim.cache.replay_trace`) then replays the
+trace to measure hit rates, MPKI, and off-chip traffic.  This is how the test suite checks
 that the analytic locality classes in :mod:`repro.sim.profile` (streaming,
 cache-resident, scattered) match what the kernels really do.
 
 The recorder stores compact (base, count, is_write) range records and only
 materializes per-access addresses when :meth:`TraceRecorder.trace` is
-called, so instrumenting a kernel costs O(ranges), not O(accesses).  For
-fast replay, :meth:`MemoryTrace.line_runs` run-length-compresses
-consecutive same-line accesses; see :meth:`repro.sim.cache.CacheHierarchy.
-replay_fast` for the equivalence argument.
+called, so instrumenting a kernel costs O(ranges), not O(accesses).  The
+replay (:mod:`repro.sim.batch`) consumes :meth:`MemoryTrace.line_runs`,
+which run-length-compresses consecutive same-line accesses; that method
+states why a run replays exactly as one access.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ breakdowns, MSHR occupancy, trace line-run structure) cost cycles on
 hot paths, so they only run when one of three switches is on:
 
 * a ``strict=True`` argument at a call site that supports it
-  (``CacheHierarchy.replay(trace, strict=True)``);
+  (``replay_trace(trace, strict=True)``);
 * the :func:`strict_mode` context manager (used by the CLI's
   ``--strict`` flag);
 * the ``REPRO_STRICT`` environment variable (used by CI to run the

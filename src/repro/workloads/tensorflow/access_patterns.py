@@ -83,12 +83,12 @@ def pack_then_kernel_traffic(
     pay a streaming reorganization once, save the kernel's conflict
     misses on every traversal.
     """
-    from repro.sim.cache import CacheHierarchy
+    from repro.sim.cache import replay_trace
 
-    unpacked = CacheHierarchy().replay(
+    unpacked = replay_trace(
         gemm_lhs_trace(m, k, n_blocks, packed=False, panel_rows=panel_rows)
     )
-    packed = CacheHierarchy().replay(
+    packed = replay_trace(
         gemm_lhs_trace(m, k, n_blocks, packed=True, panel_rows=panel_rows)
     )
     pack_pass_misses = 2 * m * k / 64.0  # stream in + stream out, once

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.cache import CacheHierarchy
+from repro.sim.cache import replay_trace
 from repro.sim.trace import TraceRecorder
 from repro.workloads.chrome.texture import (
     TILE_BYTES,
@@ -96,7 +96,7 @@ class TestTracedTiling:
         b = bitmap(1024, 1024)  # 4 MB, 2x the LLC
         rec = TraceRecorder(granularity=64)
         linear_to_tiled_traced(b, rec)
-        stats = CacheHierarchy().replay(rec.trace())
+        stats = replay_trace(rec.trace())
         lines = b.nbytes // 64
         assert stats.dram_line_writes == lines  # dst written back once
         assert stats.dram_line_reads == 2 * lines  # src + dst RFO

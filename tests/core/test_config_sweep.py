@@ -1,9 +1,10 @@
 """Tests for :class:`repro.core.runner.ConfigSweep` and its wiring.
 
 The sweep executor is a composition point: one shared trace artifact,
-N geometries, batched or serial engines, memoization.  The core
-contract is path-independence — batched, serial and parallel sweeps
-all produce identical rows — and a failing geometry fails the sweep.
+N geometries, one batched engine, memoization.  The core contract is
+that its rows, in one process or sharded across workers, equal rows
+built from the serial oracles (``tests/sim/oracle.py``), and that a
+failing geometry fails the sweep.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from repro.core.offload import measured_profile
 from repro.core.runner import ConfigSweep
 from repro.obs import recording
 from repro.sim.artifact import TraceArtifact, TraceStore
-from repro.sim.cache import CacheHierarchy
+from repro.sim.cache import replay_trace
 from repro.sim.profile import KernelProfile
 from repro.sim.timing import TimingParameters
 from repro.sim.trace import MemoryTrace
+from tests.sim import oracle
 
 
 def small_grid() -> list[SocConfig]:
@@ -55,33 +57,29 @@ def make_artifact(tmp_path=None, seed: int = 0) -> TraceArtifact:
 
 class TestConfigSweep:
     def test_batched_and_serial_rows_identical(self):
+        """Production rows equal rows built from the serial oracles."""
         artifact = make_artifact()
         socs = small_grid()
-        batched = ConfigSweep(artifact).evaluate(socs, batch=True)
-        serial = ConfigSweep(artifact).evaluate(socs, batch=False)
-        assert batched.batched and not serial.batched
-        assert batched.rows == serial.rows
+        batched = ConfigSweep(artifact).evaluate(socs)
+        serial = [
+            oracle.sweep_row(artifact.trace(), soc, TimingParameters(), 2.0)
+            for soc in socs
+        ]
+        assert batched.rows == serial
         assert [r["config"] for r in batched.rows] == [
             soc_cache_label(s) for s in socs
         ]
 
-    def test_parallel_serial_rows_identical(self, tmp_path):
-        artifact = make_artifact(tmp_path)
-        socs = small_grid()
-        expected = ConfigSweep(artifact).evaluate(socs, batch=False)
-        parallel = ConfigSweep(artifact).evaluate(socs, batch=False, jobs=2)
-        assert parallel.rows == expected.rows
-
     def test_parallel_autosaves_in_memory_artifact(self, tmp_path):
         """An in-memory artifact no longer blocks ``jobs > 1`` — the sweep
-        saves it into ``trace_dir`` so workers can memory-map it, and the
-        rows stay identical to a single-process run."""
+        saves it into ``trace_dir`` so shard workers can memory-map it,
+        and the rows stay identical to a single-process run."""
         artifact = make_artifact()  # never saved
         socs = small_grid()
-        expected = ConfigSweep(make_artifact()).evaluate(socs, batch=False)
+        expected = ConfigSweep(make_artifact()).evaluate(socs)
         with recording() as obs:
             result = ConfigSweep(artifact, trace_dir=tmp_path).evaluate(
-                socs, batch=False, jobs=2
+                socs, jobs=2
             )
         assert result.rows == expected.rows
         assert artifact.path is not None
@@ -118,7 +116,31 @@ class TestConfigSweep:
 
         monkeypatch.setattr(batch, "sweep_batch", failing_batch)
         with pytest.raises(RuntimeError, match="injected"):
-            ConfigSweep(artifact).evaluate(socs, batch=True)
+            ConfigSweep(artifact).evaluate(socs)
+
+    def test_stored_run_line_beyond_int64_rejected(self, tmp_path):
+        """The artifact decoder checksums the ``run_lines`` column but does
+        not re-derive it from the addresses, so a stored line >= 2**63
+        loads cleanly; the sweep must refuse it rather than wrap it
+        negative."""
+        good = make_artifact()
+        run_lines = np.array(good.run_lines, dtype=np.uint64)
+        run_lines[0] = np.uint64(1 << 63)
+        TraceArtifact(
+            workload=good.workload,
+            line_bytes=good.line_bytes,
+            content_hash=good.content_hash,
+            code_version=good.code_version,
+            addresses=good.addresses,
+            is_write=good.is_write,
+            run_lines=run_lines,
+            run_counts=good.run_counts,
+            run_writes=good.run_writes,
+        ).save(tmp_path / "forged.trace")
+        loaded = TraceArtifact.load(tmp_path / "forged.trace")
+        assert int(loaded.run_lines[0]) == 1 << 63
+        with pytest.raises(ValueError, match="run_lines.*2\\*\\*63"):
+            ConfigSweep(loaded).evaluate(small_grid())
 
     def test_sweep_counters_published(self):
         artifact = make_artifact()
@@ -223,7 +245,7 @@ class TestMeasuredProfile:
 
     def stats(self):
         artifact = make_artifact()
-        return CacheHierarchy(small_grid()[0]).replay_fast(artifact.trace())
+        return replay_trace(artifact.trace(), small_grid()[0])
 
     def test_grafts_measured_memory_fields(self):
         stats = self.stats()

@@ -3,8 +3,8 @@
 The contract under test is bit-identity: a sweep sharded across worker
 processes — each memory-mapping the same on-disk trace artifact — must
 produce exactly the rows, stats, timings, and published counters of the
-single-process batched engine, which is itself pinned to the serial
-engine.  A shard worker that dies fails the sweep.
+single-process batched engine, and both must equal the serial oracles
+(``tests/sim/oracle.py``).  A shard worker that dies fails the sweep.
 
 Pool-spinning tests are kept to a minimum (one happy path, one killed
 worker, one workload fan-out) because process pools dominate test wall
@@ -35,9 +35,9 @@ from repro.sim.batch import (
     publish_sweep_plan,
     sweep_batch,
 )
-from repro.sim.cache import CacheHierarchy
-from repro.sim.timing import TimingSimulator
+from repro.sim.timing import TimingParameters
 from repro.sim.trace import MemoryTrace
+from tests.sim import oracle
 
 # L1 geometries deliberately collide across some SoCs so shard planning
 # has real sharing groups to preserve.
@@ -138,10 +138,10 @@ class TestShardBitIdentity:
         socs = _GRID[:n_socs]
 
         serial_stats = [
-            CacheHierarchy(soc).replay_fast(trace) for soc in socs
+            oracle.CacheHierarchy(soc).replay_fast(trace) for soc in socs
         ]
         serial_timings = [
-            TimingSimulator(soc).replay_fast(trace) for soc in socs
+            oracle.TimingSimulator(soc).replay_fast(trace) for soc in socs
         ]
         batched_stats, batched_timings = sweep_batch(trace, socs)
 
@@ -219,13 +219,15 @@ class TestParallelConfigSweep:
         artifact = make_saved_artifact(tmp_path)
         socs = self.socs()
         with recording() as one_obs:
-            one = ConfigSweep(artifact).evaluate(socs, batch=True, jobs=1)
+            one = ConfigSweep(artifact).evaluate(socs, jobs=1)
         with recording() as many_obs:
-            many = ConfigSweep(artifact).evaluate(socs, batch=True, jobs=2)
-        assert many.batched
+            many = ConfigSweep(artifact).evaluate(socs, jobs=2)
         assert many.rows == one.rows
-        serial = ConfigSweep(artifact).evaluate(socs, batch=False)
-        assert many.rows == serial.rows
+        serial = [
+            oracle.sweep_row(artifact.trace(), soc, TimingParameters(), 2.0)
+            for soc in socs
+        ]
+        assert many.rows == serial
 
         # validate.* strict-check counters scale with how many evaluator
         # instances ran the checks, not with results — skip them too.

@@ -63,11 +63,11 @@ class TestFleetFaults:
         cache.close()
         assert canon(first) == canon(local_docs[name])
 
-        # From here on every sweep path fails (sharded pool, batched or
-        # serial in-process); a second client still gets the first
-        # client's document, because the cache answers before any job
-        # is dispatched.
-        def dispatched(self, socs, batch=True, jobs=1):
+        # From here on every sweep path fails (sharded pool or
+        # in-process); a second client still gets the first client's
+        # document, because the cache answers before any job is
+        # dispatched.
+        def dispatched(self, socs, jobs=1):
             raise AssertionError("dispatched")
 
         monkeypatch.setattr(runner.ConfigSweep, "evaluate", dispatched)

@@ -10,7 +10,7 @@ misses for the consumer (the GPU compositor / the GEMM kernel).
 import pytest
 
 from repro.config import CacheConfig, SocConfig
-from repro.sim.cache import CacheHierarchy
+from repro.sim.cache import replay_trace
 from repro.workloads.chrome.texture import compositing_trace
 from repro.workloads.tensorflow.access_patterns import (
     gemm_lhs_trace,
@@ -33,11 +33,11 @@ class TestTextureTilingRationale:
         """Vertical sampling of a 512x512 texture through a small GPU
         cache: the tiled layout must fetch each byte ~once while the
         linear layout thrashes (Section 4.2.2's motivation)."""
-        linear = CacheHierarchy(gpu_like_soc()).replay(
-            compositing_trace(512, 512, tiled=False)
+        linear = replay_trace(
+            compositing_trace(512, 512, tiled=False), gpu_like_soc()
         )
-        tiled = CacheHierarchy(gpu_like_soc()).replay(
-            compositing_trace(512, 512, tiled=True)
+        tiled = replay_trace(
+            compositing_trace(512, 512, tiled=True), gpu_like_soc()
         )
         assert tiled.dram_bytes < linear.dram_bytes / 2
         texture_bytes = 512 * 512 * 4
@@ -48,8 +48,8 @@ class TestTextureTilingRationale:
         """With a cache bigger than the texture the layouts tie --
         the benefit is purely about capturing reuse, not total bytes."""
         big = SocConfig()  # 2 MB LLC > 1 MB texture
-        linear = CacheHierarchy(big).replay(compositing_trace(512, 512, False))
-        tiled = CacheHierarchy(big).replay(compositing_trace(512, 512, True))
+        linear = replay_trace(compositing_trace(512, 512, False), big)
+        tiled = replay_trace(compositing_trace(512, 512, True), big)
         assert linear.dram_bytes == pytest.approx(tiled.dram_bytes, rel=0.1)
 
 
@@ -61,10 +61,10 @@ class TestPackingRationale:
         packed layout streams with the normal 25% miss rate (one miss
         per 64 B line at 16 B granules)."""
         m, k = 256, 8192
-        unpacked = CacheHierarchy().replay(
+        unpacked = replay_trace(
             gemm_lhs_trace(m, k, 1, packed=False, panel_rows=16)
         )
-        packed = CacheHierarchy().replay(
+        packed = replay_trace(
             gemm_lhs_trace(m, k, 1, packed=True, panel_rows=16)
         )
         assert unpacked.l1.miss_rate > 0.9
@@ -73,10 +73,10 @@ class TestPackingRationale:
     def test_narrow_microkernel_has_no_conflicts(self):
         """Within the associativity (4 rows, 4 ways) the layouts tie --
         the conflict effect is specifically about wide kernels."""
-        unpacked = CacheHierarchy().replay(
+        unpacked = replay_trace(
             gemm_lhs_trace(256, 8192, 1, packed=False, panel_rows=4)
         )
-        packed = CacheHierarchy().replay(
+        packed = replay_trace(
             gemm_lhs_trace(256, 8192, 1, packed=True, panel_rows=4)
         )
         assert unpacked.l1.misses == packed.l1.misses

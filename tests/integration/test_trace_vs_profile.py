@@ -5,7 +5,7 @@ performance-counter cross-checks)."""
 import pytest
 
 from repro.config import CACHE_LINE_BYTES
-from repro.sim.cache import CacheHierarchy
+from repro.sim.cache import replay_trace
 from repro.sim.trace import AddressSpace, TraceRecorder
 from repro.sim.profile import KernelProfile
 
@@ -24,7 +24,7 @@ class TestStreamingClass:
         for offset in range(0, size, 4096):
             rec.read(src + offset, 4096)
             rec.write(dst + offset, 4096)
-        stats = CacheHierarchy().replay(rec.trace())
+        stats = replay_trace(rec.trace())
         profile = KernelProfile.streaming("copy", size, size, ops_per_byte=0.0)
         # Reads: src + dst RFO; writes: dst writeback.
         assert stats.dram_line_writes * CACHE_LINE_BYTES == size
@@ -40,7 +40,7 @@ class TestCacheResidentClass:
         rec = TraceRecorder(granularity=64)
         for _ in range(6):
             rec.read(0, size)
-        stats = CacheHierarchy().replay(rec.trace())
+        stats = replay_trace(rec.trace())
         profile = KernelProfile.cache_resident(
             "hot", bytes_touched=size, reuse_factor=6, ops_per_byte=1.0
         )
@@ -58,7 +58,7 @@ class TestScatteredClass:
         rec = TraceRecorder(granularity=64)
         for a in addresses:
             rec.read(int(a), 64)
-        stats = CacheHierarchy().replay(rec.trace())
+        stats = replay_trace(rec.trace())
         profile = KernelProfile.scattered(
             "rand", touches=touches, bytes_per_touch=64, ops_per_byte=0.5,
         )
@@ -76,7 +76,5 @@ class TestMpkiCriterion:
         rec.read(0, size)
         profile = KernelProfile.streaming("k", size, 0, ops_per_byte=0.3,
                                           instruction_overhead=0.1)
-        stats = CacheHierarchy().replay(
-            rec.trace(), instructions_hint=profile.instructions
-        )
-        assert stats.mpki() > 10
+        stats = replay_trace(rec.trace())
+        assert stats.mpki(profile.instructions) > 10

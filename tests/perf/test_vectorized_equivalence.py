@@ -4,7 +4,9 @@ Each vectorized kernel (``fast=True``, the default everywhere) must be
 *bit-identical* to its per-pixel / per-byte / per-access scalar oracle
 (``fast=False``): same pixels, same compressed bytes, same (base, count,
 is_write) range records, same stats dataclasses, same
-:class:`TimingResult` floats.  Hypothesis drives randomized inputs under
+:class:`TimingResult` floats.  The timing replay's two serial engines
+are test oracles (``tests/sim/oracle.py``), and the production batched
+engine must match both.  Hypothesis drives randomized inputs under
 the central ``repro`` profile (pinned examples; ``soak`` for fuzzing —
 see ``tests/conftest.py``).
 """
@@ -15,6 +17,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.obs import recording
+from repro.sim.batch import replay_timing_batch
 from repro.sim.timing import TimingParameters, TimingSimulator
 from repro.sim.trace import MemoryTrace, TraceRecorder
 from repro.workloads.chrome import lzo
@@ -30,6 +33,7 @@ from repro.workloads.vp9.me import (
     sad,
     sad_scalar,
 )
+from tests.sim import oracle
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -235,18 +239,23 @@ class TestTimingReplay:
             is_write=rng.random(n) < write_fraction,
         )
         params = TimingParameters(mshrs=mshrs)
-        scalar = TimingSimulator(params=params).replay(trace)
-        fast = TimingSimulator(params=params).replay_fast(trace)
+        scalar = oracle.TimingSimulator(params=params).replay(trace)
+        fast = oracle.TimingSimulator(params=params).replay_fast(trace)
+        batched = replay_timing_batch(trace, [TimingSimulator(params=params)])
         # Dataclass equality: exact float cycles, not approximate.
         assert scalar == fast
+        assert batched == [scalar]
 
     def test_streaming_trace(self):
         rec = TraceRecorder(granularity=8)
         rec.read(0, 256 * 1024)
         trace = rec.trace()
-        scalar = TimingSimulator().replay(trace, instructions_per_access=0.5)
-        fast = TimingSimulator().replay_fast(trace, instructions_per_access=0.5)
+        scalar = oracle.TimingSimulator().replay(trace, instructions_per_access=0.5)
+        fast = oracle.TimingSimulator().replay_fast(
+            trace, instructions_per_access=0.5
+        )
         assert scalar == fast
+        assert replay_timing_batch(trace, [TimingSimulator()], 0.5) == [scalar]
 
 
 class TestPathCounters:
@@ -260,11 +269,12 @@ class TestPathCounters:
             diamond_search(ref[:16, :16], ref, 0, 0, 8, fast=True)
             lzo.compress(b"abcd" * 64, fast=True)
             compositing_trace(32, 32, tiled=True, fast=True)
-            TimingSimulator().replay_fast(
+            replay_timing_batch(
                 MemoryTrace(
                     addresses=np.arange(64, dtype=np.uint64) * np.uint64(64),
                     is_write=np.zeros(64, dtype=bool),
-                )
+                ),
+                [TimingSimulator()],
             )
         counters = rec.counters.as_dict()
         assert counters["kernel.mc.fast_path"] == 1

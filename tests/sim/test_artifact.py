@@ -26,8 +26,7 @@ from repro.sim.artifact import (
     TraceArtifact,
     TraceStore,
 )
-from repro.sim.batch import replay_batch
-from repro.sim.cache import CacheHierarchy
+from repro.sim.cache import replay_trace
 from repro.sim.trace import MemoryTrace
 
 
@@ -110,9 +109,8 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.addresses, trace.addresses)
         np.testing.assert_array_equal(loaded.is_write, trace.is_write)
         # Replay from the mmap'd artifact equals replay of the original.
-        direct = CacheHierarchy(small_soc()).replay_fast(random_trace(1))
-        assert CacheHierarchy(small_soc()).replay_fast(loaded.trace()) == direct
-        assert replay_batch(loaded.trace(), [small_soc()])[0] == direct
+        direct = replay_trace(random_trace(1), small_soc())
+        assert replay_trace(loaded.trace(), small_soc()) == direct
 
     def test_trace_preseeds_line_runs_memo(self, tmp_path):
         art = TraceArtifact.from_trace(random_trace(2), workload="memo")
@@ -136,10 +134,10 @@ class TestRoundTrip:
         loaded = TraceArtifact.load(art.save(tmp_path / "e.trace"))
         assert loaded.num_accesses == 0
         assert loaded.num_runs == 0
-        direct = CacheHierarchy(small_soc()).replay_fast(
-            MemoryTrace(np.empty(0, np.uint64), np.empty(0, bool))
+        direct = replay_trace(
+            MemoryTrace(np.empty(0, np.uint64), np.empty(0, bool)), small_soc()
         )
-        assert CacheHierarchy(small_soc()).replay_fast(loaded.trace()) == direct
+        assert replay_trace(loaded.trace(), small_soc()) == direct
 
     def test_save_leaves_no_tmp_files(self, tmp_path):
         TraceArtifact.from_trace(random_trace(4)).save(tmp_path / "t.trace")
@@ -165,9 +163,9 @@ class TestRoundTrip:
             addresses=np.array(addresses, dtype=np.uint64),
             is_write=np.array(writes, dtype=bool),
         )
-        assert CacheHierarchy(small_soc()).replay_fast(
-            loaded.trace()
-        ) == CacheHierarchy(small_soc()).replay_fast(rebuilt)
+        assert replay_trace(loaded.trace(), small_soc()) == replay_trace(
+            rebuilt, small_soc()
+        )
 
 
 class TestValidation:
@@ -296,8 +294,8 @@ class TestValidation:
         assert TraceArtifact.load(path).num_accesses == 300
         for name in ("addresses", "is_write", "run_lines", "run_counts", "run_writes"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(art, name))
-        direct = CacheHierarchy(small_soc()).replay_fast(random_trace(7))
-        assert CacheHierarchy(small_soc()).replay_fast(loaded.trace()) == direct
+        direct = replay_trace(random_trace(7), small_soc())
+        assert replay_trace(loaded.trace(), small_soc()) == direct
 
     def test_content_hash_mismatch_rejected(self, saved):
         """Header/columns individually valid but mutually inconsistent."""

@@ -1,15 +1,27 @@
-"""Unit tests for the set-associative cache simulator."""
+"""Unit tests for the set-associative cache simulator.
+
+``TestSingleCache`` pins the per-access LRU cache of the serial oracle
+(``tests/sim/oracle.py``); ``TestHierarchy`` runs the production
+engine, one config through :func:`repro.sim.batch.replay_batch`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.config import CacheConfig, CACHE_LINE_BYTES
-from repro.sim.cache import Cache, CacheHierarchy, replay_trace
+from repro.config import CacheConfig, CACHE_LINE_BYTES, SocConfig
+from repro.sim.batch import replay_batch
+from repro.sim.cache import replay_trace
 from repro.sim.trace import MemoryTrace, TraceRecorder
+from tests.sim.oracle import Cache
 
 
 def tiny_cache(size=1024, assoc=2):
     return Cache(CacheConfig(size_bytes=size, associativity=assoc), "test")
+
+
+def replay(trace, **kwargs):
+    """The Table 1 hierarchy through the production engine."""
+    return replay_batch(trace, [SocConfig()], **kwargs)[0]
 
 
 def make_trace(addresses, writes=None):
@@ -97,7 +109,7 @@ class TestHierarchy:
         size = 8 * 1024 * 1024  # 4x the LLC
         rec = TraceRecorder(granularity=64)
         rec.read(0, size)
-        stats = CacheHierarchy().replay(rec.trace())
+        stats = replay(rec.trace())
         lines = size // CACHE_LINE_BYTES
         assert stats.l1.misses == lines
         assert stats.dram_line_reads == lines
@@ -110,7 +122,7 @@ class TestHierarchy:
         rec = TraceRecorder(granularity=64)
         for _ in range(10):
             rec.read(0, size)
-        stats = CacheHierarchy().replay(rec.trace())
+        stats = replay(rec.trace())
         assert stats.dram_line_reads == size // CACHE_LINE_BYTES
         assert stats.l1.hit_rate > 0.85
 
@@ -121,14 +133,14 @@ class TestHierarchy:
         rec = TraceRecorder(granularity=64)
         for _ in range(4):
             rec.read(0, size)
-        stats = CacheHierarchy().replay(rec.trace())
+        stats = replay(rec.trace())
         assert stats.dram_line_reads == size // CACHE_LINE_BYTES
 
     def test_writes_produce_writebacks_on_flush(self):
         size = 64 * 1024
         rec = TraceRecorder(granularity=64)
         rec.write(0, size)
-        stats = CacheHierarchy().replay(rec.trace(), flush=True)
+        stats = replay(rec.trace(), flush=True)
         assert stats.dram_line_writes == size // CACHE_LINE_BYTES
 
     def test_flush_counts_per_level_writebacks(self):
@@ -138,8 +150,7 @@ class TestHierarchy:
         lines = size // CACHE_LINE_BYTES
         rec = TraceRecorder(granularity=64)
         rec.write(0, size)
-        hierarchy = CacheHierarchy()
-        stats = hierarchy.replay(rec.trace(), flush=True)
+        stats = replay(rec.trace(), flush=True)
         assert stats.l1.writebacks == lines
         assert stats.llc.writebacks == lines
         assert stats.dram_line_writes == lines
@@ -147,7 +158,7 @@ class TestHierarchy:
     def test_flush_skips_clean_lines(self):
         rec = TraceRecorder(granularity=64)
         rec.read(0, 4096)
-        stats = CacheHierarchy().replay(rec.trace(), flush=True)
+        stats = replay(rec.trace(), flush=True)
         assert stats.l1.writebacks == 0
         assert stats.llc.writebacks == 0
         assert stats.dram_line_writes == 0
@@ -155,13 +166,13 @@ class TestHierarchy:
     def test_no_flush_keeps_dirty_lines_in_cache(self):
         rec = TraceRecorder(granularity=64)
         rec.write(0, 4096)
-        stats = CacheHierarchy().replay(rec.trace(), flush=False)
+        stats = replay(rec.trace(), flush=False)
         assert stats.dram_line_writes == 0
 
     def test_mpki_uses_instruction_hint(self):
         rec = TraceRecorder(granularity=64)
         rec.read(0, 64 * 1000)
-        stats = CacheHierarchy().replay(rec.trace(), instructions_hint=100_000)
+        stats = replay(rec.trace(), instructions_hint=100_000)
         assert stats.mpki() == pytest.approx(10.0)
 
     def test_replay_trace_convenience(self):
@@ -172,5 +183,5 @@ class TestHierarchy:
     def test_dram_bytes(self):
         rec = TraceRecorder(granularity=64)
         rec.read(0, 6400)
-        stats = CacheHierarchy().replay(rec.trace())
+        stats = replay(rec.trace())
         assert stats.dram_bytes == 6400

@@ -1,15 +1,17 @@
-"""Property test: the cache simulator against an independent reference.
+"""Property test: the oracle's cache against an independent reference.
 
-The reference model is a deliberately naive (slow, obviously-correct)
-set-associative LRU cache; hypothesis drives both with random access
-sequences and requires identical hit/miss/writeback behaviour.
+The per-access LRU cache of the serial oracle (``tests/sim/oracle.py``),
+which the batched engine is differentially tested against, is itself
+checked here against a deliberately naive (slow, obviously-correct)
+list-based set-associative LRU cache; hypothesis drives both with random
+access sequences and requires identical hit/miss/writeback behaviour.
 """
 
 
 from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig
-from repro.sim.cache import Cache
+from tests.sim.oracle import Cache
 
 
 class ReferenceCache:

@@ -4,9 +4,9 @@
 over one shared run stream; these tests drive random traces through
 random config batches and require every per-config result — stats,
 flush traffic, published counters, timing clocks — to match the serial
-``replay_fast`` path exactly.  Bit-identity (not closeness) is the
-contract: a sweep must be allowed to switch between the two paths
-without changing a single figure.
+line-run ``replay_fast`` oracle (``tests/sim/oracle.py``) exactly.
+Bit-identity (not closeness) is the contract: the batched engine is
+the only production replay, so the oracle is what pins its numbers.
 """
 
 from __future__ import annotations
@@ -17,15 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import CacheConfig, SocConfig
 from repro.obs import recording
-from repro.sim.batch import (
-    ShardEvaluator,
-    replay_batch,
-    replay_timing_batch,
-    timing_batch_for_socs,
-)
-from repro.sim.cache import CacheHierarchy
+from repro.sim.batch import ShardEvaluator, replay_batch, replay_timing_batch
 from repro.sim.timing import TimingParameters, TimingSimulator
 from repro.sim.trace import MemoryTrace, TraceRecorder
+from tests.sim import oracle
 
 #: Deliberately small, deliberately *heterogeneous* geometries: different
 #: set counts, associativities (including direct-mapped), and LLC sizes,
@@ -69,7 +64,7 @@ class TestCacheBatchEquivalence:
         writes = [data.draw(st.booleans()) for _ in addresses]
         flush = data.draw(st.booleans())
         serial = [
-            CacheHierarchy(soc).replay_fast(
+            oracle.CacheHierarchy(soc).replay_fast(
                 make_trace(addresses, writes), flush=flush
             )
             for soc in socs
@@ -90,7 +85,7 @@ class TestCacheBatchEquivalence:
                 rec.read(i * stride, 64)
             return rec.trace()
 
-        serial = [CacheHierarchy(soc).replay_fast(rec_trace()) for soc in socs]
+        serial = [oracle.CacheHierarchy(soc).replay_fast(rec_trace()) for soc in socs]
         assert replay_batch(rec_trace(), socs) == serial
 
     def test_duplicate_configs_get_identical_results(self):
@@ -108,7 +103,7 @@ class TestCacheBatchEquivalence:
 
     def test_empty_trace(self):
         socs = [make_soc(*g) for g in GEOMETRIES[:2]]
-        serial = [CacheHierarchy(s).replay_fast(make_trace([], [])) for s in socs]
+        serial = [oracle.CacheHierarchy(s).replay_fast(make_trace([], [])) for s in socs]
         assert replay_batch(make_trace([], []), socs) == serial
 
     def test_strict_mode_passes_on_valid_trace(self):
@@ -119,24 +114,17 @@ class TestCacheBatchEquivalence:
         )
         socs = [make_soc(*g) for g in GEOMETRIES[:3]]
         serial = [
-            CacheHierarchy(s).replay_fast(
+            oracle.CacheHierarchy(s).replay_fast(
                 make_trace(trace.addresses, trace.is_write), strict=True
             )
             for s in socs
         ]
         assert replay_batch(trace, socs, strict=True) == serial
 
-    def test_classmethod_entry_point(self):
-        trace = make_trace([0, 64, 128, 0], [False, True, False, False])
-        socs = [make_soc(*GEOMETRIES[0])]
-        assert CacheHierarchy.replay_batch(trace, socs) == replay_batch(
-            make_trace(trace.addresses, trace.is_write), socs
-        )
-
     def test_instructions_hint_forwarded(self):
         trace = make_trace([0, 4096, 8192], [True, True, True])
         soc = make_soc(*GEOMETRIES[0])
-        serial = CacheHierarchy(soc).replay_fast(
+        serial = oracle.CacheHierarchy(soc).replay_fast(
             make_trace(trace.addresses, trace.is_write), instructions_hint=123.0
         )
         batch = replay_batch(trace, [soc], instructions_hint=123.0)[0]
@@ -168,12 +156,12 @@ class TestBatchFlush:
         b = make_soc(*GEOMETRIES[0][:2], *GEOMETRIES[1][2:])
         socs = [a, a, b]
         serial = [
-            CacheHierarchy(soc).replay_fast(make_trace(addresses, writes))
+            oracle.CacheHierarchy(soc).replay_fast(make_trace(addresses, writes))
             for soc in socs
         ]
 
         # Serially, the L1 half of the flush alone evicts dirty LLC lines.
-        hierarchy = CacheHierarchy(a)
+        hierarchy = oracle.CacheHierarchy(a)
         hierarchy.replay_fast(make_trace(addresses, writes), flush=False)
         writes_before = hierarchy.dram_line_writes
         l1 = hierarchy.l1
@@ -216,10 +204,15 @@ class TestTimingBatchEquivalence:
         writes = [data.draw(st.booleans()) for _ in addresses]
         params = TimingParameters(mshrs=mshrs)
         serial = [
-            TimingSimulator(soc, params).replay_fast(make_trace(addresses, writes))
+            oracle.TimingSimulator(soc, params).replay_fast(
+                make_trace(addresses, writes)
+            )
             for soc in socs
         ]
-        batch = timing_batch_for_socs(make_trace(addresses, writes), socs, params)
+        batch = replay_timing_batch(
+            make_trace(addresses, writes),
+            [TimingSimulator(soc, params) for soc in socs],
+        )
         assert batch == serial
 
     @settings(max_examples=20, deadline=None)
@@ -227,18 +220,24 @@ class TestTimingBatchEquivalence:
     def test_heterogeneous_parameters(self, addresses, data):
         """Each simulator may carry its own latency/MSHR parameters."""
         writes = [data.draw(st.booleans()) for _ in addresses]
-        sims = [
-            TimingSimulator(make_soc(*GEOMETRIES[0]), TimingParameters(mshrs=1)),
-            TimingSimulator(
+        configs = [
+            (make_soc(*GEOMETRIES[0]), TimingParameters(mshrs=1)),
+            (
                 make_soc(*GEOMETRIES[3]),
                 TimingParameters(dram_cycles=333, dram_issue_interval_cycles=0.0),
             ),
-            TimingSimulator(
-                make_soc(*GEOMETRIES[1]), TimingParameters(llc_hit_cycles=7)
-            ),
+            (make_soc(*GEOMETRIES[1]), TimingParameters(llc_hit_cycles=7)),
         ]
-        serial = [s.replay_fast(make_trace(addresses, writes)) for s in sims]
-        batch = replay_timing_batch(make_trace(addresses, writes), sims)
+        serial = [
+            oracle.TimingSimulator(soc, params).replay_fast(
+                make_trace(addresses, writes)
+            )
+            for soc, params in configs
+        ]
+        batch = replay_timing_batch(
+            make_trace(addresses, writes),
+            [TimingSimulator(soc, params) for soc, params in configs],
+        )
         assert batch == serial
 
     def test_strict_mode(self):
@@ -250,22 +249,18 @@ class TestTimingBatchEquivalence:
         socs = [make_soc(*g) for g in GEOMETRIES[:3]]
         params = TimingParameters(mshrs=2)
         serial = [
-            TimingSimulator(s, params).replay_fast(
+            oracle.TimingSimulator(s, params).replay_fast(
                 make_trace(trace.addresses, trace.is_write), strict=True
             )
             for s in socs
         ]
-        assert timing_batch_for_socs(trace, socs, params, strict=True) == serial
+        batch = replay_timing_batch(
+            trace, [TimingSimulator(s, params) for s in socs], strict=True
+        )
+        assert batch == serial
 
     def test_empty_simulator_list(self):
         assert replay_timing_batch(make_trace([0], [False]), []) == []
-
-    def test_classmethod_entry_point(self):
-        trace = make_trace([0, 64, 0, 4096], [False, False, True, False])
-        sims = [TimingSimulator(make_soc(*GEOMETRIES[0]))]
-        assert TimingSimulator.replay_batch(trace, sims) == replay_timing_batch(
-            make_trace(trace.addresses, trace.is_write), sims
-        )
 
 
 class TestBatchCounters:
@@ -301,7 +296,9 @@ class TestBatchCounters:
 
     def test_rejects_lines_beyond_int64(self):
         # uint64 byte addresses cap line numbers at 2**58, so forge an
-        # exotic run stream through the memo cache to exercise the guard.
+        # exotic run stream through the memo cache to exercise the guard
+        # (a stored artifact column reaches it the same way; see
+        # tests/core/test_config_sweep.py).
         trace = make_trace([0], [False])
         trace._line_runs_cache[64] = (
             np.array([1 << 63], dtype=np.uint64),

@@ -1,12 +1,16 @@
-"""Property tests: ``replay_fast`` is bit-identical to per-access replay.
+"""Property tests: the line-run replay is bit-identical to per-access.
 
-The fast path consumes run-length-compressed line runs
-(:meth:`MemoryTrace.line_runs`) instead of individual accesses; these
-tests drive both paths with random, streaming, strided, and write-heavy
-traces and require identical :class:`HierarchyStats` — every counter at
-every level, not just the headline traffic numbers.  A second group pins
-the lazy range-record ``TraceRecorder`` to the old eager expansion,
-byte for byte.
+Both serial oracles live in ``tests/sim/oracle.py``.  ``replay_fast``
+consumes run-length-compressed line runs (:meth:`MemoryTrace.line_runs`)
+instead of individual accesses; these tests drive it and the per-access
+``replay`` with random, streaming, strided, and write-heavy traces and
+require identical :class:`HierarchyStats` — every counter at every
+level, not just the headline traffic numbers.  The production engine
+(:mod:`repro.sim.batch`) is pinned to the same oracles here through
+:func:`replay_trace` and the registry tests, and in
+``tests/sim/test_replay_batch.py``.  A second group pins the lazy
+range-record ``TraceRecorder`` to the old eager expansion, byte for
+byte.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import CACHE_LINE_BYTES, CacheConfig, SocConfig
 from repro.obs import recording
-from repro.sim.cache import CacheHierarchy, replay_trace
+from repro.sim.cache import replay_trace
 from repro.sim.trace import MemoryTrace, TraceRecorder
+from tests.sim.oracle import CacheHierarchy
 
 
 def tiny_soc() -> SocConfig:
@@ -110,9 +115,11 @@ class TestReplayEquivalence:
         assert_equivalent(TraceRecorder().trace())
 
     def test_replay_trace_defaults_to_fast_path(self):
+        """The public one-config entry point runs the batched engine and
+        matches the per-access oracle."""
         rec = TraceRecorder(granularity=8)
         rec.write(0, 64 * 1024)
-        assert replay_trace(rec.trace()) == replay_trace(rec.trace(), fast=False)
+        assert replay_trace(rec.trace()) == CacheHierarchy().replay(rec.trace())
 
 
 class TestLineRuns:
@@ -281,7 +288,7 @@ class TestCounterRegistryEquivalence:
         trace = rec.trace()
         with recording() as obs:
             pass  # recorder active only inside the block
-        CacheHierarchy(tiny_soc()).replay_fast(trace)
+        replay_trace(trace, tiny_soc())
         assert obs.counters.as_dict() == {}
 
 
@@ -365,5 +372,5 @@ class TestLazyRecorderMatchesEager:
         rec = TraceRecorder(granularity=8)
         rec.read(0, CACHE_LINE_BYTES)
         rec.write(CACHE_LINE_BYTES // 2, 8)
-        stats = CacheHierarchy().replay_fast(rec.trace(), flush=True)
+        stats = replay_trace(rec.trace())  # flushes at the end
         assert stats.dram_line_writes == 1

@@ -37,6 +37,15 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: %s" % flag[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--batch", "--no-batch"])
+    def test_engine_flags_are_gone(self, flag, tmp_path, capsys):
+        """The batched engine is the only one, so nothing selects it."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cachesweep", "--workload", "tensorflow.gemm_packed",
+                  "--trace-dir", str(tmp_path / "traces"), "--no-cache", flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
+
 
 class TestCommands:
     def test_areas(self, capsys):
@@ -128,12 +137,9 @@ class TestCommands:
                 "--trace-dir", store, "--no-cache"]
         assert main(args) == 0
         batched = capsys.readouterr().out
-        assert "batched" in batched
+        assert batched.startswith("tensorflow.gemm_packed  (artifact ")
+        assert batched.splitlines()[0].endswith(", batched)")
         assert "l1=64kB/4w,llc=2MB/8w" in batched
-        assert main(args + ["--no-batch"]) == 0
-        serial = capsys.readouterr().out
-        # Identical rows, different engine tag.
-        assert serial.replace("serial/cached", "batched") == batched
 
     @pytest.mark.parametrize(
         "args",

@@ -21,12 +21,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.config import CacheConfig, SocConfig
-from repro.sim.cache import CacheHierarchy
-from repro.sim.timing import TimingSimulator
+from repro.sim.batch import sweep_batch
+from repro.sim.cache import replay_trace
 from repro.sim.trace import MemoryTrace, TraceRecorder
 from repro.validate import ConfigError
 from repro.workloads.chrome import lzo
 from repro.workloads.vp9.bitio import BitReader, BitWriter
+from tests.sim import oracle
 
 
 @contextlib.contextmanager
@@ -155,9 +156,7 @@ class TestConfigSpaceFuzz:
         assert config.num_sets >= 1
         recorder = TraceRecorder(granularity=8)
         recorder.read(0, 1024)
-        stats = CacheHierarchy(SocConfig(l1=config)).replay_fast(
-            recorder.trace(), strict=True
-        )
+        stats = replay_trace(recorder.trace(), SocConfig(l1=config), strict=True)
         assert stats.l1.accesses == 128
 
     @given(addresses=st.lists(
@@ -165,7 +164,8 @@ class TestConfigSpaceFuzz:
     ), data=st.data())
     def test_strict_replay_holds_on_arbitrary_traces(self, addresses, data):
         """Strict-mode conservation invariants are theorems, not tuning:
-        no trace may trip them (an InvariantError here is a model bug)."""
+        no trace may trip them in the production engine or the serial
+        oracles (an InvariantError here is a model bug)."""
         writes = [data.draw(st.booleans()) for _ in addresses]
         trace = MemoryTrace(
             addresses=np.array(addresses, dtype=np.uint64),
@@ -175,10 +175,11 @@ class TestConfigSpaceFuzz:
             l1=CacheConfig(size_bytes=256, associativity=2),
             l2=CacheConfig(size_bytes=1024, associativity=4),
         )
-        CacheHierarchy(soc).replay(trace, strict=True)
-        CacheHierarchy(soc).replay_fast(trace, strict=True)
-        TimingSimulator(soc).replay(trace, strict=True)
-        TimingSimulator(soc).replay_fast(trace, strict=True)
+        sweep_batch(trace, [soc], strict=True)
+        oracle.CacheHierarchy(soc).replay(trace, strict=True)
+        oracle.CacheHierarchy(soc).replay_fast(trace, strict=True)
+        oracle.TimingSimulator(soc).replay(trace, strict=True)
+        oracle.TimingSimulator(soc).replay_fast(trace, strict=True)
 
     @given(base=st.integers(min_value=-(1 << 40), max_value=1 << 40),
            size=st.integers(min_value=0, max_value=4096))

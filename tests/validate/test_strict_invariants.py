@@ -14,10 +14,12 @@ import pytest
 from repro.energy.breakdown import EnergyBreakdown
 from repro.energy.model import EnergyModel
 from repro.obs import recording
-from repro.sim.cache import CacheHierarchy
+from repro.sim.batch import replay_timing_batch
+from repro.sim.cache import replay_trace
 from repro.sim.profile import KernelProfile
 from repro.sim.timing import TimingSimulator
 from repro.sim.trace import TraceRecorder
+from tests.sim import oracle
 from repro.validate import (
     InvariantError,
     resolve_strict,
@@ -37,6 +39,24 @@ def table1_trace():
     return recorder.trace()
 
 
+#: Every cache replay at the Table 1 geometry: the two serial oracles and
+#: the production (batched) engine.
+CACHE_ENGINES = {
+    "per_access": lambda trace, **kw: oracle.CacheHierarchy().replay(trace, **kw),
+    "line_runs": lambda trace, **kw: oracle.CacheHierarchy().replay_fast(trace, **kw),
+    "batched": replay_trace,
+}
+
+#: The same three engines for the timing replay.
+TIMING_ENGINES = {
+    "per_access": lambda trace, **kw: oracle.TimingSimulator().replay(trace, **kw),
+    "line_runs": lambda trace, **kw: oracle.TimingSimulator().replay_fast(trace, **kw),
+    "batched": lambda trace, **kw: replay_timing_batch(
+        trace, [TimingSimulator()], **kw
+    )[0],
+}
+
+
 def validate_counters(counters: dict) -> tuple[dict, dict]:
     checks = {k: v for k, v in counters.items()
               if k.startswith("validate.") and k.endswith(".checks")}
@@ -46,26 +66,20 @@ def validate_counters(counters: dict) -> tuple[dict, dict]:
 
 
 class TestStrictReplayIsViolationFree:
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_cache_replay(self, fast):
+    @pytest.mark.parametrize("engine", sorted(CACHE_ENGINES))
+    def test_cache_replay(self, engine):
         trace = table1_trace()
         with recording() as rec:
-            hierarchy = CacheHierarchy()  # Table 1 geometry
-            (hierarchy.replay_fast if fast else hierarchy.replay)(
-                trace, strict=True
-            )
+            CACHE_ENGINES[engine](trace, strict=True)
         checks, violations = validate_counters(rec.counters.as_dict())
         assert checks, "strict replay must publish validate.*.checks"
         assert violations == {}
 
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_timing_replay(self, fast):
+    @pytest.mark.parametrize("engine", sorted(TIMING_ENGINES))
+    def test_timing_replay(self, engine):
         trace = table1_trace()
         with recording() as rec:
-            simulator = TimingSimulator()
-            (simulator.replay_fast if fast else simulator.replay)(
-                trace, strict=True
-            )
+            TIMING_ENGINES[engine](trace, strict=True)
         checks, violations = validate_counters(rec.counters.as_dict())
         assert checks
         assert violations == {}
@@ -85,7 +99,7 @@ class TestStrictReplayIsViolationFree:
 
     def test_non_strict_replay_publishes_no_validate_counters(self):
         with recording() as rec:
-            CacheHierarchy().replay_fast(table1_trace(), strict=False)
+            replay_trace(table1_trace(), strict=False)
         assert not any(
             k.startswith("validate.") for k in rec.counters.as_dict()
         )
@@ -160,6 +174,6 @@ class TestStrictSwitches:
     def test_global_mode_arms_replay(self):
         trace = table1_trace()
         with recording() as rec, strict_mode():
-            CacheHierarchy().replay_fast(trace)  # no explicit strict arg
+            replay_trace(trace)  # no explicit strict arg
         checks, _ = validate_counters(rec.counters.as_dict())
         assert checks
