@@ -154,9 +154,7 @@ def _sweeps(quick: bool) -> list:
 
 
 def _sweep_rows(artifact, socs, params, jobs: int) -> list:
-    return ConfigSweep(artifact, timing_params=params).evaluate(
-        socs, jobs=jobs
-    ).rows
+    return ConfigSweep(artifact, timing_params=params).evaluate(socs, jobs=jobs)
 
 
 def measure(name, build_trace, socs, jobs: int, reps: int = 2) -> dict:

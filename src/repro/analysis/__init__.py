@@ -49,12 +49,6 @@ _EXPORTS = {
         "workload_names",
     ),
     ".scorecard": ("Scorecard", "full_scorecard", "score_figures"),
-    ".scenarios": (
-        "Scenario",
-        "ScenarioResult",
-        "evaluate_all",
-        "standard_scenarios",
-    ),
     ".ascii": ("render_chart", "render_all_charts"),
 }
 

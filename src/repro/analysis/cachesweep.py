@@ -141,14 +141,14 @@ def run_sweep(
             timing_params=timing_params,
             instructions_per_access=instructions_per_access,
         )
-        result = sweep.evaluate(socs, jobs=jobs)
+        rows = sweep.evaluate(socs, jobs=jobs)
         document = {
             "workload": workload,
             "artifact": artifact.content_hash,
             # Always True (the batched engine is the only one); kept so
             # the document's shape is stable.
             "batched": True,
-            "rows": result.rows,
+            "rows": rows,
             "failures": [],
         }
         if cache is not None:

@@ -184,14 +184,15 @@ def render_markdown(
                     % (name, _fmt(paper), _fmt(measured))
                 )
             lines.append("")
-        if result.rows:
-            keys = list(result.rows[0].keys())
+        # One table per distinct column tuple, in order of first appearance.
+        tables: dict[tuple, list[dict]] = {}
+        for row in result.rows:
+            tables.setdefault(tuple(row), []).append(row)
+        for keys, rows in tables.items():
             lines.append("| " + " | ".join(keys) + " |")
             lines.append("|" + "---|" * len(keys))
-            for row in result.rows:
-                lines.append(
-                    "| " + " | ".join(_fmt(row.get(k, "")) for k in keys) + " |"
-                )
+            for row in rows:
+                lines.append("| " + " | ".join(_fmt(row[k]) for k in keys) + " |")
             lines.append("")
         if result.notes:
             lines.append("*Note: %s*\n" % result.notes)

@@ -29,8 +29,6 @@ _EXPORTS = {
         "WorkloadFunction",
         "WorkloadCharacterization",
         "characterize",
-        "offloaded_totals",
-        "OffloadedWorkloadTotals",
     ),
     ".runner": ("ExperimentRunner", "SweepResult"),
 }

@@ -38,14 +38,6 @@ from repro.core.store import CompactionStats, SegmentReader, SegmentStore, peek_
 from repro.obs.recorder import get_recorder
 
 
-def _to_builtin(value):
-    """JSON fallback: unwrap numpy scalars to builtin int/float/bool."""
-    item = getattr(value, "item", None)
-    if callable(item):
-        return item()
-    raise TypeError("%r is not JSON serializable" % (value,))
-
-
 def package_root() -> Path:
     """Directory of the installed ``repro`` package."""
     import repro

@@ -364,19 +364,6 @@ def _sweep_row(soc, stats, timing, instructions_per_access) -> dict:
     }
 
 
-@dataclass
-class ConfigSweepResult:
-    """Rows for every geometry, in input order."""
-
-    rows: list[dict] = field(default_factory=list)
-
-    def by_config(self, label: str) -> dict:
-        for row in self.rows:
-            if row["config"] == label:
-                return row
-        raise KeyError("no sweep row for config %r" % label)
-
-
 class ConfigSweep:
     """Evaluates N cache geometries over one shared trace artifact.
 
@@ -411,7 +398,8 @@ class ConfigSweep:
         self.instructions_per_access = instructions_per_access
         self.trace_dir = trace_dir
 
-    def evaluate(self, socs, jobs: int = 1) -> ConfigSweepResult:
+    def evaluate(self, socs, jobs: int = 1) -> list[dict]:
+        """Rows for every geometry, in input order."""
         from repro.config import soc_cache_label
 
         socs = list(socs)
@@ -430,7 +418,7 @@ class ConfigSweep:
             if recorder.enabled:
                 recorder.counters.add("core.runner.config_sweeps", 1)
                 recorder.counters.add("core.runner.config_sweep_points", len(rows))
-        return ConfigSweepResult(rows=rows)
+        return rows
 
     # ------------------------------------------------------------------
     def _evaluate_batch(self, pending) -> list[dict]:

@@ -157,66 +157,3 @@ def characterize(
     ]
     return WorkloadCharacterization(workload=workload, results=results)
 
-
-@dataclass(frozen=True)
-class OffloadedWorkloadTotals:
-    """Whole-workload energy/time with PIM targets offloaded."""
-
-    cpu_energy_j: float
-    cpu_time_s: float
-    pim_energy_j: float
-    pim_time_s: float
-
-    @property
-    def energy_reduction(self) -> float:
-        if self.cpu_energy_j <= 0:
-            return 0.0
-        return 1.0 - self.pim_energy_j / self.cpu_energy_j
-
-    @property
-    def speedup(self) -> float:
-        if self.pim_time_s <= 0:
-            return float("inf")
-        return self.cpu_time_s / self.pim_time_s
-
-
-def offloaded_totals(
-    functions: list[WorkloadFunction],
-    engine=None,
-    use_accelerators: bool = True,
-) -> OffloadedWorkloadTotals:
-    """Whole-workload comparison: everything on the CPU vs. the PIM
-    targets offloaded (PIM-Acc by default) while the rest stays on the
-    CPU.  Functions are assumed serialized, as in the paper's kernel
-    studies -- overlap gains (Figure 19) are modeled separately.
-    """
-    from repro.core.offload import OffloadEngine
-    from repro.core.target import PimTarget
-
-    engine = engine or OffloadEngine()
-    cpu_energy = cpu_time = pim_energy = pim_time = 0.0
-    for f in functions:
-        cpu_exec = engine.cpu_model.run(f.profile)
-        cpu_energy += cpu_exec.energy_j
-        cpu_time += cpu_exec.time_s
-        if f.accelerator_key is None:
-            pim_energy += cpu_exec.energy_j
-            pim_time += cpu_exec.time_s
-            continue
-        target = PimTarget(
-            f.name, f.profile, accelerator_key=f.accelerator_key,
-            invocations=f.invocations,
-        )
-        pim_exec = (
-            engine.run_pim_acc(target)
-            if use_accelerators
-            else engine.run_pim_core(target)
-        )
-        pim_energy += pim_exec.energy_j
-        pim_time += pim_exec.time_s
-    return OffloadedWorkloadTotals(
-        cpu_energy_j=cpu_energy,
-        cpu_time_s=cpu_time,
-        pim_energy_j=pim_energy,
-        pim_time_s=pim_time,
-    )

@@ -17,18 +17,6 @@ _EXPORTS = {
     ".components": ("EnergyParameters", "default_energy_parameters"),
     ".model": ("EnergyModel",),
     ".area": ("AreaModel", "AcceleratorArea", "PAPER_ACCELERATOR_AREAS"),
-    ".battery": (
-        "BatteryModel",
-        "BatteryEstimate",
-        "DeviceConfig",
-        "UsageMix",
-    ),
-    ".thermal": (
-        "ThermalModel",
-        "ThermalConfig",
-        "PimPowerCheck",
-        "ThrottleResult",
-    ),
 }
 
 __getattr__, __dir__, __all__ = lazy_exports(globals(), _EXPORTS)

@@ -30,7 +30,6 @@ _EXPORTS = {
     ".errors": ("ConfigError", "InvariantError"),
     ".fields": (
         "require_at_least",
-        "require_finite",
         "require_fraction",
         "require_non_negative",
         "require_positive",

@@ -32,14 +32,6 @@ def _as_number(owner, field: str, value, constraint: str) -> float:
     return value
 
 
-def require_finite(owner, field: str, value) -> None:
-    """Reject NaN/inf and non-numeric values."""
-    constraint = "must be a finite number"
-    number = _as_number(owner, field, value, constraint)
-    if not math.isfinite(number):
-        raise ConfigError(_owner_name(owner), field, value, constraint)
-
-
 def require_positive(owner, field: str, value) -> None:
     """Reject values that are not finite and strictly positive."""
     constraint = "must be a positive finite number"

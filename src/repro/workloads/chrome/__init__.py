@@ -41,20 +41,10 @@ _EXPORTS = {
         "ZramConfig",
         "TabSwitchingSession",
         "SwapTimeline",
-        "SwitchLatency",
-        "switch_latency",
         "profile_compression",
         "profile_decompression",
     ),
-    ".frame_budget": (
-        "FRAME_BUDGET_S",
-        "FrameTime",
-        "frame_time",
-        "scroll_survey",
-    ),
-    ".pageload": ("PageLoadResult", "evaluate_page_load", "load_functions"),
     ".rasterizer": ("DisplayList", "rasterize", "synthetic_page_paint"),
-    ".fscompress": ("FsCompressionModel", "FsConfig", "FlashModel"),
     ".pages": ("WebPage", "PAGES", "PAGE_ORDER"),
     ".targets": (
         "browser_pim_targets",

@@ -27,10 +27,6 @@ from repro.workloads.chrome.texture import profile_texture_tiling
 
 MB = 1024 * 1024
 
-#: Display geometry of the Chromebook test platform.
-SCREEN_W = 1366
-SCREEN_H = 768
-
 
 @dataclass(frozen=True)
 class WebPage:

@@ -251,55 +251,6 @@ class TabSwitchingSession:
         ]
 
 
-@dataclass(frozen=True)
-class SwitchLatency:
-    """Time to make a previously-compressed tab interactive again."""
-
-    cpu_only_s: float
-    pim_core_s: float
-    pim_acc_s: float
-
-    @property
-    def pim_acc_speedup(self) -> float:
-        if self.pim_acc_s <= 0:
-            return float("inf")
-        return self.cpu_only_s / self.pim_acc_s
-
-
-def switch_latency(
-    tab_bytes: float = 150 * MB,
-    swap_in_fraction: float = 0.95,
-    ratio: float = 2.7,
-    engine=None,
-) -> SwitchLatency:
-    """Latency to re-activate one compressed tab (paper Section 4.3:
-    "how fast a new tab loads and becomes interactive ... directly
-    affects user satisfaction").
-
-    CPU-only: the CPU decompresses the faulted pages inline.  With PIM,
-    decompression runs in memory; additionally only the cache lines the
-    renderer actually touches cross the channel afterwards, so the
-    critical path shrinks to the PIM decompression itself.
-    """
-    from repro.core.offload import OffloadEngine
-    from repro.core.target import PimTarget
-
-    engine = engine or OffloadEngine()
-    faulted = tab_bytes * swap_in_fraction
-    profile = profile_decompression(faulted, ratio)
-    target = PimTarget(
-        "tab_switch_decompression",
-        profile,
-        accelerator_key="decompression",
-        invocations=max(int(faulted // 4096), 1),
-    )
-    return SwitchLatency(
-        cpu_only_s=engine.run_cpu(target).time_s,
-        pim_core_s=engine.run_pim_core(target).time_s,
-        pim_acc_s=engine.run_pim_acc(target).time_s,
-    )
-
-
 def profile_compression(
     uncompressed_bytes: float, ratio: float = 2.7
 ) -> KernelProfile:

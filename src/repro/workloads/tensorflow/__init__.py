@@ -53,17 +53,6 @@ _EXPORTS = {
         "all_models",
     ),
     ".access_patterns": ("gemm_lhs_trace", "pack_then_kernel_traffic"),
-    ".layer_report": (
-        "LayerReport",
-        "layer_reports",
-        "render_table",
-        "top_layers_by_energy",
-    ),
-    ".float_baseline": (
-        "QuantizationTradeoff",
-        "profile_float_gemm",
-        "quantization_tradeoff",
-    ),
     ".targets": (
         "tensorflow_pim_targets",
         "packing_target",

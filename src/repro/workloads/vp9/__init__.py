@@ -66,13 +66,6 @@ _EXPORTS = {
         "decompress_frame",
         "measure_compression_factor",
     ),
-    ".ratecontrol": (
-        "RateControlConfig",
-        "RateControlledEncoder",
-        "encode_at_bitrate",
-    ),
-    ".conferencing": ("ConferencingScenario", "evaluate_conferencing"),
-    ".rd": ("RdPoint", "bd_psnr", "rd_curve"),
     ".targets": ("video_pim_targets",),
 }
 

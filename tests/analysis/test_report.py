@@ -2,8 +2,15 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.base import FigureResult
-from repro.analysis.report import EXPERIMENTS, render_markdown, write_experiments_md
+from repro.analysis.report import (
+    EXPERIMENTS,
+    all_results,
+    render_markdown,
+    write_experiments_md,
+)
 from repro.core.memo import MemoCache
 
 COMMITTED_EXPERIMENTS = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
@@ -56,6 +63,64 @@ class TestReport:
         assert written == str(path)
         for fig in ("Table 1", "Figure 1", "Figure 21", "Headline"):
             assert "## %s" % fig in content
+
+
+def rendered_tables(markdown: str) -> dict:
+    """Figure id -> the row tables rendered in its section (anchor tables
+    left out), each a list of lines split into cells, header first."""
+    sections: dict = {}
+    tables = table = None
+    lines = markdown.split("\n")
+    for line, following in zip(lines, lines[1:] + [""]):
+        if line.startswith("## "):
+            tables = sections.setdefault(line[3:].split(" — ")[0], [])
+            table = None
+        elif tables is not None and line.startswith("| "):
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            if not following.startswith("|---"):
+                if table is not None:
+                    table.append(cells)
+            elif cells == ["anchor", "paper", "measured"]:
+                table = None
+            else:
+                table = [cells]
+                tables.append(table)
+    return sections
+
+
+class TestRenderedColumns:
+    """EXPERIMENTS.md shows every column a figure computes."""
+
+    @pytest.fixture(scope="class")
+    def rendered(self):
+        results = all_results()
+        return results, rendered_tables(render_markdown(results))
+
+    def test_every_row_key_is_a_rendered_column(self, rendered):
+        results, sections = rendered
+        for result in results:
+            headers = set()
+            for table in sections[result.figure_id]:
+                headers.update(table[0])
+            for row in result.rows:
+                missing = set(row) - headers
+                assert not missing, (result.figure_id, sorted(missing))
+
+    @pytest.mark.parametrize("figure_id", ["Figure 12", "Figure 16"])
+    def test_traffic_parts_sum_to_total(self, rendered, figure_id):
+        _, sections = rendered
+        checked = 0
+        for header, *rows in sections[figure_id]:
+            parts = [i for i, k in enumerate(header)
+                     if k not in ("resolution", "compression", "total_MB")]
+            total = header.index("total_MB")
+            for cells in rows:
+                part_sum = sum(float(cells[i]) for i in parts)
+                # Each printed value is rounded to 3 decimals.
+                slack = 0.0005 * (len(parts) + 1)
+                assert abs(part_sum - float(cells[total])) <= slack, cells
+                checked += 1
+        assert checked == 4  # HD and 4K, with and without compression
 
 
 class TestCommittedExperiments:

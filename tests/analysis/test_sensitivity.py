@@ -39,9 +39,12 @@ class TestDramEnergySweep:
 
 class TestInternalRatioSweep:
     def test_savings_shrink_as_internal_gets_expensive(self):
-        points = sweep("internal_ratio", scales=(0.5, 1.0, 1.5))
+        points = sweep("internal_ratio", scales=(0.5, 1.0, 1.5, 2.0))
         reductions = [p.mean_pim_acc_energy_reduction for p in points]
         assert reductions == sorted(reductions, reverse=True)
+        # Even at twice the calibrated internal cost, PIM still saves.
+        for p in points:
+            assert p.pim_always_saves_energy, p.scale
 
     def test_cheap_internal_access_boosts_savings(self):
         cheap = evaluate_point("internal_ratio", 0.25)

@@ -65,8 +65,8 @@ class TestConfigSweep:
             oracle.sweep_row(artifact.trace(), soc, TimingParameters(), 2.0)
             for soc in socs
         ]
-        assert batched.rows == serial
-        assert [r["config"] for r in batched.rows] == [
+        assert batched == serial
+        assert [r["config"] for r in batched] == [
             soc_cache_label(s) for s in socs
         ]
 
@@ -78,10 +78,10 @@ class TestConfigSweep:
         socs = small_grid()
         expected = ConfigSweep(make_artifact()).evaluate(socs)
         with recording() as obs:
-            result = ConfigSweep(artifact, trace_dir=tmp_path).evaluate(
+            rows = ConfigSweep(artifact, trace_dir=tmp_path).evaluate(
                 socs, jobs=2
             )
-        assert result.rows == expected.rows
+        assert rows == expected
         assert artifact.path is not None
         assert artifact.path.parent == tmp_path
         assert obs.counters.as_dict()["sim.artifact.autosaves"] == 1
@@ -94,8 +94,8 @@ class TestConfigSweep:
 
     def test_rows_are_json_able_and_carry_mpki(self):
         artifact = make_artifact()
-        result = ConfigSweep(artifact).evaluate(small_grid()[:1])
-        row = json.loads(json.dumps(result.rows[0]))
+        rows = ConfigSweep(artifact).evaluate(small_grid()[:1])
+        row = json.loads(json.dumps(rows[0]))
         assert row["accesses"] == artifact.num_accesses
         assert row["l1_misses"] > 0
         instructions = row["accesses"] * 2.0

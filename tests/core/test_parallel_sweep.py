@@ -222,12 +222,12 @@ class TestParallelConfigSweep:
             one = ConfigSweep(artifact).evaluate(socs, jobs=1)
         with recording() as many_obs:
             many = ConfigSweep(artifact).evaluate(socs, jobs=2)
-        assert many.rows == one.rows
+        assert many == one
         serial = [
             oracle.sweep_row(artifact.trace(), soc, TimingParameters(), 2.0)
             for soc in socs
         ]
-        assert many.rows == serial
+        assert many == serial
 
         # validate.* strict-check counters scale with how many evaluator
         # instances ran the checks, not with results — skip them too.

@@ -15,7 +15,7 @@ class TestExamples:
     def test_examples_exist(self):
         names = {p.stem for p in EXAMPLES}
         assert {"quickstart", "browser_analysis", "mobile_inference",
-                "video_pipeline", "custom_workload", "extensions"} <= names
+                "video_pipeline", "custom_workload"} <= names
 
     @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
     def test_example_runs(self, path, capsys):
