@@ -14,58 +14,89 @@ from repro.analysis.base import FigureResult
 BAR_WIDTH = 48
 #: Fill characters cycled per stacked segment.
 FILLS = "#=+*%@ox"
+#: Narrowest label column.
+LABEL_WIDTH = 24
 
 
-def _bar(value: float, scale: float, fill: str = "#") -> str:
+def _label(row: dict, plotted: list[str]) -> str:
+    """A row's label: its unplotted columns, ``key=value`` unless a string."""
+    return " ".join(
+        value if isinstance(value, str) else "%s=%s" % (key, value)
+        for key, value in row.items()
+        if key not in plotted
+    )
+
+
+def _cells(value: float, scale: float) -> int:
     if scale <= 0:
-        return ""
-    return fill * max(int(round(BAR_WIDTH * value / scale)), 0)
+        return 0
+    return max(int(round(BAR_WIDTH * value / scale)), 0)
 
 
-def _stacked_bar(parts: list[float], scale: float) -> str:
+def _stacked_bar(parts: list[float], scale: float, length: int) -> str:
+    """``parts`` stacked end to end, cut or padded with ``.`` to ``length``.
+
+    Segment edges round from the running sum, so the segments add up to
+    the cells of the whole bar rather than drifting by one per part.
+    """
     out = []
+    edge = 0
+    running = 0.0
     for i, value in enumerate(parts):
-        out.append(_bar(value, scale, FILLS[i % len(FILLS)]))
-    return "".join(out)
+        running += value
+        end = max(_cells(running, scale), edge)
+        out.append(FILLS[i % len(FILLS)] * (end - edge))
+        edge = end
+    return "".join(out)[:length].ljust(length, ".")
 
 
 def render_chart(result: FigureResult) -> str:
     """Render a figure's rows as ASCII bars.
 
-    Rows whose values are all numeric fractions render as stacked bars
-    normalized to the largest row total; other rows fall back to the
+    Rows are grouped by their key tuple in order of first appearance, as
+    EXPERIMENTS.md renders one table per group; each group gets one
+    legend and one block of bars.  A row's float columns stack into its
+    bar, and its other columns (names, flags, integer x values such as a
+    GEMM count) label it.  A ``total_*`` column is the bar's length,
+    never a segment, and groups with the same total column share one
+    scale so their bars compare; any other group is scaled to its own
+    longest bar.  A figure with no float column falls back to the
     textual rendering.
     """
-    rows = result.rows
-    if not rows:
+    groups: dict[tuple, list[dict]] = {}
+    for row in result.rows:
+        groups.setdefault(tuple(row), []).append(row)
+    blocks = []
+    scales: dict = {}
+    for keys, rows in groups.items():
+        plotted = [k for k in keys if isinstance(rows[0][k], float)]
+        total = next((k for k in plotted if k.startswith("total_")), None)
+        parts = [k for k in plotted if not k.startswith("total_")] or plotted
+        if total is not None:
+            lengths = [float(row[total]) for row in rows]
+        else:
+            lengths = [sum(float(row[k]) for k in parts) for row in rows]
+        scale_key = total or keys
+        scales[scale_key] = max([scales.get(scale_key, 0.0)] + lengths)
+        blocks.append((rows, plotted, total, parts, lengths, scale_key))
+    if not any(plotted for _, plotted, *_ in blocks):
         return result.render_text()
-    numeric_keys = [
-        k for k, v in rows[0].items() if isinstance(v, (int, float))
-        and not isinstance(v, bool)
-    ]
-    label_keys = [k for k in rows[0] if k not in numeric_keys]
-    if not numeric_keys:
-        return result.render_text()
-    totals = [
-        sum(float(row.get(k, 0.0)) for k in numeric_keys) for row in rows
-    ]
-    scale = max(totals) if totals else 1.0
     lines = ["%s: %s" % (result.figure_id, result.title)]
-    legend = "  legend: " + "  ".join(
-        "%s=%s" % (FILLS[i % len(FILLS)], key)
-        for i, key in enumerate(numeric_keys)
-    )
-    lines.append(legend)
-    for row in rows:
-        # Rows may be heterogeneous (e.g. Figure 19 mixes kernel rows
-        # with sweep points); label with whatever keys the row has.
-        label = " ".join(
-            str(row[k]) for k in label_keys if k in row
-        ) or " ".join(
-            "%s=%s" % (k, v) for k, v in row.items() if k not in numeric_keys
+    for rows, plotted, total, parts, lengths, scale_key in blocks:
+        legend = "  legend: " + "  ".join(
+            "%s=%s" % (FILLS[i % len(FILLS)], key) for i, key in enumerate(parts)
         )
-        parts = [float(row.get(k, 0.0)) for k in numeric_keys]
-        lines.append("  %-24s |%s" % (label[:24], _stacked_bar(parts, scale)))
+        if total is not None:
+            legend += "  (bar length: %s)" % total
+        lines.append(legend)
+        labels = [_label(row, plotted) for row in rows]
+        width = max([LABEL_WIDTH] + [len(label) for label in labels])
+        scale = scales[scale_key]
+        for row, label, length in zip(rows, labels, lengths):
+            bar = _stacked_bar(
+                [float(row[k]) for k in parts], scale, _cells(length, scale)
+            )
+            lines.append("  %-*s |%s" % (width, label, bar))
     return "\n".join(lines)
 
 

@@ -14,6 +14,7 @@ import sys
 
 from repro.analysis.base import FigureResult
 from repro.analysis.report import EXPERIMENTS
+from repro.core.workload import run_scope
 
 
 def figure_to_dict(result: FigureResult) -> dict:
@@ -34,15 +35,16 @@ def _slug(figure_id: str) -> str:
 
 
 def export_all(directory: str = "figures_data") -> list[str]:
-    """Regenerate every experiment and write JSON files.
+    """Regenerate every experiment, in one run scope, and write JSON files.
 
     Returns the written paths (index last).
     """
     os.makedirs(directory, exist_ok=True)
+    with run_scope():
+        results = [fn() for fn in EXPERIMENTS]
     written = []
     index = []
-    for fn in EXPERIMENTS:
-        result = fn()
+    for result in results:
         payload = figure_to_dict(result)
         path = os.path.join(directory, _slug(result.figure_id) + ".json")
         with open(path, "w") as f:

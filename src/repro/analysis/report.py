@@ -9,7 +9,10 @@ memoizes each figure's rows in a content-keyed on-disk cache
 (:mod:`repro.core.memo`), keyed by the figure name and a hash of the
 package source.  ``python -m repro figures`` enables the cache by
 default, so repeated report runs with an unchanged tree skip all model
-work.
+work.  The experiments a run does regenerate share one
+:func:`repro.core.workload.run_scope`, so the workload models several
+figures read (the four TensorFlow networks, their decompositions and
+PIM targets) are built once per run, never once per figure.
 """
 
 from __future__ import annotations
@@ -80,6 +83,31 @@ def _run_experiment_observed(index: int):
     return result, recorder.snapshot()
 
 
+def _regenerate(pending: list[int], jobs: int, recorder) -> list[FigureResult]:
+    """Run the ``pending`` experiments, in a process pool if ``jobs > 1``."""
+    if jobs > 1 and len(pending) > 1:
+        from repro.core.resilience import ResilientMap
+
+        observed = recorder.enabled
+        values = ResilientMap(
+            _run_experiment_observed if observed else _run_experiment,
+            pending,
+            jobs=jobs,
+        ).run()
+        if not observed:
+            return values
+        results = []
+        for result, snapshot in values:
+            recorder.merge_snapshot(snapshot)
+            results.append(result)
+        return results
+    values = []
+    for index in pending:
+        with recorder.span("analysis.figure.%s" % EXPERIMENTS[index].__name__):
+            values.append(_run_experiment(index))
+    return values
+
+
 def all_results(
     jobs: int = 1, cache: MemoCache | None = None
 ) -> list[FigureResult]:
@@ -92,7 +120,6 @@ def all_results(
 
     An experiment that raises fails the whole run with its own exception.
     """
-    from repro.core.resilience import ResilientMap
     from repro.obs.recorder import get_recorder
 
     recorder = get_recorder()
@@ -106,26 +133,13 @@ def all_results(
                     results[index] = FigureResult.from_jsonable(hit)
                 else:
                     pending.append(index)
-            if jobs > 1 and len(pending) > 1:
-                observed = recorder.enabled
-                values = ResilientMap(
-                    _run_experiment_observed if observed else _run_experiment,
-                    pending,
-                    jobs=jobs,
-                ).run()
-                if observed:
-                    unwrapped = []
-                    for result, snapshot in values:
-                        recorder.merge_snapshot(snapshot)
-                        unwrapped.append(result)
-                    values = unwrapped
-            else:
-                values = []
-                for index in pending:
-                    with recorder.span(
-                        "analysis.figure.%s" % EXPERIMENTS[index].__name__
-                    ):
-                        values.append(_run_experiment(index))
+            values = []
+            if pending:
+                # Imported on a miss only, so a warm run loads no model code.
+                from repro.core.workload import run_scope
+
+                with run_scope():
+                    values = _regenerate(pending, jobs, recorder)
             for index, result in zip(pending, values):
                 results[index] = result
                 if cache is not None:

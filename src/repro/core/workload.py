@@ -9,17 +9,86 @@ CPU timing/energy model and reports the paper's two standard breakdowns:
 * **per hardware component** (Figures 2, 11): each component's (CPU, L1,
   LLC, interconnect, memory controller, DRAM) share of total energy,
   optionally stacked by function.
+
+Several figures read the same workload decomposition (Figures 6, 7 and
+19 and the headline all start from the four TensorFlow networks), so one
+run shares it: inside :func:`run_scope`, a builder decorated with
+:func:`shared_in_run` computes each distinct argument tuple once.
 """
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 from repro.config import SystemConfig
 from repro.energy.breakdown import Component, EnergyBreakdown
 from repro.energy.components import EnergyParameters
+from repro.obs.recorder import get_recorder
 from repro.sim.cpu import CpuModel, Execution
 from repro.sim.profile import KernelProfile
+
+#: The active run's builder results, keyed by (builder, args, kwargs);
+#: None outside :func:`run_scope`.
+_RUN_MEMO: ContextVar[dict | None] = ContextVar("repro_run_memo", default=None)
+_MISSING = object()
+
+
+@contextmanager
+def run_scope():
+    """Share :func:`shared_in_run` builders' results within one run.
+
+    The results are dropped when the block exits, so a later run (or a
+    repeat of this one in the same process) builds everything again.  A
+    scope entered inside another joins the outer run.
+    """
+    if _RUN_MEMO.get() is not None:
+        yield
+        return
+    token = _RUN_MEMO.set({})
+    try:
+        yield
+    finally:
+        _RUN_MEMO.reset(token)
+
+
+def shared_in_run(builder):
+    """Inside :func:`run_scope`, build once per equal, hashable arguments.
+
+    Only for *pure* builders, whose result depends on nothing but their
+    arguments and the source: a repeat call returns the object the first
+    call built, which callers must not mutate.  Anything that reads a
+    ``SystemConfig`` or ``EnergyParameters`` (``characterize``, the
+    offload engine, the runner) stays undecorated.  Outside a scope, or
+    with an unhashable argument, the call is a plain call.  Publishes
+    ``core.run_memo.hits``/``.misses``, and the same per builder as
+    ``core.run_memo.<builder>.hits``/``.misses``.
+    """
+    name = builder.__name__
+
+    @functools.wraps(builder)
+    def shared(*args, **kwargs):
+        memo = _RUN_MEMO.get()
+        if memo is None:
+            return builder(*args, **kwargs)
+        key = (builder, args, tuple(sorted(kwargs.items())))
+        try:
+            result = memo.get(key, _MISSING)
+        except TypeError:  # an unhashable argument
+            return builder(*args, **kwargs)
+        if result is _MISSING:
+            outcome = "misses"
+            result = memo[key] = builder(*args, **kwargs)
+        else:
+            outcome = "hits"
+        counters = get_recorder().counters
+        counters.add("core.run_memo." + outcome)
+        counters.add("core.run_memo.%s.%s" % (name, outcome))
+        return result
+
+    return shared
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,13 @@ evaluated under many cache configurations — yet re-running the
 instrumented kernel per sweep point makes sweep cost scale as
 ``configs x (kernel + trace + replay)``.  A :class:`TraceArtifact`
 materializes a workload's trace *once* as an on-disk columnar file
-holding both the per-access columns (``addresses``, ``is_write``) and
-the precomputed :meth:`repro.sim.trace.MemoryTrace.line_runs` columns
-(``run_lines``, ``run_counts``, ``run_writes``), so every later sweep
-point pays only the replay.
+holding the per-access columns (``addresses``, ``is_write``) and the
+:meth:`repro.sim.trace.MemoryTrace.line_runs` columns (``run_lines``,
+``run_counts``, ``run_writes``), so every later sweep point pays only
+the replay.  The replay never reads the stored run columns: their
+checksums prove only that they are the bytes written, not that they
+compress these addresses, so :meth:`TraceArtifact.trace` derives the
+runs from the hash-verified addresses instead.
 
 File layout (single file, everything 64-byte aligned so each column is
 an aligned view into one mapping of the file)::
@@ -143,8 +146,7 @@ class TraceArtifact:
     Build with :meth:`from_trace`, persist with :meth:`save`, reload
     with :meth:`load` (memory-mapped by default).  :meth:`trace`
     returns a :class:`MemoryTrace` whose ``line_runs`` memo is
-    pre-seeded from the stored columns, so replays skip the RLE pass
-    entirely.
+    pre-seeded from the verified ``addresses`` and ``is_write``.
     """
 
     addresses = _column("addresses")
@@ -219,15 +221,16 @@ class TraceArtifact:
         )
 
     def trace(self) -> MemoryTrace:
-        """The artifact's trace, with ``line_runs`` pre-seeded."""
+        """The artifact's trace, with ``line_runs`` derived and memoized.
+
+        The runs come from the content-hashed ``addresses`` and
+        ``is_write``, never from the stored run columns, so an artifact
+        re-saved with other runs cannot change what a sweep replays.
+        """
         from repro.sim.trace import MemoryTrace
 
         trace = MemoryTrace(addresses=self.addresses, is_write=self.is_write)
-        trace._line_runs_cache[self.line_bytes] = (
-            self.run_lines,
-            self.run_counts,
-            self.run_writes,
-        )
+        trace.line_runs(self.line_bytes)
         return trace
 
     # ------------------------------------------------------------------

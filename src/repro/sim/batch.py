@@ -73,9 +73,8 @@ def _line_runs_for_batch(trace: MemoryTrace):
     """The trace's run columns as int64 lines, plus a shared-memo flag.
 
     Lines computed from uint64 byte addresses stay below 2**58, so only
-    a stored ``run_lines`` column (a loaded artifact's, which the
-    decoder checksums but does not re-derive) can exceed int64; without
-    the guard the cast would wrap it negative.
+    a run stream placed in the trace's memo by hand can exceed int64;
+    without the guard the cast would wrap it negative.
     """
     shared = bool(getattr(trace, "_line_runs_cache", None))
     run_lines, run_counts, run_writes = trace.line_runs()

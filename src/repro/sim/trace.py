@@ -95,9 +95,7 @@ class MemoryTrace:
         Traces are treated as immutable once replayed — mutating
         ``addresses``/``is_write`` in place after a replay would leave a
         stale cache.  The memo travels with the trace through pickling,
-        so pool workers receive the precomputed runs for free, and
-        :class:`repro.sim.artifact.TraceArtifact` pre-seeds it from the
-        artifact's stored columns.
+        so pool workers receive the precomputed runs for free.
         """
         cached = self._line_runs_cache.get(line_bytes)
         if cached is not None:

@@ -18,6 +18,7 @@ DESIGN.md).
 
 from __future__ import annotations
 
+from repro.core.workload import shared_in_run
 from repro.workloads.tensorflow.network import ConvLayer, FcLayer, Network
 
 
@@ -154,6 +155,7 @@ def residual_gru(iterations: int = 16) -> Network:
     return Network(name="Residual-GRU", layers=tuple(layers))
 
 
+@shared_in_run
 def all_models() -> list[Network]:
     """The four networks in the paper's figure order."""
     return [resnet_v2_152(), vgg19(), residual_gru(), inception_resnet_v2()]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.workload import WorkloadFunction
+from repro.core.workload import WorkloadFunction, shared_in_run
 from repro.sim.profile import KernelProfile
 from repro.workloads.tensorflow.gemm import profile_gemm, quantized_gemm
 from repro.workloads.tensorflow.packing import (
@@ -248,6 +248,7 @@ def infer(network: Network, x: np.ndarray, rng: np.random.Generator | None = Non
 # ----------------------------------------------------------------------
 # Analytic path (Figures 6/7)
 # ----------------------------------------------------------------------
+@shared_in_run
 def network_functions(network: Network) -> list[WorkloadFunction]:
     """Decompose one inference into the paper's four buckets.
 
@@ -261,7 +262,9 @@ def network_functions(network: Network) -> list[WorkloadFunction]:
     shapes (the four paper networks have 760 layers but 65 shapes), so
     each distinct shape is profiled once per call.  The buckets still
     accumulate layer by layer, in order, so the floats are exactly
-    those of profiling every layer.
+    those of profiling every layer.  Inside a
+    :func:`repro.core.workload.run_scope` each network is decomposed
+    once per run, however many figures read it.
     """
     by_shape = {}
     pack_profile = None

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from repro.config import SystemConfig
 from repro.core.offload import OffloadEngine
 from repro.core.target import PimTarget
+from repro.core.workload import shared_in_run
 from repro.energy.components import EnergyParameters
 from repro.workloads.tensorflow.gemm import profile_gemm
 from repro.workloads.tensorflow.models import all_models
@@ -67,6 +68,7 @@ def quantization_target(network: Network, layer_count: int = 4) -> PimTarget:
     )
 
 
+@shared_in_run
 def tensorflow_pim_targets(networks: list[Network] | None = None) -> list[PimTarget]:
     """Packing + quantization targets aggregated over the four networks."""
     networks = networks or all_models()

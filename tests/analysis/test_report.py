@@ -1,5 +1,7 @@
 """Unit tests for the EXPERIMENTS.md report generator."""
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -12,8 +14,10 @@ from repro.analysis.report import (
     write_experiments_md,
 )
 from repro.core.memo import MemoCache
+from repro.obs.recorder import recording
 
-COMMITTED_EXPERIMENTS = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
+ROOT = Path(__file__).resolve().parents[2]
+COMMITTED_EXPERIMENTS = ROOT / "EXPERIMENTS.md"
 
 
 class TestFigureResult:
@@ -171,6 +175,47 @@ class TestCachedParallelResults:
         assert [r.to_jsonable() for r in parallel] == [
             r.to_jsonable() for r in serial
         ]
+
+
+class TestRunScope:
+    """One ``all_results`` run builds each TensorFlow model once."""
+
+    def test_each_builder_misses_once_per_run(self):
+        for _ in range(2):  # the second run rebuilds: nothing leaks
+            with recording() as rec:
+                all_results(cache=None)
+            counters = rec.counters.as_dict()
+            assert counters["core.run_memo.all_models.misses"] == 1
+            # One decomposition per network, each read by three figures.
+            assert counters["core.run_memo.network_functions.misses"] == 4
+            assert counters["core.run_memo.network_functions.hits"] == 8
+            assert counters["core.run_memo.tensorflow_pim_targets.misses"] == 1
+            assert counters["core.run_memo.misses"] == 6
+
+    def test_models_are_rebuilt_outside_a_run(self):
+        from repro.workloads.tensorflow.models import all_models
+
+        assert all_models() is not all_models()
+        assert all_models() == all_models()
+
+    @pytest.mark.parametrize(
+        "name", ["fig06_tf_energy", "fig07_tf_time", "fig19_tf_pim", "headline_summary"]
+    )
+    def test_figure_alone_matches_the_shared_run(self, name):
+        from repro import analysis
+
+        alone = getattr(analysis, name)()
+        shared = {r.figure_id: r for r in all_results(cache=None)}
+        assert alone.to_jsonable() == shared[alone.figure_id].to_jsonable()
+
+    def test_full_precision_rows_match_the_benchmark_reference(self):
+        """The digest perfbench's ``figures`` operation checks: it pins
+        every float, so a shared result mutated by one figure before
+        another reads it shows here even where three decimals hide it."""
+        reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+        results = all_results(cache=None)
+        text = json.dumps([r.to_jsonable() for r in results], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:32] == reference["figures"]
 
 
 class TestFigureResultJson:

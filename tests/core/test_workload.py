@@ -1,8 +1,14 @@
-"""Unit tests for whole-workload characterization."""
+"""Unit tests for whole-workload characterization and the run scope."""
 
 import pytest
 
-from repro.core.workload import WorkloadFunction, characterize
+from repro.core.workload import (
+    WorkloadFunction,
+    characterize,
+    run_scope,
+    shared_in_run,
+)
+from repro.obs.recorder import recording
 from repro.sim.profile import KernelProfile
 
 MB = 1024 * 1024
@@ -58,3 +64,74 @@ class TestCharacterize:
         ch = characterize("empty", [])
         assert ch.total_energy_j == 0.0
         assert ch.data_movement_fraction == 0.0
+
+
+def counting_builder():
+    """A pure builder and the list of argument tuples it was run with."""
+    calls = []
+
+    @shared_in_run
+    def build(*args, **kwargs):
+        calls.append((args, kwargs))
+        return [args, kwargs]
+
+    return build, calls
+
+
+class TestRunScope:
+    def test_outside_a_scope_every_call_builds(self):
+        build, calls = counting_builder()
+        assert build(1) is not build(1)
+        assert len(calls) == 2
+
+    def test_equal_arguments_share_one_result(self):
+        build, calls = counting_builder()
+        with recording() as rec, run_scope():
+            first = build(1, k="a")
+            assert build(1, k="a") is first
+            assert build(2) is not first
+        assert len(calls) == 2
+        counters = rec.counters.as_dict()
+        assert counters["core.run_memo.misses"] == 2
+        assert counters["core.run_memo.hits"] == 1
+        assert counters["core.run_memo.build.misses"] == 2
+        assert counters["core.run_memo.build.hits"] == 1
+
+    def test_nothing_outlives_the_scope(self):
+        build, calls = counting_builder()
+        with run_scope():
+            inside = build(1)
+        with run_scope():
+            assert build(1) is not inside
+        assert build(1) is not inside
+        assert len(calls) == 3
+
+    def test_unhashable_arguments_are_plain_calls(self):
+        build, calls = counting_builder()
+        with recording() as rec, run_scope():
+            assert build([1]) is not build([1])
+        assert len(calls) == 2
+        assert "core.run_memo.misses" not in rec.counters.as_dict()
+
+    def test_nested_scope_joins_the_outer_run(self):
+        build, calls = counting_builder()
+        with run_scope():
+            outer = build(1)
+            with run_scope():
+                assert build(1) is outer
+            assert build(1) is outer
+        assert len(calls) == 1
+
+    def test_a_failed_build_is_not_shared(self):
+        calls = []
+
+        @shared_in_run
+        def failing(x):
+            calls.append(x)
+            raise ValueError("no model for %r" % x)
+
+        with run_scope():
+            for _ in range(2):
+                with pytest.raises(ValueError, match="no model"):
+                    failing(1)
+        assert calls == [1, 1]

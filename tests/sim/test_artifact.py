@@ -316,6 +316,39 @@ class TestValidation:
         path.write_bytes(bytes(body))
         TraceArtifact.load(path, verify=False)  # caller opted out
 
+    def test_resaved_run_columns_cannot_change_the_replay(self, tmp_path):
+        """The content hash covers the addresses, not the run columns, so
+        an artifact re-saved with other runs loads under its honest hash;
+        a sweep must still replay the runs of its addresses."""
+        from repro.core.runner import ConfigSweep
+        from repro.validate import strict_mode
+
+        n = 800
+        honest = TraceArtifact.from_trace(
+            MemoryTrace(
+                addresses=np.arange(n, dtype=np.uint64) * 64,  # n distinct lines
+                is_write=np.zeros(n, dtype=bool),
+            ),
+            workload="tamper",
+        )
+        TraceArtifact(
+            workload=honest.workload,
+            line_bytes=honest.line_bytes,
+            content_hash=honest.content_hash,
+            code_version=honest.code_version,
+            addresses=honest.addresses,
+            is_write=honest.is_write,
+            run_lines=np.arange(n, dtype=np.uint64) % 2,  # lines 0, 1, 0, 1, ...
+            run_counts=honest.run_counts,
+            run_writes=honest.run_writes,
+        ).save(tmp_path / "t.trace")
+        loaded = TraceArtifact.load(
+            tmp_path / "t.trace", expected_hash=honest.content_hash
+        )
+        with strict_mode():
+            (row,) = ConfigSweep(loaded).evaluate([SocConfig()])  # Table 1
+        assert row["l1_misses"] == n
+
 
 class TestTraceStore:
     def build_counter(self, seed=6):

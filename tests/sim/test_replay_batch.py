@@ -296,9 +296,7 @@ class TestBatchCounters:
 
     def test_rejects_lines_beyond_int64(self):
         # uint64 byte addresses cap line numbers at 2**58, so forge an
-        # exotic run stream through the memo cache to exercise the guard
-        # (a stored artifact column reaches it the same way; see
-        # tests/core/test_config_sweep.py).
+        # exotic run stream through the memo cache to exercise the guard.
         trace = make_trace([0], [False])
         trace._line_runs_cache[64] = (
             np.array([1 << 63], dtype=np.uint64),
