@@ -476,7 +476,8 @@ class ConfigSweep:
             for index, _, row in value:
                 rows[index] = row
         if observe:
-            publish_sweep_plan(recorder, len(pending), self.artifact.num_runs)
+            num_runs = len(self.artifact.trace().line_runs()[0])
+            publish_sweep_plan(recorder, len(pending), num_runs)
             recorder.counters.add("core.runner.parallel_batches", 1)
             recorder.counters.add("core.runner.shards", len(shards))
             recorder.counters.max("core.runner.pool_workers", jobs_used)

@@ -5,13 +5,12 @@ evaluated under many cache configurations — yet re-running the
 instrumented kernel per sweep point makes sweep cost scale as
 ``configs x (kernel + trace + replay)``.  A :class:`TraceArtifact`
 materializes a workload's trace *once* as an on-disk columnar file
-holding the per-access columns (``addresses``, ``is_write``) and the
-:meth:`repro.sim.trace.MemoryTrace.line_runs` columns (``run_lines``,
-``run_counts``, ``run_writes``), so every later sweep point pays only
-the replay.  The replay never reads the stored run columns: their
-checksums prove only that they are the bytes written, not that they
-compress these addresses, so :meth:`TraceArtifact.trace` derives the
-runs from the hash-verified addresses instead.
+holding the per-access columns (``addresses``, ``is_write``), so every
+later sweep point pays only the replay.  No run columns are stored:
+:meth:`TraceArtifact.trace` derives the
+:meth:`repro.sim.trace.MemoryTrace.line_runs` from the hash-verified
+addresses, so nothing but the content hash decides what a sweep
+replays.
 
 File layout (single file, everything 64-byte aligned so each column is
 an aligned view into one mapping of the file)::
@@ -61,9 +60,14 @@ if TYPE_CHECKING:  # annotation-only: loading and verifying needs no NumPy
 
     from repro.sim.trace import MemoryTrace
 
-#: File magic: 8 bytes, versioned with the schema below.
+#: File magic: 8 bytes; the header's schema tag versions the layout.
 _MAGIC = b"RPROTRC1"
-SCHEMA = "repro-trace-artifact/v1"
+#: Changes with the column set, so a file of another layout fails the
+#: header check and a store rebuilds it instead of misreading it.
+SCHEMA = "repro-trace-artifact/v2"
+#: Domain tag of the content hash.  It names the access stream, not the
+#: file layout, so memo keys and sweep documents outlive schema changes.
+_CONTENT_TAG = b"repro-trace-artifact/v1"
 #: Column alignment; also the pad unit between header and data.
 _ALIGN = 64
 
@@ -71,14 +75,6 @@ _ALIGN = 64
 _COLUMNS = (
     ("addresses", "uint64", 8),
     ("is_write", "bool", 1),
-    ("run_lines", "uint64", 8),
-    ("run_counts", "int64", 8),
-    ("run_writes", "bool", 1),
-)
-#: Header count fields, and the columns whose length each one fixes.
-_COUNTS = (
-    ("num_accesses", ("addresses", "is_write")),
-    ("num_runs", ("run_lines", "run_counts", "run_writes")),
 )
 #: JSON types of the header's fields (past ``schema``) and of each
 #: column record's.
@@ -88,7 +84,6 @@ _HEADER_FIELDS = {
     "content_hash": str,
     "code_version": str,
     "num_accesses": int,
-    "num_runs": int,
     "columns": list,
     "data_bytes": int,
 }
@@ -117,7 +112,7 @@ def _content_hash(addresses, is_write, line_bytes: int) -> str:
     C-contiguous buffer (a ``memoryview`` or a contiguous array).
     """
     digest = hashlib.sha256()
-    digest.update(SCHEMA.encode())
+    digest.update(_CONTENT_TAG)
     digest.update(b"\0%d\0" % line_bytes)
     digest.update(addresses)
     digest.update(b"\0")
@@ -141,7 +136,7 @@ def _column(name: str) -> property:
 
 
 class TraceArtifact:
-    """One workload trace, materialized with its line-run columns.
+    """One workload trace, materialized as its per-access columns.
 
     Build with :meth:`from_trace`, persist with :meth:`save`, reload
     with :meth:`load` (memory-mapped by default).  :meth:`trace`
@@ -151,9 +146,6 @@ class TraceArtifact:
 
     addresses = _column("addresses")
     is_write = _column("is_write")
-    run_lines = _column("run_lines")
-    run_counts = _column("run_counts")
-    run_writes = _column("run_writes")
 
     def __init__(
         self,
@@ -163,9 +155,6 @@ class TraceArtifact:
         code_version: str,
         addresses,
         is_write,
-        run_lines,
-        run_counts,
-        run_writes,
         path: Path | None = None,
     ):
         self.workload = workload
@@ -174,21 +163,11 @@ class TraceArtifact:
         self.code_version = code_version
         self.path = path
         # Arrays, or (from load) memoryviews of verified file bytes.
-        self._columns = {
-            "addresses": addresses,
-            "is_write": is_write,
-            "run_lines": run_lines,
-            "run_counts": run_counts,
-            "run_writes": run_writes,
-        }
+        self._columns = {"addresses": addresses, "is_write": is_write}
 
     @property
     def num_accesses(self) -> int:
         return int(self.addresses.shape[0])
-
-    @property
-    def num_runs(self) -> int:
-        return int(self.run_lines.shape[0])
 
     # ------------------------------------------------------------------
     @classmethod
@@ -198,12 +177,11 @@ class TraceArtifact:
         workload: str = "",
         line_bytes: int = CACHE_LINE_BYTES,
     ) -> TraceArtifact:
-        """Materialize a trace (and its line runs) as an artifact."""
+        """Materialize a trace as an artifact."""
         import numpy as np
 
         from repro.core.memo import code_version_hash
 
-        run_lines, run_counts, run_writes = trace.line_runs(line_bytes)
         return cls(
             workload=workload,
             line_bytes=line_bytes,
@@ -215,17 +193,14 @@ class TraceArtifact:
             code_version=code_version_hash(),
             addresses=trace.addresses,
             is_write=trace.is_write,
-            run_lines=run_lines,
-            run_counts=run_counts,
-            run_writes=run_writes,
         )
 
     def trace(self) -> MemoryTrace:
         """The artifact's trace, with ``line_runs`` derived and memoized.
 
         The runs come from the content-hashed ``addresses`` and
-        ``is_write``, never from the stored run columns, so an artifact
-        re-saved with other runs cannot change what a sweep replays.
+        ``is_write``, so the content hash names everything a sweep
+        replays.
         """
         from repro.sim.trace import MemoryTrace
 
@@ -274,7 +249,6 @@ class TraceArtifact:
             "content_hash": self.content_hash,
             "code_version": self.code_version,
             "num_accesses": self.num_accesses,
-            "num_runs": self.num_runs,
             "columns": specs,
             "data_bytes": offset,
         }
@@ -433,8 +407,8 @@ def _column_views(path: Path, header: dict, data: memoryview) -> dict:
 
     Raises :class:`ArtifactError` unless the columns are the schema's,
     in order and with its dtypes; each one's size is its count times
-    the item size and lies inside ``data``; and the columns of each
-    :data:`_COUNTS` group have the length the header records for it.
+    the item size and lies inside ``data``; and every column has the
+    header's ``num_accesses`` elements.
     """
     specs = header["columns"]
     for spec in specs:
@@ -456,18 +430,15 @@ def _column_views(path: Path, header: dict, data: memoryview) -> dict:
                 "%s: column %r extends past the data section" % (path, name)
             )
         views[name] = data[offset : offset + nbytes]
-    counts = {spec["name"]: spec["count"] for spec in specs}
-    for field, names in _COUNTS:
-        if any(counts[name] != header[field] for name in names):
-            raise ArtifactError(
-                "%s: column count mismatch: %s=%d but %s"
-                % (
-                    path,
-                    field,
-                    header[field],
-                    ", ".join("%s has %d" % (name, counts[name]) for name in names),
-                )
+    if any(spec["count"] != header["num_accesses"] for spec in specs):
+        raise ArtifactError(
+            "%s: column count mismatch: num_accesses=%d but %s"
+            % (
+                path,
+                header["num_accesses"],
+                ", ".join("%s has %d" % (s["name"], s["count"]) for s in specs),
             )
+        )
     return views
 
 
@@ -525,7 +496,8 @@ class TraceStore:
             name: workload identity; part of the on-disk key.
             builder: zero-argument callable returning the workload's
                 :class:`MemoryTrace`; invoked only on a miss.
-            line_bytes: cache-line size the run columns are folded at.
+            line_bytes: cache-line size the content hash and the
+                derived line runs are taken at.
             mmap: memory-map columns on a hit (loads stay O(1) in trace
                 size until replay touches the pages).
         """
@@ -557,10 +529,11 @@ class TraceStore:
         Each row carries ``name`` (file stem), ``path``, ``bytes``,
         ``age_days``, and a ``status``: ``current`` (valid, this code
         version), ``stale`` (valid, older code version), or
-        ``corrupt`` (fails header validation, or already quarantined).
-        Valid artifacts also report ``workload``, ``accesses`` and
-        ``runs`` from the header.  Headers only — no trace columns are
-        read, so listing a store of multi-GB artifacts stays cheap.
+        ``corrupt`` (fails header validation — as a file of an older
+        schema does — or already quarantined).  Valid artifacts also
+        report ``workload`` and ``accesses`` from the header.  Headers
+        only — no trace columns are read, so listing a store of multi-GB
+        artifacts stays cheap.
         """
         if not self.directory.is_dir():
             return []
@@ -595,7 +568,6 @@ class TraceStore:
                     )
                     row["workload"] = header.get("workload", "")
                     row["accesses"] = int(header.get("num_accesses", 0))
-                    row["runs"] = int(header.get("num_runs", 0))
             rows.append(row)
         rows.sort(key=lambda r: r["age_days"])
         return rows

@@ -142,13 +142,9 @@ class GemmPipelineModel:
 
     def __init__(
         self,
-        network: Network | None = None,
         system: SystemConfig | None = None,
         energy_params: EnergyParameters | None = None,
     ):
-        from repro.workloads.tensorflow.models import vgg19
-
-        self.network = network or vgg19()
         self.engine = OffloadEngine(system, energy_params)
         m, k, n = self.GEMM_M, self.GEMM_K, self.GEMM_N
         self._gemm = profile_gemm(m, k, n)

@@ -118,32 +118,6 @@ class TestConfigSweep:
         with pytest.raises(RuntimeError, match="injected"):
             ConfigSweep(artifact).evaluate(socs)
 
-    def test_stored_run_line_beyond_int64_ignored(self, tmp_path):
-        """The artifact decoder checksums the ``run_lines`` column but does
-        not re-derive it from the addresses, so a stored line >= 2**63
-        loads cleanly; the sweep derives its runs from the addresses and
-        returns the honest rows rather than replaying (or wrapping) the
-        forged line."""
-        good = make_artifact()
-        run_lines = np.array(good.run_lines, dtype=np.uint64)
-        run_lines[0] = np.uint64(1 << 63)
-        TraceArtifact(
-            workload=good.workload,
-            line_bytes=good.line_bytes,
-            content_hash=good.content_hash,
-            code_version=good.code_version,
-            addresses=good.addresses,
-            is_write=good.is_write,
-            run_lines=run_lines,
-            run_counts=good.run_counts,
-            run_writes=good.run_writes,
-        ).save(tmp_path / "forged.trace")
-        loaded = TraceArtifact.load(tmp_path / "forged.trace")
-        assert int(loaded.run_lines[0]) == 1 << 63
-        assert ConfigSweep(loaded).evaluate(small_grid()) == ConfigSweep(
-            good
-        ).evaluate(small_grid())
-
     def test_sweep_counters_published(self):
         artifact = make_artifact()
         with recording() as obs:

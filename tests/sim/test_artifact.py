@@ -76,8 +76,8 @@ def column_bytes(raw: bytes, name: str) -> bytes:
 def shorten_column(raw: bytes, header: dict, name: str) -> None:
     """Drop ``name``'s last element in ``header``, re-signing what it covers.
 
-    The column's SHA-256 and, for ``is_write``, the content hash are
-    recomputed over the shortened bytes, so every checksum still matches.
+    The column's SHA-256 and the content hash are recomputed over the
+    shortened bytes, so every checksum still matches.
     """
     spec = next(s for s in header["columns"] if s["name"] == name)
     itemsize = spec["nbytes"] // spec["count"]
@@ -85,12 +85,57 @@ def shorten_column(raw: bytes, header: dict, name: str) -> None:
     spec["nbytes"] -= itemsize
     kept = column_bytes(raw, name)[: spec["nbytes"]]
     spec["sha256"] = hashlib.sha256(kept).hexdigest()
-    if name == "is_write":
-        header["content_hash"] = _content_hash(
-            np.frombuffer(column_bytes(raw, "addresses"), dtype=np.uint64),
-            np.frombuffer(kept, dtype=bool),
-            header["line_bytes"],
+    columns = {c: column_bytes(raw, c) for c in ("addresses", "is_write")}
+    columns[name] = kept
+    header["content_hash"] = _content_hash(
+        columns["addresses"], columns["is_write"], header["line_bytes"]
+    )
+
+
+def save_v1(path, trace: MemoryTrace, version: str) -> None:
+    """Write ``trace`` in the v1 layout, which also stored its line runs."""
+    run_lines, run_counts, run_writes = trace.line_runs()
+    columns = [
+        ("addresses", trace.addresses),
+        ("is_write", trace.is_write),
+        ("run_lines", run_lines),
+        ("run_counts", run_counts),
+        ("run_writes", run_writes),
+    ]
+    specs, data = [], b""
+    for name, array in columns:
+        raw = array.tobytes()
+        specs.append(
+            {
+                "name": name,
+                "dtype": str(array.dtype),
+                "count": int(array.shape[0]),
+                "offset": len(data),
+                "nbytes": len(raw),
+                "sha256": hashlib.sha256(raw).hexdigest(),
+            }
         )
+        data += raw + b"\0" * (-len(raw) % 64)
+    header = {
+        "schema": "repro-trace-artifact/v1",
+        "workload": "gemm",
+        "line_bytes": 64,
+        "content_hash": _content_hash(trace.addresses, trace.is_write, 64),
+        "code_version": version,
+        "num_accesses": len(trace),
+        "num_runs": int(run_lines.shape[0]),
+        "columns": specs,
+        "data_bytes": len(data),
+    }
+    header_bytes = json.dumps(header, sort_keys=True).encode()
+    pad = _data_start(len(header_bytes)) - len(_MAGIC) - 8 - len(header_bytes)
+    path.write_bytes(
+        _MAGIC
+        + len(header_bytes).to_bytes(8, "little")
+        + header_bytes
+        + b"\0" * pad
+        + data
+    )
 
 
 class TestRoundTrip:
@@ -104,7 +149,6 @@ class TestRoundTrip:
         assert loaded.content_hash == art.content_hash
         assert loaded.code_version == art.code_version
         assert loaded.num_accesses == len(trace)
-        assert loaded.num_runs == art.num_runs
         # Columns survive byte for byte.
         np.testing.assert_array_equal(loaded.addresses, trace.addresses)
         np.testing.assert_array_equal(loaded.is_write, trace.is_write)
@@ -117,10 +161,8 @@ class TestRoundTrip:
         loaded = TraceArtifact.load(art.save(tmp_path / "t.trace"))
         replayed = loaded.trace()
         assert art.line_bytes in replayed._line_runs_cache
-        lines, counts, writes = replayed.line_runs()
-        np.testing.assert_array_equal(lines, art.run_lines)
-        np.testing.assert_array_equal(counts, art.run_counts)
-        np.testing.assert_array_equal(writes, art.run_writes)
+        for got, want in zip(replayed.line_runs(), random_trace(2).line_runs()):
+            np.testing.assert_array_equal(got, want)
 
     def test_load_without_mmap(self, tmp_path):
         art = TraceArtifact.from_trace(random_trace(3), workload="copy")
@@ -133,7 +175,6 @@ class TestRoundTrip:
         art = TraceArtifact.from_trace(empty, workload="empty")
         loaded = TraceArtifact.load(art.save(tmp_path / "e.trace"))
         assert loaded.num_accesses == 0
-        assert loaded.num_runs == 0
         direct = replay_trace(
             MemoryTrace(np.empty(0, np.uint64), np.empty(0, bool)), small_soc()
         )
@@ -212,10 +253,7 @@ class TestValidation:
         with pytest.raises(ArtifactError, match="checksum mismatch"):
             TraceArtifact.load(path)
 
-    @pytest.mark.parametrize(
-        "column",
-        ["addresses", "is_write", "run_lines", "run_counts", "run_writes"],
-    )
+    @pytest.mark.parametrize("column", ["addresses", "is_write"])
     def test_flipped_byte_rejected_in_every_column(self, saved, column):
         path, raw = saved
         data_start, header = header_span(raw)
@@ -232,7 +270,7 @@ class TestValidation:
             # Same bytes read as twice as many 4-byte addresses: every
             # checksum still matches, so only the dtype check catches it.
             ("addresses", "uint32", 2),
-            ("run_counts", "uint64", 1),
+            ("is_write", "uint8", 1),
         ],
     )
     def test_relabelled_column_dtype_rejected(self, saved, column, dtype, scale):
@@ -252,10 +290,9 @@ class TestValidation:
         [
             lambda raw, header: header.update(num_accesses=header["num_accesses"] + 1),
             lambda raw, header: shorten_column(raw, header, "is_write"),
-            lambda raw, header: header.update(num_runs=header["num_runs"] - 1),
-            lambda raw, header: shorten_column(raw, header, "run_counts"),
+            lambda raw, header: shorten_column(raw, header, "addresses"),
         ],
-        ids=["num_accesses", "is_write", "num_runs", "run_counts"],
+        ids=["num_accesses", "is_write", "addresses"],
     )
     def test_column_count_mismatch_rejected(self, saved, forge):
         """Column counts must agree with each other and with the header."""
@@ -292,7 +329,7 @@ class TestValidation:
         loaded = TraceArtifact.load(path, mmap=mmap)
         TraceArtifact.from_trace(random_trace(8, n=300), workload="second").save(path)
         assert TraceArtifact.load(path).num_accesses == 300
-        for name in ("addresses", "is_write", "run_lines", "run_counts", "run_writes"):
+        for name in ("addresses", "is_write"):
             np.testing.assert_array_equal(getattr(loaded, name), getattr(art, name))
         direct = replay_trace(random_trace(7), small_soc())
         assert replay_trace(loaded.trace(), small_soc()) == direct
@@ -315,39 +352,6 @@ class TestValidation:
         body[data_start + col["offset"] + 3] ^= 0xFF
         path.write_bytes(bytes(body))
         TraceArtifact.load(path, verify=False)  # caller opted out
-
-    def test_resaved_run_columns_cannot_change_the_replay(self, tmp_path):
-        """The content hash covers the addresses, not the run columns, so
-        an artifact re-saved with other runs loads under its honest hash;
-        a sweep must still replay the runs of its addresses."""
-        from repro.core.runner import ConfigSweep
-        from repro.validate import strict_mode
-
-        n = 800
-        honest = TraceArtifact.from_trace(
-            MemoryTrace(
-                addresses=np.arange(n, dtype=np.uint64) * 64,  # n distinct lines
-                is_write=np.zeros(n, dtype=bool),
-            ),
-            workload="tamper",
-        )
-        TraceArtifact(
-            workload=honest.workload,
-            line_bytes=honest.line_bytes,
-            content_hash=honest.content_hash,
-            code_version=honest.code_version,
-            addresses=honest.addresses,
-            is_write=honest.is_write,
-            run_lines=np.arange(n, dtype=np.uint64) % 2,  # lines 0, 1, 0, 1, ...
-            run_counts=honest.run_counts,
-            run_writes=honest.run_writes,
-        ).save(tmp_path / "t.trace")
-        loaded = TraceArtifact.load(
-            tmp_path / "t.trace", expected_hash=honest.content_hash
-        )
-        with strict_mode():
-            (row,) = ConfigSweep(loaded).evaluate([SocConfig()])  # Table 1
-        assert row["l1_misses"] == n
 
 
 class TestTraceStore:
@@ -412,13 +416,42 @@ class TestTraceStore:
             code_version="something-older",
             addresses=np.asarray(artifact.addresses),
             is_write=np.asarray(artifact.is_write),
-            run_lines=np.asarray(artifact.run_lines),
-            run_counts=np.asarray(artifact.run_counts),
-            run_writes=np.asarray(artifact.run_writes),
         )
         forged.save(old.path_for("gemm"))
         new.get_or_build("gemm", builder)
         assert len(calls) == 2
+
+    def test_previous_schema_artifact_listed_pruned_and_rebuilt(
+        self, tmp_path, capsys
+    ):
+        """A v1 artifact (with run columns) left in a shared directory by
+        an older build: ``trace list`` shows it as corrupt, ``prune``
+        removes it by age, and a store whose key it occupies rebuilds."""
+        import os
+
+        from repro.cli import main
+
+        store = TraceStore(directory=tmp_path, version="shared")
+        builder, calls = self.build_counter()
+        path = store.path_for("gemm")
+        elsewhere = tmp_path / "older-build.trace"
+        save_v1(path, random_trace(6), "shared")
+        save_v1(elsewhere, random_trace(6), "older")
+        assert main(["trace", "list", "--dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.count("corrupt") == 2
+        with recording() as obs:
+            artifact = store.get_or_build("gemm", builder)
+        assert len(calls) == 1
+        assert obs.counters.as_dict()["sim.artifact.corrupt"] == 1
+        assert path.with_suffix(".corrupt").exists()
+        assert artifact.content_hash == _content_hash(
+            random_trace(6).addresses, random_trace(6).is_write, 64
+        )
+        assert TraceArtifact.load(path).content_hash == artifact.content_hash
+        month_ago = elsewhere.stat().st_mtime - 31 * 86400
+        os.utime(elsewhere, (month_ago, month_ago))
+        assert store.prune() == 1
+        assert not elsewhere.exists() and path.exists()
 
     def test_sweep_failure_never_touches_store(self, tmp_path):
         """A failing per-config evaluation must not invalidate the trace."""

@@ -177,16 +177,24 @@ class TestBatchFlush:
         outcomes = evaluator.outcomes
         for soc in socs:
             outcomes.llc(soc.l1, soc.l2)
-        passes = list(outcomes._l1.values()) + list(outcomes._llc.values())
-        assert len(passes) == 3  # one L1 pass, two LLC passes
-        before = [[od.copy() for od in p.sets] for p in passes]
+        l1_passes = list(outcomes._l1.values())
+        llc_passes = list(outcomes._llc.values())
+        assert (len(l1_passes), len(llc_passes)) == (1, 2)
+        before = (
+            [list(p.dirty_lines) for p in l1_passes],
+            [[od.copy() for od in p.sets] for p in llc_passes],
+        )
         stats, _ = evaluator.evaluate(socs)
         assert stats == serial
         unflushed = replay_batch(make_trace(addresses, writes), socs, flush=False)
         for flushed, plain in zip(stats, unflushed):
             assert flushed.dram_line_writes > plain.dram_line_writes
-        assert [p.sets for p in passes] == before
-        for llc_pass in outcomes._llc.values():
+        after = (
+            [p.dirty_lines for p in l1_passes],
+            [p.sets for p in llc_passes],
+        )
+        assert after == before
+        for llc_pass in llc_passes:
             assert llc_pass.dirty == sum(
                 sum(od.values()) for od in llc_pass.sets
             )
