@@ -16,6 +16,12 @@ effects make the row-major (unpacked) walk expensive:
 
 The packed panel-major layout makes the same walk unit-stride, removing
 both.
+
+Each walk is computed with array arithmetic and recorded as one
+:meth:`~repro.sim.trace.TraceRecorder.record_ranges` batch, so its
+Python work is constant however many loads it makes; the
+one-read-per-load loop it replaced is the test oracle
+(``tests/sim/oracle.py``).
 """
 
 from __future__ import annotations
@@ -42,10 +48,17 @@ def gemm_lhs_trace(
     * **packed** (panel-major): the same operands are adjacent -- the
       kernel streams one contiguous buffer with unit stride.
 
+    The whole walk is computed with array arithmetic and emitted as one
+    :meth:`TraceRecorder.record_ranges` batch, in the kernel's (block,
+    panel, depth step, row) order, so the trace is byte-identical to
+    issuing one read per operand load.
+
     Args:
         n_blocks: how many RHS column blocks traverse the LHS (each
             traversal re-reads the whole operand).
     """
+    import numpy as np
+
     if m <= 0 or k <= 0 or n_blocks <= 0:
         raise ValueError("dimensions must be positive")
     if panel_rows <= 0:
@@ -54,21 +67,24 @@ def gemm_lhs_trace(
     base = space.alloc(m * k)
     rec = TraceRecorder(granularity=granularity)
     num_panels = (m + panel_rows - 1) // panel_rows
-    for _ in range(n_blocks):
-        for panel in range(num_panels):
-            if packed:
-                # Panel-major: the whole panel is one contiguous run.
-                rec.read(base + panel * panel_rows * k, panel_rows * k)
-            else:
-                # Row-major: interleave the panel's rows the way the
-                # kernel consumes them -- panel_rows operands per depth
-                # step, k bytes apart.
-                for depth in range(0, k, granularity):
-                    for row in range(panel_rows):
-                        r = panel * panel_rows + row
-                        if r >= m:
-                            continue
-                        rec.read(base + r * k + depth, granularity)
+    if packed:
+        # Panel-major: the whole panel is one contiguous run.
+        size = panel_rows * k
+        bases = base + np.arange(num_panels, dtype=np.int64) * size
+    else:
+        # Row-major: a [panel, depth, row] grid in the order the kernel
+        # consumes it -- panel_rows operands per depth step, k bytes
+        # apart -- minus the last panel's rows past m.
+        size = granularity
+        rows = np.arange(num_panels * panel_rows, dtype=np.int64)
+        rows = rows.reshape(num_panels, 1, panel_rows)
+        depths = np.arange(0, k, granularity, dtype=np.int64).reshape(1, -1, 1)
+        grid = base + rows * k + depths
+        bases = grid[np.broadcast_to(rows < m, grid.shape)]
+    bases = np.tile(bases, n_blocks)
+    rec.record_ranges(
+        bases, np.full(bases.shape, size), np.zeros(bases.shape, dtype=bool)
+    )
     return rec.trace()
 
 

@@ -14,7 +14,7 @@ see ``tests/conftest.py``).
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs import recording
 from repro.sim.batch import replay_timing_batch
@@ -22,6 +22,7 @@ from repro.sim.timing import TimingParameters, TimingSimulator
 from repro.sim.trace import MemoryTrace, TraceRecorder
 from repro.workloads.chrome import lzo
 from repro.workloads.chrome.texture import compositing_trace, linear_to_tiled_traced
+from repro.workloads.tensorflow.access_patterns import gemm_lhs_trace
 from repro.workloads.vp9.deblock import DeblockStats, deblock_frame
 from repro.workloads.vp9.frame import MACROBLOCK, Frame
 from repro.workloads.vp9.mc import MotionVector, interpolate_block, motion_compensate_block
@@ -181,6 +182,41 @@ class TestTextureTracing:
         scalar = compositing_trace(w, h, tiled, fast=False)
         assert np.array_equal(fast.addresses, scalar.addresses)
         assert np.array_equal(fast.is_write, scalar.is_write)
+
+
+class TestGemmTrace:
+    """The batched GEMM LHS walk against the one-read-per-load loop."""
+
+    @settings(max_examples=20)
+    @given(
+        m=st.integers(1, 70),
+        k=st.integers(1, 200),
+        n_blocks=st.integers(1, 3),
+        panel_rows=st.integers(1, 17),
+        granularity=st.integers(1, 80),
+        packed=st.booleans(),
+    )
+    # A partial last panel, in both layouts.
+    @example(m=7, k=64, n_blocks=2, panel_rows=4, granularity=16, packed=False)
+    @example(m=7, k=64, n_blocks=2, panel_rows=4, granularity=16, packed=True)
+    # k not a multiple of the access size, and an access wider than k.
+    @example(m=8, k=33, n_blocks=1, panel_rows=4, granularity=16, packed=False)
+    @example(m=5, k=10, n_blocks=2, panel_rows=2, granularity=64, packed=False)
+    # One panel wider than the whole operand.
+    @example(m=3, k=40, n_blocks=2, panel_rows=16, granularity=8, packed=False)
+    # The cachesweep shape.
+    @example(m=128, k=512, n_blocks=4, panel_rows=4, granularity=16, packed=False)
+    @example(m=128, k=512, n_blocks=4, panel_rows=4, granularity=16, packed=True)
+    def test_gemm_lhs_trace(self, m, k, n_blocks, panel_rows, granularity, packed):
+        fast = gemm_lhs_trace(m, k, n_blocks, packed, panel_rows, granularity)
+        loop = oracle.gemm_lhs_trace_loop(
+            m, k, n_blocks, packed, panel_rows, granularity
+        )
+        assert len(fast) == len(loop) > 0
+        assert fast.addresses.dtype == loop.addresses.dtype == np.uint64
+        assert fast.is_write.dtype == loop.is_write.dtype == bool
+        assert np.array_equal(fast.addresses, loop.addresses)
+        assert np.array_equal(fast.is_write, loop.is_write)
 
 
 def _lzo_corpus(rng: np.random.Generator, n: int, kind: int) -> bytes:

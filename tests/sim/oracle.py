@@ -1,4 +1,5 @@
-"""The serial cache and timing replays, kept as differential oracles.
+"""The serial cache and timing replays and the GEMM trace loop, kept as
+differential oracles.
 
 Production replays go through one engine, the config-batched passes in
 :mod:`repro.sim.batch`: every sweep row, every ``replay_trace`` call.
@@ -14,12 +15,17 @@ it against:
   replay;
 * :func:`sweep_row` -- one sweep-point row built from the two
   ``replay_fast`` engines: the serial reference for
-  :class:`repro.core.runner.ConfigSweep` rows.
+  :class:`repro.core.runner.ConfigSweep` rows;
+* :func:`gemm_lhs_trace_loop` -- the GEMM LHS walk issued as one
+  ``TraceRecorder.read`` per operand load: the reference for
+  :func:`repro.workloads.tensorflow.access_patterns.gemm_lhs_trace`,
+  which emits the same walk as one ``record_ranges`` batch.
 
 The classes are moved unchanged from ``repro.sim.cache`` and
-``repro.sim.timing``.  The cache replays still end in the production
-tail (:func:`repro.sim.cache.finish_stats`, with the same strict checks
-and published counters), so registries compare as well as stats.
+``repro.sim.timing``, and the loop from ``access_patterns``.  The cache
+replays still end in the production tail
+(:func:`repro.sim.cache.finish_stats`, with the same strict checks and
+published counters), so registries compare as well as stats.
 pytest does not collect this module: its name has no ``test_`` prefix.
 """
 
@@ -38,7 +44,7 @@ from repro.sim.cache import (
     finish_stats,
 )
 from repro.sim.timing import TimingParameters, TimingResult
-from repro.sim.trace import MemoryTrace
+from repro.sim.trace import AddressSpace, MemoryTrace, TraceRecorder
 from repro.validate.strict import invariant, resolve_strict
 
 
@@ -556,3 +562,38 @@ def sweep_row(trace, soc, timing_params, instructions_per_access) -> dict:
         trace, instructions_per_access
     )
     return _sweep_row(soc, stats, timing, instructions_per_access)
+
+
+def gemm_lhs_trace_loop(
+    m: int,
+    k: int,
+    n_blocks: int,
+    packed: bool,
+    panel_rows: int = 4,
+    granularity: int = 16,
+) -> MemoryTrace:
+    """The GEMM kernel's LHS access stream, one read per operand load."""
+    if m <= 0 or k <= 0 or n_blocks <= 0:
+        raise ValueError("dimensions must be positive")
+    if panel_rows <= 0:
+        raise ValueError("panel_rows must be positive")
+    space = AddressSpace()
+    base = space.alloc(m * k)
+    rec = TraceRecorder(granularity=granularity)
+    num_panels = (m + panel_rows - 1) // panel_rows
+    for _ in range(n_blocks):
+        for panel in range(num_panels):
+            if packed:
+                # Panel-major: the whole panel is one contiguous run.
+                rec.read(base + panel * panel_rows * k, panel_rows * k)
+            else:
+                # Row-major: interleave the panel's rows the way the
+                # kernel consumes them -- panel_rows operands per depth
+                # step, k bytes apart.
+                for depth in range(0, k, granularity):
+                    for row in range(panel_rows):
+                        r = panel * panel_rows + row
+                        if r >= m:
+                            continue
+                        rec.read(base + r * k + depth, granularity)
+    return rec.trace()

@@ -453,15 +453,51 @@ class TestTraceStore:
         assert store.prune() == 1
         assert not elsewhere.exists() and path.exists()
 
-    def test_sweep_failure_never_touches_store(self, tmp_path):
-        """A failing per-config evaluation must not invalidate the trace."""
-        store = TraceStore(directory=tmp_path)
-        builder, calls = self.build_counter()
-        artifact = store.get_or_build("gemm", builder)
-        try:
+    def test_sweep_failure_never_touches_store(self, tmp_path, monkeypatch):
+        """A sweep that fails mid-replay leaves the stored trace byte for
+        byte as it was (no quarantine, no debris) and memoizes nothing."""
+        import repro.sim.batch
+        from repro.analysis.cachesweep import WORKLOADS, run_sweep
+        from repro.core.memo import MemoCache
+
+        name = "tensorflow.gemm_packed"
+        store = TraceStore(directory=tmp_path / "traces")
+        memo_dir = tmp_path / "memo"
+        calls = []
+
+        def builder():
+            calls.append(1)
+            return WORKLOADS[name]()
+
+        def files(directory):
+            return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+        def explode(*args, **kwargs):
             raise RuntimeError("config 3 exploded")
-        except RuntimeError:
-            pass
-        again = store.get_or_build("gemm", builder)
+
+        artifact = store.get_or_build(name, builder)
+        before = files(store.directory)
+        with monkeypatch.context() as patch, recording() as obs:
+            patch.setattr(repro.sim.batch, "sweep_batch", explode)
+            with pytest.raises(RuntimeError, match="config 3 exploded"):
+                run_sweep(name, store=store, cache=MemoCache(memo_dir))
+        counters = obs.counters.as_dict()
+        assert counters["sim.artifact.hits"] == 1
+        assert files(store.directory) == before
+        assert counters["core.memo.misses"] == 1
+        assert "core.memo.puts" not in counters
+        assert not memo_dir.exists() or not files(memo_dir)
+
+        with recording() as obs:
+            again = store.get_or_build(name, builder)
         assert len(calls) == 1
+        assert obs.counters.as_dict()["sim.artifact.hits"] == 1
         assert again.content_hash == artifact.content_hash
+        # The sweep's own memo key is still a miss, and the sweep now runs.
+        with recording() as obs:
+            document = run_sweep(name, store=store, cache=MemoCache(memo_dir))
+        counters = obs.counters.as_dict()
+        assert counters["core.memo.misses"] == 1
+        assert "core.memo.hits" not in counters
+        assert document["artifact"] == artifact.content_hash
+        assert len(calls) == 1
