@@ -199,7 +199,7 @@ class TraceRecorder:
         Equivalent to issuing :meth:`read`/:meth:`write` once per range
         in array order, but with constant Python work per *batch*: the
         arrays are stored as one compact record and expanded together at
-        :meth:`trace` time.  Vectorized kernels (e.g. the fast texture
+        :meth:`trace` time.  Vectorized kernels (e.g. the texture
         tiling path) use this to emit a whole frame's worth of range
         records at once; the materialized trace is byte-identical to the
         per-call recording, including read/write interleaving.

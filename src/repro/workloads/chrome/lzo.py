@@ -14,15 +14,19 @@ Token format (byte-aligned):
 * match:        control byte ``1xxxxxxx`` where the low 7 bits encode
   ``match length - MIN_MATCH`` (0..126; 127 means "read a varint for the
   remainder"), followed by a 2-byte little-endian distance (1..65535).
+
+The compressor hashes every 4-byte prefix in one vectorized pass and
+extends matches by slice comparison; the decompressor copies matches as
+whole slices.  The byte-at-a-time compressor and match copy they
+replaced are the test oracle (``tests/perf/kernel_oracle.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-
-from repro.obs.recorder import get_recorder
 
 MIN_MATCH = 4
 MAX_DISTANCE = 0xFFFF
@@ -30,8 +34,8 @@ _HASH_MULT = 2654435761  # Knuth multiplicative hash
 _LITERAL_MAX = 128
 _LEN_FIELD_MAX = 126
 _TABLE_SIZE = 1 << 14
-#: Match extension compares this many bytes per slice comparison in the
-#: fast path before falling back to a byte scan inside the failing chunk.
+#: Match extension compares this many bytes per slice comparison before
+#: falling back to a byte scan inside the failing chunk.
 _EXTEND_CHUNK = 64
 #: Decompression refuses to expand output beyond this many bytes (1 GB).
 #: Legitimate streams stay far below it (a zram page is a few kB; even a
@@ -65,21 +69,11 @@ class LzoStats:
         return self.input_bytes / self.output_bytes
 
 
-def _hash4(data: bytes, pos: int) -> int:
-    word = (
-        data[pos]
-        | (data[pos + 1] << 8)
-        | (data[pos + 2] << 16)
-        | (data[pos + 3] << 24)
-    )
-    return ((word * _HASH_MULT) & 0xFFFFFFFF) >> 18  # 14-bit table
-
-
 def _hash_all(data: bytes) -> list:
     """Hashes of every 4-byte prefix of ``data``, computed vectorized.
 
-    ``hashes[i] == _hash4(data, i)`` for every valid position; uint32
-    multiplication wraps exactly like the scalar ``& 0xFFFFFFFF``.
+    ``hashes[i]`` is the top 14 bits of the little-endian word at ``i``
+    times :data:`_HASH_MULT`, modulo 2**32 (uint32 multiplication wraps).
     """
     arr = np.frombuffer(data, dtype=np.uint8).astype(np.uint32)
     words = (
@@ -91,9 +85,9 @@ def _hash_all(data: bytes) -> list:
 def _extend_match(data: bytes, candidate: int, pos: int, n: int) -> int:
     """Longest match length from (candidate, pos), chunked slice compares.
 
-    Equivalent to the scalar byte-at-a-time extension: whole
-    ``_EXTEND_CHUNK``-byte slices are compared at C speed, and the first
-    unequal chunk is scanned bytewise for the exact mismatch offset.
+    Whole ``_EXTEND_CHUNK``-byte slices are compared at C speed, and the
+    first unequal chunk is scanned bytewise for the exact mismatch
+    offset.
     """
     length = MIN_MATCH
     limit = n - pos
@@ -113,10 +107,13 @@ def _extend_match(data: bytes, candidate: int, pos: int, n: int) -> int:
     return length
 
 
-def _compress_fast(data: bytes, stats: LzoStats) -> bytes:
-    """Vectorized-scan compressor core: precomputed hash stream, flat
-    probe table, and chunked match extension.  Emits byte-identical
-    output and stats to the scalar core."""
+def compress(data: bytes) -> tuple[bytes, LzoStats]:
+    """Greedy LZ77 compression.  Returns (compressed bytes, stats).
+
+    The probe table is built from one batched 4-byte hash of the whole
+    input, and matches extend by chunked slice comparison.
+    """
+    stats = LzoStats(input_bytes=len(data))
     out = bytearray()
     hashes = _hash_all(data) if len(data) >= MIN_MATCH else []
     table = [-1] * _TABLE_SIZE
@@ -135,53 +132,6 @@ def _compress_fast(data: bytes, stats: LzoStats) -> bytes:
         ):
             length = _extend_match(data, candidate, pos, n)
             stats.compare_bytes += length
-            _flush_literals(data, literal_start, pos, out, stats)
-            _emit_match(length, pos - candidate, out, stats)
-            pos += length
-            literal_start = pos
-        else:
-            pos += 1
-    _flush_literals(data, literal_start, n, out, stats)
-    return bytes(out)
-
-
-def compress(data: bytes, fast: bool = True) -> tuple[bytes, LzoStats]:
-    """Greedy LZ77 compression.  Returns (compressed bytes, stats).
-
-    ``fast`` (default) selects the vectorized-scan core (hash table built
-    from a batched 4-byte hash of the whole input, chunked match
-    extension); the scalar core hashes and compares byte by byte.  Both
-    produce identical output bytes and statistics.
-    """
-    stats = LzoStats(input_bytes=len(data))
-    get_recorder().counters.add(
-        "kernel.lzo.fast_path" if fast else "kernel.lzo.scalar_path"
-    )
-    if fast:
-        compressed = _compress_fast(data, stats)
-        stats.output_bytes = len(compressed)
-        return compressed, stats
-    out = bytearray()
-    table: dict[int, int] = {}
-    literal_start = 0
-    pos = 0
-    n = len(data)
-    while pos + MIN_MATCH <= n:
-        h = _hash4(data, pos)
-        stats.hash_lookups += 1
-        candidate = table.get(h, -1)
-        table[h] = pos
-        if (
-            candidate >= 0
-            and pos - candidate <= MAX_DISTANCE
-            and data[candidate : candidate + MIN_MATCH] == data[pos : pos + MIN_MATCH]
-        ):
-            # Extend the match as far as it goes.
-            length = MIN_MATCH
-            stats.compare_bytes += MIN_MATCH
-            while pos + length < n and data[candidate + length] == data[pos + length]:
-                length += 1
-                stats.compare_bytes += 1
             _flush_literals(data, literal_start, pos, out, stats)
             _emit_match(length, pos - candidate, out, stats)
             pos += length
@@ -226,18 +176,32 @@ def _emit_varint(value: int, out: bytearray) -> None:
     out.append(value)
 
 
-def decompress(compressed: bytes, fast: bool = True) -> tuple[bytes, LzoStats]:
-    """Inverse of :func:`compress`.  Returns (original bytes, stats).
+def decompress(compressed: bytes) -> tuple[bytes, LzoStats]:
+    """Inverse of :func:`compress`.  Returns (original bytes, stats)."""
+    return _decompress(compressed, _copy_match)
 
-    ``fast`` (default) copies non-overlapping matches as whole slices and
-    expands self-overlapping matches by periodic replication (an LZ77
-    overlap copy repeats the last ``distance`` bytes cyclically); the
-    scalar path copies byte by byte.  Outputs and stats are identical.
+
+def _copy_match(out: bytearray, distance: int, length: int) -> None:
+    """Append ``length`` bytes copied from ``distance`` back in ``out``.
+
+    A non-overlapping match is one slice; a self-overlapping one repeats
+    the trailing ``distance`` bytes cyclically, as an LZ77 overlap copy
+    does.
     """
+    start = len(out) - distance
+    if distance >= length:
+        out.extend(out[start : start + length])
+    else:
+        pattern = bytes(out[start:])
+        out.extend((pattern * (length // distance + 1))[:length])
+
+
+def _decompress(
+    compressed: bytes, copy_match: Callable[[bytearray, int, int], None]
+) -> tuple[bytes, LzoStats]:
+    """Parse the token stream, validating every token before it runs,
+    and expand each match with ``copy_match(out, distance, length)``."""
     stats = LzoStats(input_bytes=len(compressed))
-    get_recorder().counters.add(
-        "kernel.lzo.fast_path" if fast else "kernel.lzo.scalar_path"
-    )
     out = bytearray()
     pos = 0
     n = len(compressed)
@@ -269,18 +233,7 @@ def decompress(compressed: bytes, fast: bool = True) -> tuple[bytes, LzoStats]:
                     "match of length %d at offset %d expands output beyond %d bytes"
                     % (length, pos, MAX_OUTPUT_BYTES)
                 )
-            start = len(out) - distance
-            if not fast:
-                # Byte-by-byte copy: LZ77 matches may overlap themselves.
-                for i in range(length):
-                    out.append(out[start + i])
-            elif distance >= length:
-                out += out[start : start + length]
-            else:
-                # Self-overlapping match: the copy repeats the trailing
-                # ``distance`` bytes cyclically.
-                pattern = bytes(out[start:])
-                out += (pattern * (length // distance + 1))[:length]
+            copy_match(out, distance, length)
             stats.matches += 1
             stats.match_bytes += length
     stats.output_bytes = len(out)

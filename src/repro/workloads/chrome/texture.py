@@ -11,7 +11,9 @@ over the off-chip channel twice.
 
 This module implements the actual conversion (both directions), an
 instrumented variant that records its memory trace, and the analytic
-profile used by the characterization pipeline.
+profile used by the characterization pipeline.  Both tracers compute
+their range records with array arithmetic; the one-call-per-range loops
+they replaced are the test oracle (``tests/perf/kernel_oracle.py``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.obs.recorder import get_recorder
 from repro.sim.profile import KernelProfile
 
 if TYPE_CHECKING:  # annotation-only; the kernels import NumPy in their bodies
@@ -104,7 +105,6 @@ def linear_to_tiled_traced(
     recorder: TraceRecorder,
     src_base: int = 0,
     dst_base: int = 1 << 28,
-    fast: bool = True,
 ) -> TiledTexture:
     """Tiling with its memory accesses recorded tile-row by tile-row.
 
@@ -113,11 +113,9 @@ def linear_to_tiled_traced(
     destination tile is written contiguously -- exactly the pattern that
     produces one LLC miss per source chunk on large bitmaps.
 
-    With ``fast`` (the default) the whole frame's range records are
-    computed with array arithmetic and emitted as one
-    :meth:`TraceRecorder.record_ranges` batch; the scalar path issues one
-    read + one write call per tile row.  Both produce identical
-    (base, count, is_write) range records, hence identical traces.
+    The whole frame's range records are computed with array arithmetic
+    and emitted as one :meth:`TraceRecorder.record_ranges` batch, in the
+    order of one read + one write per tile row.
     """
     import numpy as np
 
@@ -126,52 +124,36 @@ def linear_to_tiled_traced(
     pitch = width * BYTES_PER_PIXEL
     rows = (height + TILE_H - 1) // TILE_H
     cols = (width + TILE_W - 1) // TILE_W
-    get_recorder().counters.add(
-        "kernel.texture_tiling.fast_path" if fast else "kernel.texture_tiling.scalar_path"
+    # (rows, cols, TILE_H) offset grids in (tr, tc, y) iteration order.
+    tr, tc, y = np.meshgrid(
+        np.arange(rows), np.arange(cols), np.arange(TILE_H), indexing="ij"
     )
-    if fast:
-        # (rows, cols, TILE_H) offset grids in (tr, tc, y) iteration order.
-        tr, tc, y = np.meshgrid(
-            np.arange(rows), np.arange(cols), np.arange(TILE_H), indexing="ij"
-        )
-        src_y = tr * TILE_H + y
-        valid = (src_y < height).ravel()
-        src_off = (
-            src_base + src_y * pitch + tc * TILE_W * BYTES_PER_PIXEL
-        ).ravel()[valid]
-        dst_off = (
-            dst_base
-            + (tr * cols + tc) * TILE_BYTES
-            + y * TILE_W * BYTES_PER_PIXEL
-        ).ravel()[valid]
-        chunk = (
-            np.minimum(TILE_W, width - tc * TILE_W) * BYTES_PER_PIXEL
-        ).ravel()[valid]
-        n = src_off.shape[0]
-        # Interleave read/write exactly as the scalar loop issues them.
-        bases = np.empty(2 * n, dtype=np.int64)
-        bases[0::2], bases[1::2] = src_off, dst_off
-        sizes = np.repeat(chunk, 2)
-        writes = np.zeros(2 * n, dtype=bool)
-        writes[1::2] = True
-        recorder.record_ranges(bases, sizes, writes)
-        return linear_to_tiled(bitmap)
-    for tr in range(rows):
-        for tc in range(cols):
-            tile_base = dst_base + (tr * cols + tc) * TILE_BYTES
-            for y in range(TILE_H):
-                src_y = tr * TILE_H + y
-                if src_y >= height:
-                    continue
-                src_off = src_base + src_y * pitch + tc * TILE_W * BYTES_PER_PIXEL
-                chunk = min(TILE_W, width - tc * TILE_W) * BYTES_PER_PIXEL
-                recorder.read(src_off, chunk)
-                recorder.write(tile_base + y * TILE_W * BYTES_PER_PIXEL, chunk)
+    src_y = tr * TILE_H + y
+    valid = (src_y < height).ravel()
+    src_off = (
+        src_base + src_y * pitch + tc * TILE_W * BYTES_PER_PIXEL
+    ).ravel()[valid]
+    dst_off = (
+        dst_base
+        + (tr * cols + tc) * TILE_BYTES
+        + y * TILE_W * BYTES_PER_PIXEL
+    ).ravel()[valid]
+    chunk = (
+        np.minimum(TILE_W, width - tc * TILE_W) * BYTES_PER_PIXEL
+    ).ravel()[valid]
+    n = src_off.shape[0]
+    # Each tile row reads its source chunk, then writes it into the tile.
+    bases = np.empty(2 * n, dtype=np.int64)
+    bases[0::2], bases[1::2] = src_off, dst_off
+    sizes = np.repeat(chunk, 2)
+    writes = np.zeros(2 * n, dtype=bool)
+    writes[1::2] = True
+    recorder.record_ranges(bases, sizes, writes)
     return linear_to_tiled(bitmap)
 
 
 def compositing_trace(
-    width: int, height: int, tiled: bool, base: int = 0, fast: bool = True
+    width: int, height: int, tiled: bool, base: int = 0
 ) -> "MemoryTrace":
     """The GPU compositor's access stream over one texture, sampled in
     *vertical* order (a rotated/scaled composite -- the access direction
@@ -197,51 +179,30 @@ def compositing_trace(
     rec = TraceRecorder(granularity=quad)
     pitch = width * BYTES_PER_PIXEL
     cols = (width + TILE_W - 1) // TILE_W
-    get_recorder().counters.add(
-        "kernel.compositing.fast_path" if fast else "kernel.compositing.scalar_path"
-    )
-    if fast:
-        if tiled:
-            tr, tc, xq, y = np.meshgrid(
-                np.arange((height + TILE_H - 1) // TILE_H),
-                np.arange(cols),
-                np.arange(0, TILE_W, 4),
-                np.arange(TILE_H),
-                indexing="ij",
-            )
-            offsets = (
-                base
-                + (tr * cols + tc) * TILE_BYTES
-                + y * TILE_W * BYTES_PER_PIXEL
-                + xq * BYTES_PER_PIXEL
-            ).ravel()
-        else:
-            xq, y = np.meshgrid(
-                np.arange(0, width, 4), np.arange(height), indexing="ij"
-            )
-            offsets = (base + y * pitch + xq * BYTES_PER_PIXEL).ravel()
-        rec.record_ranges(
-            offsets,
-            np.full(offsets.shape[0], quad, dtype=np.int64),
-            np.zeros(offsets.shape[0], dtype=bool),
-        )
-        return rec.trace()
     if tiled:
-        for tr in range((height + TILE_H - 1) // TILE_H):
-            for tc in range(cols):
-                tile_base = base + (tr * cols + tc) * TILE_BYTES
-                for xq in range(0, TILE_W, 4):
-                    for y in range(TILE_H):
-                        rec.read(
-                            tile_base
-                            + y * TILE_W * BYTES_PER_PIXEL
-                            + xq * BYTES_PER_PIXEL,
-                            quad,
-                        )
+        tr, tc, xq, y = np.meshgrid(
+            np.arange((height + TILE_H - 1) // TILE_H),
+            np.arange(cols),
+            np.arange(0, TILE_W, 4),
+            np.arange(TILE_H),
+            indexing="ij",
+        )
+        offsets = (
+            base
+            + (tr * cols + tc) * TILE_BYTES
+            + y * TILE_W * BYTES_PER_PIXEL
+            + xq * BYTES_PER_PIXEL
+        ).ravel()
     else:
-        for xq in range(0, width, 4):
-            for y in range(height):
-                rec.read(base + y * pitch + xq * BYTES_PER_PIXEL, quad)
+        xq, y = np.meshgrid(
+            np.arange(0, width, 4), np.arange(height), indexing="ij"
+        )
+        offsets = (base + y * pitch + xq * BYTES_PER_PIXEL).ravel()
+    rec.record_ranges(
+        offsets,
+        np.full(offsets.shape[0], quad, dtype=np.int64),
+        np.zeros(offsets.shape[0], dtype=bool),
+    )
     return rec.trace()
 
 

@@ -68,22 +68,24 @@ def gemm_lhs_trace(
     rec = TraceRecorder(granularity=granularity)
     num_panels = (m + panel_rows - 1) // panel_rows
     if packed:
-        # Panel-major: the whole panel is one contiguous run.
-        size = panel_rows * k
-        bases = base + np.arange(num_panels, dtype=np.int64) * size
+        # Panel-major: the whole panel is one contiguous run; the last
+        # panel holds only the rows left below m.
+        first_rows = np.arange(num_panels, dtype=np.int64) * panel_rows
+        bases = base + first_rows * k
+        sizes = np.minimum(panel_rows, m - first_rows) * k
     else:
         # Row-major: a [panel, depth, row] grid in the order the kernel
         # consumes it -- panel_rows operands per depth step, k bytes
         # apart -- minus the last panel's rows past m.
-        size = granularity
         rows = np.arange(num_panels * panel_rows, dtype=np.int64)
         rows = rows.reshape(num_panels, 1, panel_rows)
         depths = np.arange(0, k, granularity, dtype=np.int64).reshape(1, -1, 1)
         grid = base + rows * k + depths
         bases = grid[np.broadcast_to(rows < m, grid.shape)]
+        sizes = np.full(bases.shape, granularity)
     bases = np.tile(bases, n_blocks)
     rec.record_ranges(
-        bases, np.full(bases.shape, size), np.zeros(bases.shape, dtype=bool)
+        bases, np.tile(sizes, n_blocks), np.zeros(bases.shape, dtype=bool)
     )
     return rec.trace()
 

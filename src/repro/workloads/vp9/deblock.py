@@ -8,12 +8,12 @@ filter across them.  It runs over every 8x8 block edge of the frame
 pixels on each side and modifying up to two -- a streaming, branchy,
 low-compute kernel that touches the whole frame.
 
-Two engines are provided: a mask-based whole-frame fast path (the
-default) that filters every edge of a pass at once, and a per-pixel
-scalar oracle.  Edges are 8 columns apart while the filter reads columns
-x-2..x+1 and writes x-1..x, so no two edges of a pass share pixels; the
-edges of one pass are therefore independent and the two engines are
-bit-identical (enforced by ``tests/perf/test_vectorized_equivalence.py``).
+Each pass filters every edge at once with whole-frame masks.  Edges
+are 8 columns apart while the filter reads columns x-2..x+1 and writes
+x-1..x, so no two edges of a pass share pixels: the edges of one pass
+are independent, and the masked pass is bit-identical to the per-pixel
+loop kept as the test oracle (``tests/perf/kernel_oracle.py``, checked
+by ``tests/perf/test_vectorized_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.recorder import get_recorder
 from repro.workloads.vp9.frame import Frame
 
 #: Deblocking runs on the transform-block grid.
@@ -38,7 +37,7 @@ class DeblockStats:
     pixels_modified: int = 0
 
 
-def _filter_edges_fast(
+def _filter_edges(
     pixels: np.ndarray, threshold: int, stats: DeblockStats
 ) -> np.ndarray:
     """Filter all vertical edges of ``pixels`` at once (columns at
@@ -76,52 +75,19 @@ def _filter_edges_fast(
     return np.clip(work, 0, 255).astype(np.uint8)
 
 
-def _filter_edges_scalar(
-    pixels: np.ndarray, threshold: int, stats: DeblockStats
-) -> np.ndarray:
-    """Per-pixel scalar oracle for :func:`_filter_edges_fast`."""
-    h, w = pixels.shape
-    work = [[int(v) for v in row] for row in pixels.tolist()]
-    for x in range(EDGE_SPACING, w, EDGE_SPACING):
-        xq1 = x + 1 if x + 1 < w else x
-        for row in work:
-            p1, p0, q0, q1 = row[x - 2], row[x - 1], row[x], row[xq1]
-            stats.edges_checked += 1
-            step = abs(p0 - q0)
-            if not (
-                0 < step <= threshold
-                and abs(p1 - p0) <= threshold
-                and abs(q0 - q1) <= threshold
-            ):
-                continue
-            stats.edges_filtered += 1
-            stats.pixels_modified += 2
-            avg = (p1 + p0 + q0 + q1 + 2) >> 2
-            row[x - 1] = (p0 + avg + 1) >> 1
-            row[x] = (q0 + avg + 1) >> 1
-    return np.clip(np.array(work, dtype=np.int32), 0, 255).astype(np.uint8)
-
-
 def deblock_frame(
     frame: Frame,
     threshold: int = 12,
     stats: DeblockStats | None = None,
-    fast: bool = True,
 ) -> Frame:
     """Apply the in-loop deblocking filter to a reconstructed frame.
 
     Vertical block edges are filtered first, then horizontal edges (on
     the result), matching VP9's ordering.  Returns a new frame.
-    ``fast`` selects the whole-frame mask engine (default) or the scalar
-    oracle; outputs and stats are bit-identical.
     """
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
     stats = stats if stats is not None else DeblockStats()
-    get_recorder().counters.add(
-        "kernel.deblock.fast_path" if fast else "kernel.deblock.scalar_path"
-    )
-    filter_edges = _filter_edges_fast if fast else _filter_edges_scalar
-    vertical = filter_edges(frame.pixels, threshold, stats)
-    horizontal = filter_edges(vertical.T, threshold, stats).T
+    vertical = _filter_edges(frame.pixels, threshold, stats)
+    horizontal = _filter_edges(vertical.T, threshold, stats).T
     return Frame(pixels=np.ascontiguousarray(horizontal))

@@ -10,11 +10,11 @@ the decoder's dominant data-movement component.
 Filter coefficients are the even phases of libvpx's 8-tap "regular"
 filter bank (128-scaled integers), giving exact integer arithmetic.
 
-Two interpolation engines are provided: a vectorized fast path (the
-default) that applies each separable pass as one windowed matrix product
-over the whole block, and a per-pixel scalar oracle kept purely for
-verification.  Both use exact integer arithmetic, so their outputs are
-bit-identical; ``tests/perf/test_vectorized_equivalence.py`` enforces it.
+Each separable pass is one windowed matrix product over the whole
+block, in exact integer arithmetic.  The per-pixel loop it replaced is
+the test oracle (``tests/perf/kernel_oracle.py``), and
+``tests/perf/test_vectorized_equivalence.py`` holds the two
+bit-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.obs.recorder import get_recorder
 from repro.workloads.vp9.frame import MACROBLOCK
 
 #: 8-tap filters for the 8 eighth-pel phases (row = phase), 128-scaled.
@@ -84,15 +83,14 @@ def _clamped_window(
     return ref[np.ix_(rows, cols)]
 
 
-def _interpolate_fast(
+def _interpolate(
     window: np.ndarray, frac_y: int, frac_x: int, h: int, w: int
 ) -> np.ndarray:
     """Vectorized separable filter: each pass is one windowed matrix
     product (``sliding_window_view @ taps``) over the whole block.
 
     All arithmetic is int32 (maximum per-pass magnitude is
-    ``sum(|taps|) * 255 < 2^16``), so the result is bit-identical to the
-    per-pixel oracle.
+    ``sum(|taps|) * 255 < 2^16``), so no intermediate overflows.
     """
     if frac_x:
         horiz = sliding_window_view(window, 8, axis=1) @ SUBPEL_TAPS[frac_x]
@@ -107,44 +105,6 @@ def _interpolate_fast(
     return vert.astype(np.uint8)
 
 
-def _round_shift_clip(acc: int) -> int:
-    value = (acc + 64) >> 7
-    return 0 if value < 0 else (255 if value > 255 else value)
-
-
-def _interpolate_scalar(
-    window: np.ndarray, frac_y: int, frac_x: int, h: int, w: int
-) -> np.ndarray:
-    """Per-pixel scalar oracle: explicit 8-tap accumulation with Python
-    integers, mirroring libvpx's convolve8 loop structure."""
-    rows = window.tolist()
-    if frac_x:
-        taps = SUBPEL_TAPS[frac_x].tolist()
-        horiz = [
-            [
-                _round_shift_clip(sum(taps[t] * row[x + t] for t in range(8)))
-                for x in range(w)
-            ]
-            for row in rows
-        ]
-    else:
-        horiz = [row[TAPS_BEFORE : TAPS_BEFORE + w] for row in rows]
-    if frac_y:
-        taps = SUBPEL_TAPS[frac_y].tolist()
-        vert = [
-            [
-                _round_shift_clip(
-                    sum(taps[t] * horiz[y + t][x] for t in range(8))
-                )
-                for x in range(w)
-            ]
-            for y in range(h)
-        ]
-    else:
-        vert = horiz[TAPS_BEFORE : TAPS_BEFORE + h]
-    return np.array(vert, dtype=np.uint8)
-
-
 def interpolate_block(
     ref: np.ndarray,
     y0: int,
@@ -153,29 +113,22 @@ def interpolate_block(
     frac_x: int,
     h: int,
     w: int,
-    fast: bool = True,
 ) -> np.ndarray:
     """Interpolate a (h, w) block at integer base (y0, x0) + fractional
     offset (frac_y, frac_x) in eighth-pels.
 
     Separable: the horizontal 8-tap pass runs over (h+7) rows, then the
     vertical pass reduces to h rows.  Matches libvpx's convolve8 rounding
-    (add 64, shift 7, clip) at each stage.  ``fast`` selects the
-    vectorized engine (default) or the per-pixel scalar oracle; the two
-    are bit-identical.
+    (add 64, shift 7, clip) at each stage.
     """
     if not (0 <= frac_x < 8 and 0 <= frac_y < 8):
         raise ValueError("fractional offsets must be in 0..7")
-    get_recorder().counters.add(
-        "kernel.mc.fast_path" if fast else "kernel.mc.scalar_path"
-    )
     if frac_x == 0 and frac_y == 0:
         return _clamped_window(ref, y0, x0, h, w).astype(np.uint8)
     window = _clamped_window(
         ref, y0 - TAPS_BEFORE, x0 - TAPS_BEFORE, h + 7, w + 7
     ).astype(np.int32)
-    engine = _interpolate_fast if fast else _interpolate_scalar
-    return engine(window, frac_y, frac_x, h, w)
+    return _interpolate(window, frac_y, frac_x, h, w)
 
 
 def motion_compensate_block(
@@ -184,12 +137,11 @@ def motion_compensate_block(
     mb_col: int,
     mv: MotionVector,
     size: int = MACROBLOCK,
-    fast: bool = True,
 ) -> np.ndarray:
     """Build the motion-compensated predictor for one macroblock."""
     y0 = mb_row * size + mv.int_y
     x0 = mb_col * size + mv.int_x
-    return interpolate_block(ref, y0, x0, mv.frac_y, mv.frac_x, size, size, fast=fast)
+    return interpolate_block(ref, y0, x0, mv.frac_y, mv.frac_x, size, size)
 
 
 def reference_pixels_fetched(mv: MotionVector, size: int = MACROBLOCK) -> int:

@@ -6,23 +6,23 @@ reference frame.  libvpx uses the diamond search algorithm [157]; a
 full (exhaustive) search is provided as the verification oracle for the
 tests.
 
-Two SAD engines back both searches: the fast path (default) computes
-candidate SADs from a zero-copy ``sliding_window_view`` over the
-reference — all candidates of the search window in one batched
-reduction — while the scalar oracle evaluates each visited candidate
-with a per-pixel Python loop.  Control flow (visit order, tie-breaking,
-early termination) is shared, so both engines return identical motion
-vectors, costs, and :class:`SearchStats`.
+Both searches read candidate SADs from a zero-copy
+``sliding_window_view`` over the reference.  Their control flow (visit
+order, tie-breaking, early termination) lives in the private walks
+:func:`_diamond_walk` and :func:`_scan`, which take the candidate cost
+as a callable; the test oracle (``tests/perf/kernel_oracle.py``) runs
+the same walks over a per-pixel SAD and must return identical motion
+vectors, costs and :class:`SearchStats`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from repro.obs.recorder import get_recorder
 from repro.workloads.vp9.frame import MACROBLOCK
 from repro.workloads.vp9.mc import MotionVector
 
@@ -44,25 +44,6 @@ def sad(a: np.ndarray, b: np.ndarray) -> int:
     if a.shape != b.shape:
         raise ValueError("SAD operands must have equal shape")
     return int(np.abs(a.astype(np.int32) - b.astype(np.int32)).sum())
-
-
-def sad_scalar(a: np.ndarray, b: np.ndarray) -> int:
-    """Per-pixel scalar oracle for :func:`sad`."""
-    if a.shape != b.shape:
-        raise ValueError("SAD operands must have equal shape")
-    total = 0
-    for row_a, row_b in zip(a.tolist(), b.tolist()):
-        for va, vb in zip(row_a, row_b):
-            total += abs(va - vb)
-    return total
-
-
-def _block_at(ref: np.ndarray, y: int, x: int, size: int) -> np.ndarray | None:
-    """The (size, size) reference block at pixel (y, x), or None if it
-    falls outside the frame."""
-    if y < 0 or x < 0 or y + size > ref.shape[0] or x + size > ref.shape[1]:
-        return None
-    return ref[y : y + size, x : x + size]
 
 
 def _window_sads(
@@ -103,61 +84,17 @@ _LDSP = ((0, -2), (-1, -1), (-2, 0), (-1, 1), (0, 2), (1, 1), (2, 0), (1, -1))
 _SDSP = ((0, -1), (-1, 0), (0, 1), (1, 0))
 
 
-def diamond_search(
-    current: np.ndarray,
-    ref: np.ndarray,
-    mb_row: int,
-    mb_col: int,
-    search_range: int = 16,
-    stats: SearchStats | None = None,
-    size: int = MACROBLOCK,
-    fast: bool = True,
+def _diamond_walk(
+    evaluate: Callable[[int, int], int | None], search_range: int
 ) -> tuple[MotionVector, int]:
-    """Diamond search [157] for the best integer-pel motion vector.
+    """The diamond walk over ``evaluate(dy, dx)``, a candidate's cost or
+    None when its block falls outside the frame.
 
-    Walks the large diamond pattern until the best point is the center,
-    then refines with the small diamond.  Returns (motion vector in
-    eighth-pel units, best SAD).  With ``fast`` (the default) candidate
-    SADs come from the precomputed stride-tricks window map; the diamond
-    control flow — and therefore the visited-candidate statistics — is
-    identical in both engines.
+    Walks the large diamond until the best point is the center, then
+    refines with the small diamond.  A better candidate re-centers the
+    walk *within* a ring iteration (the remaining ring points shift), so
+    candidates are inherently sequential.
     """
-    stats = stats if stats is not None else SearchStats()
-    base_y, base_x = mb_row * size, mb_col * size
-    get_recorder().counters.add(
-        "kernel.me.fast_path" if fast else "kernel.me.scalar_path"
-    )
-    if fast:
-        # A zero-copy window view over the reference: each candidate SAD
-        # is one batched |diff| reduction with no per-candidate slicing
-        # arithmetic or dtype conversion of ``current``.  The diamond
-        # visit order re-centers *within* a ring iteration (a better
-        # candidate shifts the remaining ring points), so candidates are
-        # inherently sequential and whole-window precomputation would
-        # evaluate ~(2R+1)^2 SADs where the walk visits only tens.
-        wins = sliding_window_view(ref, (size, size))
-        cur_i32 = current.astype(np.int32)
-        max_y = ref.shape[0] - size
-        max_x = ref.shape[1] - size
-
-        def evaluate(dy: int, dx: int) -> int | None:
-            y, x = base_y + dy, base_x + dx
-            if y < 0 or x < 0 or y > max_y or x > max_x:
-                return None
-            stats.sad_evaluations += 1
-            stats.pixels_compared += size * size
-            return int(np.abs(wins[y, x] - cur_i32).sum())
-
-    else:
-
-        def evaluate(dy: int, dx: int) -> int | None:
-            block = _block_at(ref, base_y + dy, base_x + dx, size)
-            if block is None:
-                return None
-            stats.sad_evaluations += 1
-            stats.pixels_compared += size * size
-            return sad_scalar(current, block)
-
     best_dy, best_dx = 0, 0
     best_cost = evaluate(0, 0)
     if best_cost is None:
@@ -186,45 +123,21 @@ def diamond_search(
     return MotionVector(dx=best_dx * 8, dy=best_dy * 8), best_cost
 
 
-def full_search(
-    current: np.ndarray,
-    ref: np.ndarray,
-    mb_row: int,
-    mb_col: int,
-    search_range: int = 8,
-    stats: SearchStats | None = None,
-    size: int = MACROBLOCK,
-    fast: bool = True,
+def _scan(
+    cost_at: Callable[[int, int], int | None],
+    search_range: int,
+    stats: SearchStats,
+    size: int,
 ) -> tuple[MotionVector, int]:
-    """Exhaustive integer-pel search (O(range^2) SADs).
-
-    The fast path batch-computes every candidate SAD with stride-tricks
-    windows; the scalar path evaluates per-pixel.  Scan order and
-    tie-breaking are shared, so results and stats are identical.
-    """
-    stats = stats if stats is not None else SearchStats()
-    base_y, base_x = mb_row * size, mb_col * size
-    get_recorder().counters.add(
-        "kernel.me.fast_path" if fast else "kernel.me.scalar_path"
-    )
-    sad_map = (
-        _window_sads(current, ref, base_y, base_x, search_range, size)
-        if fast
-        else None
-    )
+    """Exhaustive raster scan of the search window over ``cost_at(dy,
+    dx)`` (None for a block outside the frame); ties go to the candidate
+    nearest the origin (L1 distance)."""
     best = (MotionVector(0, 0), 1 << 30)
     for dy in range(-search_range, search_range + 1):
         for dx in range(-search_range, search_range + 1):
-            if sad_map is not None:
-                mapped = sad_map[dy + search_range, dx + search_range]
-                if mapped < 0:
-                    continue
-                cost = int(mapped)
-            else:
-                block = _block_at(ref, base_y + dy, base_x + dx, size)
-                if block is None:
-                    continue
-                cost = sad_scalar(current, block)
+            cost = cost_at(dy, dx)
+            if cost is None:
+                continue
             stats.sad_evaluations += 1
             stats.pixels_compared += size * size
             if cost < best[1] or (
@@ -236,6 +149,64 @@ def full_search(
     return best
 
 
+def diamond_search(
+    current: np.ndarray,
+    ref: np.ndarray,
+    mb_row: int,
+    mb_col: int,
+    search_range: int = 16,
+    stats: SearchStats | None = None,
+    size: int = MACROBLOCK,
+) -> tuple[MotionVector, int]:
+    """Diamond search [157] for the best integer-pel motion vector.
+
+    Walks the large diamond pattern until the best point is the center,
+    then refines with the small diamond.  Returns (motion vector in
+    eighth-pel units, best SAD).  Each visited candidate's SAD is one
+    batched |diff| reduction over a zero-copy window view of the
+    reference; the walk visits only tens of the ~(2R+1)^2 candidates, so
+    no whole-window SAD map is computed.
+    """
+    stats = stats if stats is not None else SearchStats()
+    base_y, base_x = mb_row * size, mb_col * size
+    wins = sliding_window_view(ref, (size, size))
+    cur_i32 = current.astype(np.int32)
+    max_y = ref.shape[0] - size
+    max_x = ref.shape[1] - size
+
+    def evaluate(dy: int, dx: int) -> int | None:
+        y, x = base_y + dy, base_x + dx
+        if y < 0 or x < 0 or y > max_y or x > max_x:
+            return None
+        stats.sad_evaluations += 1
+        stats.pixels_compared += size * size
+        return int(np.abs(wins[y, x] - cur_i32).sum())
+
+    return _diamond_walk(evaluate, search_range)
+
+
+def full_search(
+    current: np.ndarray,
+    ref: np.ndarray,
+    mb_row: int,
+    mb_col: int,
+    search_range: int = 8,
+    stats: SearchStats | None = None,
+    size: int = MACROBLOCK,
+) -> tuple[MotionVector, int]:
+    """Exhaustive integer-pel search (O(range^2) SADs), every candidate
+    SAD batch-computed from stride-tricks windows."""
+    stats = stats if stats is not None else SearchStats()
+    base_y, base_x = mb_row * size, mb_col * size
+    sad_map = _window_sads(current, ref, base_y, base_x, search_range, size)
+
+    def cost_at(dy: int, dx: int) -> int | None:
+        mapped = sad_map[dy + search_range, dx + search_range]
+        return None if mapped < 0 else int(mapped)
+
+    return _scan(cost_at, search_range, stats, size)
+
+
 def multi_reference_search(
     current: np.ndarray,
     references: list[np.ndarray],
@@ -244,7 +215,6 @@ def multi_reference_search(
     search_range: int = 16,
     stats: SearchStats | None = None,
     size: int = MACROBLOCK,
-    fast: bool = True,
 ) -> tuple[int, MotionVector, int]:
     """Search up to three reference frames (paper Figure 14: the encoder
     fetches three references).  Returns (ref index, mv, sad)."""
@@ -253,7 +223,7 @@ def multi_reference_search(
     best = None
     for idx, ref in enumerate(references[:3]):
         mv, cost = diamond_search(
-            current, ref, mb_row, mb_col, search_range, stats, size, fast=fast
+            current, ref, mb_row, mb_col, search_range, stats, size
         )
         if best is None or cost < best[2]:
             best = (idx, mv, cost)

@@ -7,10 +7,12 @@ with the cache simulator: the reorganized layouts must measurably cut
 misses for the consumer (the GPU compositor / the GEMM kernel).
 """
 
+import numpy as np
 import pytest
 
 from repro.config import CacheConfig, SocConfig
 from repro.sim.cache import replay_trace
+from repro.sim.trace import AddressSpace
 from repro.workloads.chrome.texture import compositing_trace
 from repro.workloads.tensorflow.access_patterns import (
     gemm_lhs_trace,
@@ -87,6 +89,22 @@ class TestPackingRationale:
         must favour packing."""
         result = pack_then_kernel_traffic(m=256, k=8192, n_blocks=2)
         assert result["packed_total_misses"] < result["unpacked_l1_misses"]
+
+    @pytest.mark.parametrize("m, panel_rows", [(7, 4), (5, 16), (130, 4)])
+    def test_packed_walk_reads_only_the_operand(self, m, panel_rows):
+        """A partial last panel holds only the operand's remaining rows:
+        each block reads m*k bytes, the same bytes the unpacked walk
+        reads, and no access starts at or past the operand's end."""
+        k, n_blocks, granularity = 64, 2, 16
+        base = AddressSpace().alloc(m * k)
+        packed = gemm_lhs_trace(m, k, n_blocks, True, panel_rows, granularity)
+        unpacked = gemm_lhs_trace(m, k, n_blocks, False, panel_rows, granularity)
+        assert len(packed) * granularity == n_blocks * m * k
+        assert int(packed.addresses.min()) == base
+        assert int(packed.addresses.max()) < base + m * k
+        assert np.array_equal(
+            np.sort(packed.addresses), np.sort(unpacked.addresses)
+        )
 
     def test_trace_validation(self):
         with pytest.raises(ValueError):

@@ -1,12 +1,12 @@
-"""Differential tests: every NumPy fast path against its scalar oracle.
+"""Differential tests: every vectorized kernel against its scalar oracle.
 
-Each vectorized kernel (``fast=True``, the default everywhere) must be
-*bit-identical* to its per-pixel / per-byte / per-access scalar oracle
-(``fast=False``): same pixels, same compressed bytes, same (base, count,
-is_write) range records, same stats dataclasses, same
-:class:`TimingResult` floats.  The timing replay's two serial engines
-are test oracles (``tests/sim/oracle.py``), and the production batched
-engine must match both.  Hypothesis drives randomized inputs under
+Each workload kernel must be *bit-identical* to its per-pixel /
+per-byte / per-access scalar oracle in ``tests/perf/kernel_oracle.py``:
+same pixels, same compressed bytes, same (base, count, is_write) range
+records, same stats dataclasses.  The timing replay's two serial engines
+and the GEMM walk's loop are test oracles in ``tests/sim/oracle.py``;
+the production batched timing engine must match both serial engines'
+:class:`TimingResult` floats.  Hypothesis drives randomized inputs under
 the central ``repro`` profile (pinned examples; ``soak`` for fuzzing —
 see ``tests/conftest.py``).
 """
@@ -32,8 +32,8 @@ from repro.workloads.vp9.me import (
     full_search,
     multi_reference_search,
     sad,
-    sad_scalar,
 )
+from tests.perf import kernel_oracle
 from tests.sim import oracle
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -56,8 +56,8 @@ class TestMotionCompensation:
     )
     def test_interpolate_block(self, seed, frac_y, frac_x, y0, x0, h, w):
         ref = _pixels(seed, 48, 48)
-        fast = interpolate_block(ref, y0, x0, frac_y, frac_x, h, w, fast=True)
-        scalar = interpolate_block(ref, y0, x0, frac_y, frac_x, h, w, fast=False)
+        fast = interpolate_block(ref, y0, x0, frac_y, frac_x, h, w)
+        scalar = kernel_oracle.interpolate_block(ref, y0, x0, frac_y, frac_x, h, w)
         assert fast.dtype == scalar.dtype == np.uint8
         assert np.array_equal(fast, scalar)
 
@@ -66,8 +66,8 @@ class TestMotionCompensation:
     def test_motion_compensate_block(self, seed, dx, dy):
         ref = _pixels(seed, 64, 64)
         mv = MotionVector(dx=dx, dy=dy)
-        fast = motion_compensate_block(ref, 1, 1, mv, fast=True)
-        scalar = motion_compensate_block(ref, 1, 1, mv, fast=False)
+        fast = motion_compensate_block(ref, 1, 1, mv)
+        scalar = kernel_oracle.motion_compensate_block(ref, 1, 1, mv)
         assert np.array_equal(fast, scalar)
 
 
@@ -87,8 +87,8 @@ class TestDeblock:
             pixels = (pixels // 16 + 100).astype(np.uint8)
         frame = Frame(pixels=pixels)
         fast_stats, scalar_stats = DeblockStats(), DeblockStats()
-        fast = deblock_frame(frame, threshold, fast_stats, fast=True)
-        scalar = deblock_frame(frame, threshold, scalar_stats, fast=False)
+        fast = deblock_frame(frame, threshold, fast_stats)
+        scalar = kernel_oracle.deblock_frame(frame, threshold, scalar_stats)
         assert np.array_equal(fast.pixels, scalar.pixels)
         assert fast_stats == scalar_stats
 
@@ -100,7 +100,7 @@ class TestMotionEstimation:
         rng = np.random.default_rng(seed)
         a = rng.integers(0, 256, (16, 16), dtype=np.uint8)
         b = rng.integers(0, 256, (16, 16), dtype=np.uint8)
-        assert sad(a, b) == sad_scalar(a, b)
+        assert sad(a, b) == kernel_oracle.sad_scalar(a, b)
 
     @settings(max_examples=25)
     @given(
@@ -124,11 +124,9 @@ class TestMotionEstimation:
             mb_col * MACROBLOCK : (mb_col + 1) * MACROBLOCK,
         ]
         fast_stats, scalar_stats = SearchStats(), SearchStats()
-        fast = diamond_search(
-            current, ref, mb_row, mb_col, search_range, fast_stats, fast=True
-        )
-        scalar = diamond_search(
-            current, ref, mb_row, mb_col, search_range, scalar_stats, fast=False
+        fast = diamond_search(current, ref, mb_row, mb_col, search_range, fast_stats)
+        scalar = kernel_oracle.diamond_search(
+            current, ref, mb_row, mb_col, search_range, scalar_stats
         )
         assert fast == scalar
         assert fast_stats == scalar_stats
@@ -140,9 +138,9 @@ class TestMotionEstimation:
         ref = rng.integers(0, 256, (48, 48), dtype=np.uint8)
         current = rng.integers(0, 256, (MACROBLOCK, MACROBLOCK), dtype=np.uint8)
         fast_stats, scalar_stats = SearchStats(), SearchStats()
-        fast = full_search(current, ref, 1, 1, search_range, fast_stats, fast=True)
-        scalar = full_search(
-            current, ref, 1, 1, search_range, scalar_stats, fast=False
+        fast = full_search(current, ref, 1, 1, search_range, fast_stats)
+        scalar = kernel_oracle.full_search(
+            current, ref, 1, 1, search_range, scalar_stats
         )
         assert fast == scalar
         assert fast_stats == scalar_stats
@@ -153,8 +151,8 @@ class TestMotionEstimation:
         rng = np.random.default_rng(seed)
         refs = [rng.integers(0, 256, (32, 32), dtype=np.uint8) for _ in range(3)]
         current = rng.integers(0, 256, (MACROBLOCK, MACROBLOCK), dtype=np.uint8)
-        fast = multi_reference_search(current, refs, 0, 0, 8, fast=True)
-        scalar = multi_reference_search(current, refs, 0, 0, 8, fast=False)
+        fast = multi_reference_search(current, refs, 0, 0, 8)
+        scalar = kernel_oracle.multi_reference_search(current, refs, 0, 0, 8)
         assert fast == scalar
 
 
@@ -166,8 +164,8 @@ class TestTextureTracing:
             0, 256, (h, w, 4), dtype=np.uint8
         )
         rec_fast, rec_scalar = TraceRecorder(), TraceRecorder()
-        fast = linear_to_tiled_traced(bitmap, rec_fast, fast=True)
-        scalar = linear_to_tiled_traced(bitmap, rec_scalar, fast=False)
+        fast = linear_to_tiled_traced(bitmap, rec_fast)
+        scalar = kernel_oracle.linear_to_tiled_traced(bitmap, rec_scalar)
         assert np.array_equal(fast.tiles, scalar.tiles)
         # Identical compact range records, hence identical traces.
         assert rec_fast.range_records() == rec_scalar.range_records()
@@ -178,8 +176,8 @@ class TestTextureTracing:
     @settings(max_examples=20)
     @given(w=st.integers(4, 130), h=st.integers(1, 90), tiled=st.booleans())
     def test_compositing_trace(self, w, h, tiled):
-        fast = compositing_trace(w, h, tiled, fast=True)
-        scalar = compositing_trace(w, h, tiled, fast=False)
+        fast = compositing_trace(w, h, tiled)
+        scalar = kernel_oracle.compositing_trace(w, h, tiled)
         assert np.array_equal(fast.addresses, scalar.addresses)
         assert np.array_equal(fast.is_write, scalar.is_write)
 
@@ -237,20 +235,20 @@ class TestLzo:
     @given(seed=seeds, n=st.integers(0, 4096), kind=st.integers(0, 2))
     def test_compress_decompress(self, seed, n, kind):
         data = _lzo_corpus(np.random.default_rng(seed), n, kind)
-        comp_fast, cstats_fast = lzo.compress(data, fast=True)
-        comp_scalar, cstats_scalar = lzo.compress(data, fast=False)
+        comp_fast, cstats_fast = lzo.compress(data)
+        comp_scalar, cstats_scalar = kernel_oracle.compress(data)
         assert comp_fast == comp_scalar
         assert cstats_fast == cstats_scalar
-        out_fast, dstats_fast = lzo.decompress(comp_fast, fast=True)
-        out_scalar, dstats_scalar = lzo.decompress(comp_fast, fast=False)
+        out_fast, dstats_fast = lzo.decompress(comp_fast)
+        out_scalar, dstats_scalar = kernel_oracle.decompress(comp_fast)
         assert out_fast == out_scalar == data
         assert dstats_fast == dstats_scalar
 
     @settings(max_examples=20)
     @given(data=st.binary(max_size=2048))
     def test_arbitrary_bytes_roundtrip(self, data):
-        comp_fast, stats_fast = lzo.compress(data, fast=True)
-        comp_scalar, stats_scalar = lzo.compress(data, fast=False)
+        comp_fast, stats_fast = lzo.compress(data)
+        comp_scalar, stats_scalar = kernel_oracle.compress(data)
         assert comp_fast == comp_scalar
         assert stats_fast == stats_scalar
         restored, _ = lzo.decompress(comp_fast)
@@ -296,15 +294,19 @@ class TestTimingReplay:
 
 class TestPathCounters:
     def test_kernels_publish_path_counters(self):
+        """Each kernel has one engine, so none publishes a ``kernel.*``
+        path counter; the timing replay still counts its replays."""
         ref = _pixels(3, 48, 48)
         frame = Frame(pixels=_pixels(4, 32, 32))
+        bitmap = _pixels(5, 32, 128).reshape(32, 32, 4)
         with recording() as rec:
-            interpolate_block(ref, 0, 0, 3, 3, 16, 16, fast=True)
-            interpolate_block(ref, 0, 0, 3, 3, 16, 16, fast=False)
-            deblock_frame(frame, fast=True)
-            diamond_search(ref[:16, :16], ref, 0, 0, 8, fast=True)
-            lzo.compress(b"abcd" * 64, fast=True)
-            compositing_trace(32, 32, tiled=True, fast=True)
+            interpolate_block(ref, 0, 0, 3, 3, 16, 16)
+            deblock_frame(frame)
+            diamond_search(ref[:16, :16], ref, 0, 0, 8)
+            full_search(ref[:16, :16], ref, 0, 0, 2)
+            linear_to_tiled_traced(bitmap, TraceRecorder())
+            compositing_trace(32, 32, tiled=True)
+            lzo.decompress(lzo.compress(b"abcd" * 64)[0])
             replay_timing_batch(
                 MemoryTrace(
                     addresses=np.arange(64, dtype=np.uint64) * np.uint64(64),
@@ -313,11 +315,6 @@ class TestPathCounters:
                 [TimingSimulator()],
             )
         counters = rec.counters.as_dict()
-        assert counters["kernel.mc.fast_path"] == 1
-        assert counters["kernel.mc.scalar_path"] == 1
-        assert counters["kernel.deblock.fast_path"] == 1
-        assert counters["kernel.me.fast_path"] == 1
-        assert counters["kernel.lzo.fast_path"] == 1
-        assert counters["kernel.compositing.fast_path"] == 1
+        assert not [name for name in counters if name.startswith("kernel.")]
         assert counters["sim.timing.fast_path"] == 1
         assert counters["sim.timing.dram_misses"] == 64

@@ -584,8 +584,10 @@ def gemm_lhs_trace_loop(
     for _ in range(n_blocks):
         for panel in range(num_panels):
             if packed:
-                # Panel-major: the whole panel is one contiguous run.
-                rec.read(base + panel * panel_rows * k, panel_rows * k)
+                # Panel-major: the whole panel is one contiguous run; the
+                # last panel holds only the rows left below m.
+                rows = min(panel_rows, m - panel * panel_rows)
+                rec.read(base + panel * panel_rows * k, rows * k)
             else:
                 # Row-major: interleave the panel's rows the way the
                 # kernel consumes them -- panel_rows operands per depth

@@ -20,6 +20,8 @@ from repro.obs import recording
 from repro.sim.batch import ShardEvaluator, replay_batch, replay_timing_batch
 from repro.sim.timing import TimingParameters, TimingSimulator
 from repro.sim.trace import MemoryTrace, TraceRecorder
+from repro.workloads.chrome.texture import compositing_trace
+from repro.workloads.tensorflow.access_patterns import gemm_lhs_trace
 from tests.sim import oracle
 
 #: Deliberately small, deliberately *heterogeneous* geometries: different
@@ -301,6 +303,26 @@ class TestBatchCounters:
             replay_batch(trace, socs)  # second call reuses the memo
         counters = obs.counters.as_dict()
         assert counters["sim.replay_batch.shared_trace_hits"] == 2
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gemm_lhs_trace(m=96, k=256, n_blocks=3, packed=True),
+            lambda: compositing_trace(width=256, height=128, tiled=True),
+        ],
+        ids=["gemm_packed", "compositing_tiled"],
+    )
+    def test_observing_layers_do_not_perturb_replay(self, build):
+        """Recording counters and arming strict checks, alone or
+        together, leave every replayed statistic unchanged."""
+        trace = build()
+        socs = [SocConfig()]
+        bare = replay_batch(trace, socs, strict=False)
+        with recording():
+            assert replay_batch(trace, socs, strict=False) == bare
+        assert replay_batch(trace, socs, strict=True) == bare
+        with recording():
+            assert replay_batch(trace, socs, strict=True) == bare
 
     def test_rejects_lines_beyond_int64(self):
         # uint64 byte addresses cap line numbers at 2**58, so forge an

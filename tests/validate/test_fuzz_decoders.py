@@ -27,7 +27,11 @@ from repro.sim.trace import MemoryTrace, TraceRecorder
 from repro.validate import ConfigError
 from repro.workloads.chrome import lzo
 from repro.workloads.vp9.bitio import BitReader, BitWriter
+from tests.perf import kernel_oracle
 from tests.sim import oracle
+
+#: The production decompressor and the oracle's byte-at-a-time copy.
+DECOMPRESSORS = (lzo.decompress, kernel_oracle.decompress)
 
 
 @contextlib.contextmanager
@@ -45,24 +49,24 @@ def small_output_cap(cap: int = 1 << 16):
 class TestLzoFuzz:
     @given(data=st.binary(max_size=2048))
     def test_decompress_rejects_cleanly_and_paths_agree(self, data):
-        """Arbitrary bytes: both decompress paths either produce the same
-        output or raise the same offset-bearing ValueError."""
+        """Arbitrary bytes: the decompressor and its oracle either produce
+        the same output or raise the same offset-bearing ValueError."""
 
-        def run(fast):
+        def run(decompress):
             with small_output_cap():
                 try:
-                    return lzo.decompress(data, fast=fast)[0]
+                    return decompress(data)[0]
                 except ValueError as exc:
                     assert "offset" in str(exc)
                     return ("rejected", str(exc))
 
-        assert run(fast=True) == run(fast=False)
+        assert run(lzo.decompress) == run(kernel_oracle.decompress)
 
     @given(data=st.binary(max_size=4096))
     def test_roundtrip_survives_fuzz(self, data):
         compressed, _ = lzo.compress(data)
-        for fast in (True, False):
-            restored, _ = lzo.decompress(compressed, fast=fast)
+        for decompress in DECOMPRESSORS:
+            restored, _ = decompress(compressed)
             assert restored == data
 
     @given(corrupt_at=st.integers(min_value=0, max_value=200),
@@ -71,10 +75,10 @@ class TestLzoFuzz:
         compressed, _ = lzo.compress(b"the quick brown fox " * 32)
         buffer = bytearray(compressed)
         buffer[corrupt_at % len(buffer)] = new_byte
-        for fast in (True, False):
+        for decompress in DECOMPRESSORS:
             with small_output_cap():
                 try:
-                    lzo.decompress(bytes(buffer), fast=fast)
+                    decompress(bytes(buffer))
                 except ValueError as exc:
                     assert "offset" in str(exc)
 
@@ -88,9 +92,9 @@ class TestLzoFuzz:
             + bytes([0x80 | 127]) + bytes(extra)
             + bytes([0x01, 0x00])         # distance 1 (valid)
         )
-        for fast in (True, False):
+        for decompress in DECOMPRESSORS:
             with pytest.raises(ValueError, match="expands output beyond"):
-                lzo.decompress(bomb, fast=fast)
+                decompress(bomb)
 
     def test_overlong_varint_is_rejected(self):
         bomb = (
@@ -98,9 +102,9 @@ class TestLzoFuzz:
             + bytes([0x80 | 127]) + bytes([0xFF] * 12)
             + bytes([0x01, 0x00])
         )
-        for fast in (True, False):
+        for decompress in DECOMPRESSORS:
             with pytest.raises(ValueError, match="varint too long"):
-                lzo.decompress(bomb, fast=fast)
+                decompress(bomb)
 
 
 class TestBitioFuzz:

@@ -90,6 +90,20 @@ class TestDiamondSearch:
         mv, _ = diamond_search(cur[16:32, 16:32], ref, 1, 1, search_range=2)
         assert abs(mv.int_x) <= 2 and abs(mv.int_y) <= 2
 
+    def test_reaches_the_range_edge(self):
+        """A translation exactly at the search range is still a candidate."""
+        ref, cur = shifted_scene(0, 4)
+        mv, cost = diamond_search(cur[16:32, 16:32], ref, 1, 1, search_range=4)
+        assert (mv.int_y, mv.int_x, cost) == (0, 4, 0)
+
+    def test_ties_keep_the_candidate_nearest_the_origin(self):
+        """On a flat frame every candidate costs the same, so both
+        searches keep the zero vector."""
+        ref = np.full((64, 64), 90, dtype=np.uint8)
+        for search in (diamond_search, full_search):
+            mv, cost = search(ref[16:32, 16:32], ref, 1, 1, search_range=4)
+            assert (mv.dy, mv.dx, cost) == (0, 0, 0), search.__name__
+
     def test_stats_counted(self):
         ref, cur = shifted_scene(1, 1)
         stats = SearchStats()
