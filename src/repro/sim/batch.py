@@ -30,12 +30,16 @@ differs between configurations:
 **The LRU kernel.**  Both levels run one LRU (:func:`_lru`); a flag
 dirties the line an access touches (an L1 write, an LLC
 writeback-install).  It returns, per access, whether it hit, the line it
-evicted and whether that victim was dirty, plus the end state.
-:func:`_lru_kernel` decides all of that with NumPy, without stepping
-the cache: it takes each set's accesses in time order ("set order"),
-folds an access to the line its set touched last into that access (an
-MRU hit; its flag ORs into the one it repeats), and then decides each
-access from the window of its set's previous ``assoc`` accesses:
+evicted and whether that victim was dirty, plus the end state.  It
+decides all of that with NumPy, without stepping the cache, in two
+halves.  :func:`_set_order` takes each set's accesses in time order
+("set order"), folds an access to the line its set touched last into
+that access (an MRU hit; its flag ORs into the one it repeats), and
+finds each access's previous use of its line.  None of that depends on
+the associativity, so the passes over one stream with one set count
+share it: the default ``cachesweep`` grid's 30 passes build 20.
+:func:`_lru_kernel` then decides each access for one associativity from
+the window of its set's previous ``assoc`` accesses:
 
 * *hit* — the line is in the window (at most ``assoc - 1`` other lines
   were used since), or the set holds at most ``assoc`` distinct lines
@@ -84,7 +88,7 @@ this.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from itertools import count
 
 import numpy as np
@@ -118,40 +122,74 @@ def _line_runs_for_batch(trace: MemoryTrace):
     return run_lines.astype(np.int64), run_counts, run_writes, shared
 
 
-def _lru_kernel(lines, flags, num_sets: int, assoc: int):
-    """Decide every access of one LRU pass from its set's recent window.
+class _SetOrder:
+    """One access stream under one set count: an LRU pass's
+    associativity-independent half.
 
-    Returns what :func:`_lru_loop` returns, or ``None`` when some access
-    or end state is not decided by the rules in the module docstring.
+    ``lines`` and ``num_sets`` are the stream and the set count (the
+    fallback loop replays them).  ``order`` sorts the ``n`` accesses
+    into set order and ``s_line`` is their lines in that order.  The MRU
+    fold keeps the accesses at set-order positions ``kept`` (time-order
+    positions ``at``); the remaining arrays follow that folded stream:
+    each access's ``line`` and set ``c_set``, its previous use of the
+    same line ``prev`` (-1: never, then ``first``), and whether it is
+    its line's ``last`` use.  ``set_lines`` counts each set's distinct
+    lines.
+    """
+
+    __slots__ = (
+        "lines", "num_sets", "order", "s_line", "kept", "at", "line",
+        "c_set", "prev", "first", "last", "set_lines",
+    )
+
+
+def _set_order(lines, num_sets: int) -> _SetOrder:
+    """Sort ``lines`` into set order, fold MRU repeats, find previous uses.
+
     The work happens in *set order* (each set's accesses in time order,
     sets ascending); repeats of the access just before in the same set
-    are folded into it first, so neighbours in a set differ.
+    are folded into it, so neighbours in a set differ.
     """
-    n = lines.size
+    so = _SetOrder()
+    so.lines, so.num_sets = lines, num_sets
     sets = lines % num_sets
     # 16-bit keys get NumPy's radix sort: 2-3x faster on L1 set counts.
-    order = np.argsort(
+    so.order = order = np.argsort(
         sets.astype(np.uint16) if num_sets <= 1 << 16 else sets, kind="stable"
     )
-    s_line = lines[order]
-    keep = np.ones(n, dtype=bool)
+    so.s_line = s_line = lines[order]
+    keep = np.ones(lines.size, dtype=bool)
     np.not_equal(s_line[1:], s_line[:-1], out=keep[1:])
-    kept = np.flatnonzero(keep)
-    at = order[kept]
-    line = s_line[kept]
-    c_set = sets[at]
-    # From here on, arrays of length m follow the folded stream.
-    m = kept.size
-    idx = np.arange(m)
+    so.kept = kept = np.flatnonzero(keep)
+    so.at = at = order[kept]
+    so.line = line = s_line[kept]
+    so.c_set = c_set = sets[at]
     # Each access's previous use of the same line (-1: never).
+    m = kept.size
     by_line = np.argsort(line, kind="stable")
     sorted_line = line[by_line]
     again = np.flatnonzero(sorted_line[1:] == sorted_line[:-1])
-    prev = np.full(m, -1, dtype=np.int64)
+    so.prev = prev = np.full(m, -1, dtype=np.int64)
     prev[by_line[again + 1]] = by_line[again]
-    first = prev < 0
-    overflow_set = np.bincount(c_set[first], minlength=num_sets) > assoc
-    overflow = overflow_set[c_set]
+    so.first = first = prev < 0
+    so.last = last = np.ones(m, dtype=bool)
+    last[prev[~first]] = False
+    so.set_lines = np.bincount(c_set[first], minlength=num_sets)
+    return so
+
+
+def _lru_kernel(so: _SetOrder, flags, assoc: int):
+    """Decide every access of one LRU pass from its set's recent window.
+
+    ``so`` is the stream's :func:`_set_order` and ``flags`` its flags in
+    time order.  Returns what :func:`_lru_loop` returns, or ``None``
+    when some access or end state is not decided by the rules in the
+    module docstring.
+    """
+    c_set, prev, first = so.c_set, so.prev, so.first
+    m = c_set.size
+    idx = np.arange(m)
+    overflow = (so.set_lines > assoc)[c_set]
     # `full[c]`: at least `assoc` accesses precede c in its set.
     full = np.zeros(m, dtype=bool)
     np.equal(c_set[assoc:], c_set[:-assoc], out=full[assoc:])
@@ -170,22 +208,22 @@ def _lru_kernel(lines, flags, num_sets: int, assoc: int):
             return None
     # End state: each line's last use, only the last `assoc` of an
     # overflowing set; those must then be `assoc` distinct lines.
-    last = np.ones(m, dtype=bool)
-    last[prev[~first]] = False
+    last = so.last
     tail = np.ones(m, dtype=bool)
     np.not_equal(c_set[assoc:], c_set[:-assoc], out=tail[:-assoc])
     if (overflow & tail & ~last).any():
         return None
     end = last & (tail | ~overflow)
     victim_at = evicts - assoc
+    n, kept, at, line = so.lines.size, so.kept, so.at, so.line
     if flags.any():
         # A line is dirty once a flagged access touched it since its
         # last miss: a cumulative OR over each line's uses (in set
         # order, folded repeats included) that restarts at every miss.
         installs = np.zeros(n, dtype=bool)
         installs[kept[~hit]] = True
-        s_by_line = np.argsort(s_line, kind="stable")
-        flagged = np.cumsum(flags[order][s_by_line])
+        s_by_line = np.argsort(so.s_line, kind="stable")
+        flagged = np.cumsum(flags[so.order][s_by_line])
         restart = np.maximum.accumulate(
             np.where(installs[s_by_line], np.arange(n), 0)
         )
@@ -236,11 +274,11 @@ def _lru_loop(lines, flags, num_sets: int, assoc: int):
     return hits, victims, victim_dirty, end_lines, end_dirty
 
 
-def _lru(lines, flags, num_sets: int, assoc: int):
+def _lru(so: _SetOrder, flags, assoc: int):
     """:func:`_lru_kernel`'s outcome, or :func:`_lru_loop`'s if undecided."""
-    outcome = _lru_kernel(lines, flags, num_sets, assoc)
+    outcome = _lru_kernel(so, flags, assoc)
     if outcome is None:
-        outcome = _lru_loop(lines, flags, num_sets, assoc)
+        outcome = _lru_loop(so.lines, flags, so.num_sets, assoc)
     return outcome
 
 
@@ -292,11 +330,15 @@ class _LlcPass:
 class _SharedOutcomes:
     """Memoized per-geometry passes over one trace's run stream.
 
-    Every batched entry point builds one of these; configs sharing an L1
-    geometry share its :class:`_L1Pass`, and each (L1, LLC) geometry
-    pair shares its :class:`_LlcPass` — including between the hierarchy
-    and timing engines inside :func:`sweep_batch`, whose cache state
-    evolves identically.
+    Every batched entry point builds one of these and runs the passes
+    its configs need (:meth:`run_passes`).  Configs sharing an L1
+    geometry share its :class:`_L1Pass`, and each (L1 event stream, LLC
+    geometry) pair shares its :class:`_LlcPass` — including between the
+    hierarchy and timing engines inside :func:`sweep_batch`, whose cache
+    state evolves identically.  The passes over one stream (the run
+    stream, or one L1 event stream) with one set count share one
+    :func:`_set_order`: it is built once, decides each of their
+    associativities, and is dropped before the next one is built.
     """
 
     def __init__(self, trace: MemoryTrace):
@@ -315,23 +357,46 @@ class _SharedOutcomes:
         return (cfg.num_sets, cfg.associativity)
 
     def l1(self, cfg) -> _L1Pass:
-        key = self._key(cfg)
-        pass_ = self._l1.get(key)
-        if pass_ is None:
-            pass_ = self._l1[key] = self._run_l1(cfg.num_sets, cfg.associativity)
-        return pass_
+        return self._l1[self._key(cfg)]
 
     def llc(self, l1_cfg, llc_cfg) -> _LlcPass:
-        l1_pass = self.l1(l1_cfg)
-        key = (l1_pass.stream_key, self._key(llc_cfg))
-        pass_ = self._llc.get(key)
-        if pass_ is None:
-            pass_ = self._llc[key] = self._run_llc(
-                l1_pass, llc_cfg.num_sets, llc_cfg.associativity
-            )
-        return pass_
+        return self._llc[self.l1(l1_cfg).stream_key, self._key(llc_cfg)]
 
-    def _run_l1(self, num_sets: int, assoc: int) -> _L1Pass:
+    def run_passes(self, socs) -> None:
+        """Run every L1 and LLC pass ``socs`` need that has not run yet.
+
+        The passes are grouped by (stream, set count): each group builds
+        its set order, decides every associativity from it, and drops it
+        before the next group builds its own.
+        """
+        l1_ways = {}
+        for soc in socs:
+            if self._key(soc.l1) not in self._l1:
+                l1_ways.setdefault(soc.l1.num_sets, set()).add(soc.l1.associativity)
+        for num_sets, ways in l1_ways.items():
+            so = _set_order(self.run_lines, num_sets)
+            for assoc in sorted(ways):
+                self._l1[num_sets, assoc] = self._run_l1(so, assoc)
+            del so
+        streams = {}
+        llc_ways = {}
+        for soc in socs:
+            l1_pass = self.l1(soc.l1)
+            key = l1_pass.stream_key
+            if (key, self._key(soc.l2)) not in self._llc:
+                streams[key] = l1_pass
+                llc_ways.setdefault((key, soc.l2.num_sets), set()).add(
+                    soc.l2.associativity
+                )
+        for (key, num_sets), ways in llc_ways.items():
+            so = _set_order(streams[key].ev_lines, num_sets)
+            for assoc in sorted(ways):
+                self._llc[key, (num_sets, assoc)] = self._run_llc(
+                    streams[key], so, assoc
+                )
+            del so
+
+    def _run_l1(self, so: _SetOrder, assoc: int) -> _L1Pass:
         """The L1's LRU pass over the runs, as the LLC events it induces.
 
         Mirrors the line-run oracle's L1 exactly: per run one lookup; on
@@ -339,7 +404,7 @@ class _SharedOutcomes:
         *before* the fetch event.
         """
         hits, victims, victim_dirty, end_lines, end_dirty = _lru(
-            self.run_lines, self.run_writes, num_sets, assoc
+            so, self.run_writes, assoc
         )
         fetch_runs = np.flatnonzero(~hits)
         wb = victim_dirty[fetch_runs]
@@ -360,7 +425,7 @@ class _SharedOutcomes:
         pass_.stream_key = digest.digest()
         return pass_
 
-    def _run_llc(self, l1_pass: _L1Pass, num_sets: int, assoc: int) -> _LlcPass:
+    def _run_llc(self, l1_pass: _L1Pass, so: _SetOrder, assoc: int) -> _LlcPass:
         """The LLC's LRU pass over one L1 geometry's events.
 
         Writeback-installs are write-allocate (the install is dirty and
@@ -368,9 +433,7 @@ class _SharedOutcomes:
         hit outcome is recorded for the timing engine.
         """
         is_wb = l1_pass.ev_is_wb
-        hits, _, victim_dirty, end_lines, end_dirty = _lru(
-            l1_pass.ev_lines, is_wb, num_sets, assoc
-        )
+        hits, _, victim_dirty, end_lines, end_dirty = _lru(so, is_wb, assoc)
         fetch_hits = hits[~is_wb]
         pass_ = _LlcPass()
         pass_.miss = int(hits.size - np.count_nonzero(hits))
@@ -382,6 +445,7 @@ class _SharedOutcomes:
         ).digest()
         pass_.sets = None
         if l1_pass.dirty_lines:
+            num_sets = so.num_sets
             pass_.sets = [OrderedDict() for _ in range(num_sets)]
             for line, dirty in zip(end_lines.tolist(), end_dirty.tolist()):
                 pass_.sets[line % num_sets][line] = dirty
@@ -522,6 +586,7 @@ def _hierarchy_results(
     num_accesses = outcomes.num_accesses
     if strict:
         check_line_runs(num_accesses, outcomes.run_lines, outcomes.run_counts)
+    outcomes.run_passes(socs)
     return [
         _config_stats(outcomes, soc, flush, instructions_hint, recorder, strict)
         for soc in socs
@@ -567,49 +632,56 @@ def _timing_clock(
     Returns ``(clock, dram_misses, mshr_overflows, completion_disorder)``
     with the same float expressions in the same order as the serial
     engine — ``pendings`` supplies the integer issue-gap counts the
-    serial loop would have accumulated between events.
+    serial loop would have accumulated between events.  Each DRAM miss
+    issues one completion; completions only ever retire oldest first,
+    so they live in the list ``done``, in flight from index ``head``
+    on.  ``b if b > a else a`` is ``max(a, b)``, keeping ``a`` on ties.
     """
     llc_penalty = params.llc_hit_cycles * 0.25  # partially overlapped
     mshrs = params.mshrs
     dram_cycles = params.dram_cycles
     issue_interval = params.dram_issue_interval_cycles
     anchor = 0.0
-    in_flight: deque[float] = deque()
+    done: list[float] = []
+    issue = done.append
+    issued = head = 0
     next_dram_slot = 0.0
-    dram_misses = 0
     mshr_overflows = 0
     completion_disorder = 0
     for pending, llc_hit in zip(pendings, fetch_hits):
         if llc_hit:
             anchor = anchor + pending * issue_gap + llc_penalty
             continue
-        dram_misses += 1
         clock = anchor + pending * issue_gap
-        while in_flight and in_flight[0] <= clock:
-            in_flight.popleft()
-        if len(in_flight) >= mshrs:
-            clock = max(clock, in_flight[0])
-            while in_flight and in_flight[0] <= clock:
-                in_flight.popleft()
-        start = max(clock, next_dram_slot)
+        while head < issued and done[head] <= clock:
+            head += 1
+        if issued - head >= mshrs:
+            oldest = done[head]
+            if oldest > clock:
+                clock = oldest
+            while head < issued and done[head] <= clock:
+                head += 1
+        start = next_dram_slot if next_dram_slot > clock else clock
         if strict:
-            if in_flight and start + dram_cycles < in_flight[-1]:
+            if head < issued and start + dram_cycles < done[-1]:
                 completion_disorder += 1
-            if len(in_flight) >= mshrs:
+            if issued - head >= mshrs:
                 mshr_overflows += 1
-        in_flight.append(start + dram_cycles)
+        issue(start + dram_cycles)
+        issued += 1
         next_dram_slot = start + issue_interval
         anchor = clock
     clock = anchor + final_pending * issue_gap
-    if in_flight:
-        clock = max(clock, in_flight[-1])
-    return clock, dram_misses, mshr_overflows, completion_disorder
+    if head < issued and done[-1] > clock:
+        clock = done[-1]
+    return clock, issued, mshr_overflows, completion_disorder
 
 
 def _timing_results(
     outcomes, simulators, instructions_per_access, recorder, strict
 ) -> list[TimingResult]:
     num_accesses = outcomes.num_accesses
+    outcomes.run_passes([sim.soc for sim in simulators])
     clocks = {}
     results = []
     for sim in simulators:

@@ -13,12 +13,15 @@ Each generator also asserts which branch it reaches — strided,
 streaming, direct-mapped and empty access streams are decided, ``A B A
 C A D ...`` interleavings and an LLC set that ends cycling over fewer
 lines than it has ways are not — so both the kernel and the fallback
-run on every invocation.  The last tests pin the two ways the sweep depends
-on the kernel: the default ``cachesweep`` grid never falls back, and
-timing clocks are shared exactly when LLC fetch outcomes are.
+run on every invocation.  The last tests pin the ways the sweep depends
+on the kernel: the default ``cachesweep`` grid never falls back, its
+passes share one set order per stream and set count, and timing clocks
+are shared exactly when LLC fetch outcomes are.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -49,7 +52,13 @@ def l1_events(lines, writes, num_sets, assoc):
     l1 = CacheConfig(
         size_bytes=num_sets * assoc * CACHE_LINE_BYTES, associativity=assoc
     )
-    l1_pass = batch._SharedOutcomes(trace).l1(l1)
+    llc = CacheConfig(
+        size_bytes=LLC_GEOMETRY[0] * LLC_GEOMETRY[1] * CACHE_LINE_BYTES,
+        associativity=LLC_GEOMETRY[1],
+    )
+    outcomes = batch._SharedOutcomes(trace)
+    outcomes.run_passes([SocConfig(l1=l1, l2=llc)])
+    l1_pass = outcomes.l1(l1)
     return l1_pass.ev_lines, l1_pass.ev_is_wb
 
 
@@ -57,11 +66,12 @@ def check(lines, flags, num_sets, assoc) -> bool:
     """Kernel == loop wherever the kernel decides; True if it decided."""
     lines = np.asarray(lines, dtype=np.int64)
     flags = np.asarray(flags, dtype=bool)
-    got = batch._lru_kernel(lines, flags, num_sets, assoc)
+    set_order = batch._set_order(lines, num_sets)
+    got = batch._lru_kernel(set_order, flags, assoc)
     want = batch._lru_loop(lines, flags, num_sets, assoc)
     if got is not None:
         assert outcomes_equal(got, want)
-    assert outcomes_equal(batch._lru(lines, flags, num_sets, assoc), want)
+    assert outcomes_equal(batch._lru(set_order, flags, assoc), want)
     return got is not None
 
 
@@ -137,7 +147,9 @@ class TestDecided:
     def test_empty_trace(self, num_sets, assoc):
         assert check([], [], num_sets, assoc)
         hits, victims, victim_dirty, end_lines, end_dirty = batch._lru_kernel(
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool), num_sets, assoc
+            batch._set_order(np.zeros(0, dtype=np.int64), num_sets),
+            np.zeros(0, dtype=bool),
+            assoc,
         )
         assert hits.size == victims.size == victim_dirty.size == 0
         assert end_lines.size == end_dirty.size == 0
@@ -192,8 +204,27 @@ class TestUndecided:
         check_both_levels(lines, writes, 1, assoc)
 
 
+@pytest.fixture(scope="class")
+def default_grid():
+    """The default ``cachesweep`` grid, its timing constants, the four
+    workload traces and the oracle's rows for each."""
+    socs = default_geometry_grid()
+    params = TimingParameters()
+    traces = {name: build() for name, build in WORKLOADS.items()}
+    rows = {
+        name: [oracle.sweep_row(trace, soc, params, 2.0) for soc in socs]
+        for name, trace in traces.items()
+    }
+    return socs, params, traces, rows
+
+
+def sweep_rows(trace, socs, params):
+    stats, timings = batch.sweep_batch(trace, socs, params=params)
+    return [_sweep_row(soc, s, t, 2.0) for soc, s, t in zip(socs, stats, timings)]
+
+
 class TestSweepDependsOnKernel:
-    def test_default_grid_never_falls_back(self, monkeypatch):
+    def test_default_grid_never_falls_back(self, monkeypatch, default_grid):
         """Every pass of the benchmark's sweep is decided by the kernel:
         with the loop made to raise, the rows still equal the oracle's."""
 
@@ -201,18 +232,37 @@ class TestSweepDependsOnKernel:
             raise AssertionError("LRU pass fell back to the loop")
 
         monkeypatch.setattr(batch, "_lru_loop", no_loop)
-        socs = default_geometry_grid()
-        params = TimingParameters()
-        for name, build in WORKLOADS.items():
-            trace = build()
-            stats, timings = batch.sweep_batch(trace, socs, params=params)
-            rows = [
-                _sweep_row(soc, s, t, 2.0)
-                for soc, s, t in zip(socs, stats, timings)
-            ]
-            assert rows == [
-                oracle.sweep_row(trace, soc, params, 2.0) for soc in socs
-            ], name
+        socs, params, traces, want = default_grid
+        for name, trace in traces.items():
+            assert sweep_rows(trace, socs, params) == want[name], name
+
+    def test_set_order_shared_across_associativities(
+        self, monkeypatch, default_grid
+    ):
+        """The grid's 30 LRU passes build 20 set orders, one per stream
+        and set count: its L1s have 128 or 256 sets and its LLCs 2048 or
+        4096, so the L1 passes of the four traces build 4 x 2, and the
+        LLC passes over their six distinct L1 event streams build 6 x 2.
+        The rows still equal the oracle's."""
+        set_counts = []
+        passes = []
+        set_order, lru = batch._set_order, batch._lru
+
+        def set_order_spy(lines, num_sets):
+            set_counts.append(num_sets)
+            return set_order(lines, num_sets)
+
+        def lru_spy(so, flags, assoc):
+            passes.append((so.num_sets, assoc))
+            return lru(so, flags, assoc)
+
+        monkeypatch.setattr(batch, "_set_order", set_order_spy)
+        monkeypatch.setattr(batch, "_lru", lru_spy)
+        socs, params, traces, want = default_grid
+        for name, trace in traces.items():
+            assert sweep_rows(trace, socs, params) == want[name], name
+        assert len(passes) == 30
+        assert Counter(set_counts) == {128: 4, 256: 4, 2048: 6, 4096: 6}
 
     def test_clocks_shared_by_llc_fetch_outcomes(self, monkeypatch):
         """Two LLC sizes with equal fetch outcomes share one clock loop;

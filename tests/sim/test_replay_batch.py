@@ -177,8 +177,7 @@ class TestBatchFlush:
 
         evaluator = ShardEvaluator(make_trace(addresses, writes))
         outcomes = evaluator.outcomes
-        for soc in socs:
-            outcomes.llc(soc.l1, soc.l2)
+        outcomes.run_passes(socs)
         l1_passes = list(outcomes._l1.values())
         llc_passes = list(outcomes._llc.values())
         assert (len(l1_passes), len(llc_passes)) == (1, 2)
@@ -208,20 +207,40 @@ class TestTimingBatchEquivalence:
         addresses=address_lists,
         socs=soc_batches,
         mshrs=st.integers(min_value=1, max_value=8),
+        dram_cycles=st.integers(min_value=1, max_value=400),
+        issue_interval=st.sampled_from([0.0, 0.3, 5.0, 7.1])
+        | st.floats(min_value=0.0, max_value=50.0),
+        instructions_per_access=st.sampled_from([0.1, 1.5, 2.0])
+        | st.floats(min_value=0.01, max_value=8.0),
+        strict=st.booleans(),
         data=st.data(),
     )
-    def test_bit_identical_to_serial(self, addresses, socs, mshrs, data):
+    def test_bit_identical_to_serial(
+        self, addresses, socs, mshrs, dram_cycles, issue_interval,
+        instructions_per_access, strict, data,
+    ):
+        """Clocks match the oracle's bit for bit also where they are not
+        integers: a fractional issue gap or DRAM issue interval (0.3 and
+        7.1 are not binary fractions) exposes any change in the order
+        the clock's float expressions round; interval 0.0 makes DRAM
+        completions tie."""
         writes = [data.draw(st.booleans()) for _ in addresses]
-        params = TimingParameters(mshrs=mshrs)
+        params = TimingParameters(
+            mshrs=mshrs,
+            dram_cycles=dram_cycles,
+            dram_issue_interval_cycles=issue_interval,
+        )
         serial = [
             oracle.TimingSimulator(soc, params).replay_fast(
-                make_trace(addresses, writes)
+                make_trace(addresses, writes), instructions_per_access, strict
             )
             for soc in socs
         ]
         batch = replay_timing_batch(
             make_trace(addresses, writes),
             [TimingSimulator(soc, params) for soc in socs],
+            instructions_per_access,
+            strict,
         )
         assert batch == serial
 

@@ -69,7 +69,8 @@ class TestBasics:
 
         With every access missing to DRAM and 10k MSHRs, the per-access
         oracle's O(mshrs) in-flight filtering would be ~100x slower on
-        this trace; the engine's deque is bit-identical to it (see
+        this trace; the engine's in-flight window, a list read from a
+        head index, is bit-identical to it (see
         test_replay_fast_matches_scalar_oracle).
         """
         trace = streaming_trace(2 * MB)

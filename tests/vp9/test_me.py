@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.workloads.vp9 import me
+from repro.workloads.vp9.mc import MotionVector
 from repro.workloads.vp9.me import (
     SearchStats,
     diamond_search,
@@ -103,6 +105,29 @@ class TestDiamondSearch:
         for search in (diamond_search, full_search):
             mv, cost = search(ref[16:32, 16:32], ref, 1, 1, search_range=4)
             assert (mv.dy, mv.dx, cost) == (0, 0, 0), search.__name__
+
+    def test_walk_keeps_the_center_on_a_one_sided_tie(self):
+        """The small diamond moves only to a strictly cheaper point.
+        Cost 0 at the center and at (0, 1), more everywhere else: a
+        walk that also moved on ties would end at (0, 1)."""
+
+        def evaluate(dy, dx):
+            if (dy, dx) in ((0, 0), (0, 1)):
+                return 0
+            return 1 + abs(dy) + abs(dx)
+
+        assert me._diamond_walk(evaluate, 4) == (MotionVector(0, 0), 0)
+
+    def test_walk_large_diamond_reaches_the_range_edge(self):
+        """The target (2, 0) sits on the range edge, two steps from the
+        center: only the large diamond reaches it.  A large diamond that
+        skipped edge points would leave the small diamond at (1, 0)
+        with cost 1."""
+
+        def evaluate(dy, dx):
+            return abs(dy - 2) + abs(dx)
+
+        assert me._diamond_walk(evaluate, 2) == (MotionVector(dx=0, dy=16), 0)
 
     def test_stats_counted(self):
         ref, cur = shifted_scene(1, 1)
