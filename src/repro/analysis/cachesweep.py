@@ -189,11 +189,7 @@ def _sweep_workload_in_worker(job):
     store = TraceStore(s["store_dir"], version=s["store_version"])
     cache = None
     if s["cache_dir"] is not None:
-        cache = MemoCache(
-            s["cache_dir"],
-            version=s["cache_version"],
-            flush_every=s["cache_flush_every"],
-        )
+        cache = MemoCache(s["cache_dir"], version=s["cache_version"])
     try:
         return run_sweep(
             name,
@@ -293,9 +289,6 @@ def _sweep_all_parallel(
         "store_version": store.version,
         "cache_dir": str(cache.directory) if cache is not None else None,
         "cache_version": cache.version if cache is not None else None,
-        "cache_flush_every": (
-            cache._store.flush_every if cache is not None else 1
-        ),
         "timing_params": timing_params,
         "instructions_per_access": instructions_per_access,
     }

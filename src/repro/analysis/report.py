@@ -125,28 +125,24 @@ def all_results(
     recorder = get_recorder()
     results: dict[int, FigureResult] = {}
     pending: list[int] = []
-    try:
-        with recorder.span("analysis.all_results"):
-            for index, fn in enumerate(EXPERIMENTS):
-                hit = cache.get(fn.__name__) if cache is not None else None
-                if hit is not None:
-                    results[index] = FigureResult.from_jsonable(hit)
-                else:
-                    pending.append(index)
-            values = []
-            if pending:
-                # Imported on a miss only, so a warm run loads no model code.
-                from repro.core.workload import run_scope
+    with recorder.span("analysis.all_results"):
+        for index, fn in enumerate(EXPERIMENTS):
+            hit = cache.get(fn.__name__) if cache is not None else None
+            if hit is not None:
+                results[index] = FigureResult.from_jsonable(hit)
+            else:
+                pending.append(index)
+        values = []
+        if pending:
+            # Imported on a miss only, so a warm run loads no model code.
+            from repro.core.workload import run_scope
 
-                with run_scope():
-                    values = _regenerate(pending, jobs, recorder)
-            for index, result in zip(pending, values):
-                results[index] = result
-                if cache is not None:
-                    cache.put(EXPERIMENTS[index].__name__, result.to_jsonable())
-    finally:
-        if cache is not None:
-            cache.flush()
+            with run_scope():
+                values = _regenerate(pending, jobs, recorder)
+        for index, result in zip(pending, values):
+            results[index] = result
+            if cache is not None:
+                cache.put(EXPERIMENTS[index].__name__, result.to_jsonable())
     return [results[i] for i in range(len(EXPERIMENTS))]
 
 
@@ -168,7 +164,6 @@ the test suite.
 
 def render_markdown(
     results: list[FigureResult],
-    store: dict | None = None,
     parallel: dict | None = None,
 ) -> str:
     from repro.analysis.scorecard import score_figures
@@ -210,9 +205,6 @@ def render_markdown(
     parallel = parallel if parallel is not None else load_parallel_baseline()
     if parallel:
         lines.append(_render_parallel_perf_section(parallel))
-    store = store if store is not None else load_store_baseline()
-    if store:
-        lines.append(_render_store_perf_section(store))
     return "\n".join(lines) + "\n"
 
 
@@ -270,58 +262,6 @@ def _render_parallel_perf_section(record: dict) -> str:
     lines.append(
         "Geomean multicore sweep speedup on this host: **%.1fx**.\n"
         % record.get("headline_speedup", 0.0)
-    )
-    return "\n".join(lines)
-
-
-#: Where the segment-store benchmark records write/hit numbers.
-STORE_BASELINE_PATH = (
-    Path(__file__).resolve().parents[3] / "benchmarks" / "BENCH_store.json"
-)
-
-
-def load_store_baseline(path: str | Path | None = None) -> dict | None:
-    """The committed segment-store benchmark record, if present."""
-    target = Path(path) if path is not None else STORE_BASELINE_PATH
-    try:
-        with open(target) as f:
-            return json.load(f)
-    except (OSError, ValueError):
-        return None
-
-
-def _render_store_perf_section(record: dict) -> str:
-    lines = ["## Performance — segment-merged result store\n"]
-    lines.append(
-        "Recorded by `benchmarks/bench_store.py` (re-run it to refresh "
-        "`benchmarks/BENCH_store.json`).  Baseline is the pre-segment "
-        "memo cache's one-JSON-document-per-entry two-phase commit, "
-        "whose cost is dominated by per-entry file opens and renames.  "
-        "The segment store batches entries "
-        "into single append-only blob writes with per-entry BLAKE2 "
-        "checksums and an in-blob offset index (DESIGN.md section 11); "
-        "every benchmark run verifies both layouts read back identical "
-        "values before timing.\n"
-    )
-    lines.append("| payload shape | entries | write speedup | cold-read speedup |")
-    lines.append("|---|---|---|---|")
-    for row in record.get("sweeps", []):
-        lines.append(
-            "| %s | %d | %.1fx | %.1fx |"
-            % (
-                row["name"],
-                row["entries"],
-                row["write"]["speedup"],
-                row["hit"]["speedup"],
-            )
-        )
-    lines.append("")
-    lines.append(
-        "Geomean write-path speedup: **%.1fx** entries/sec over "
-        "file-per-entry, with cold cache re-reads no worse than the "
-        "legacy layout (floor enforced by CI's perf-smoke "
-        "`bench_store.py --quick` gate).\n"
-        % record.get("headline_write_speedup", 0.0)
     )
     return "\n".join(lines)
 

@@ -1,16 +1,15 @@
 """Command-line interface.
 
     python -m repro figures [--figure "Figure 18"] [--write PATH] [--chart]
-                            [--jobs N] [--no-cache] [--cache-flush-every N]
+                            [--jobs N] [--no-cache]
                             [--manifest DIR] [--trace-out PATH] [--strict]
     python -m repro export [--dir figures_data]
     python -m repro evaluate [--workload chrome|tensorflow|vp9|all] [--jobs N]
                              [--manifest DIR] [--trace-out PATH] [--strict]
     python -m repro cachesweep [--workload NAME|all] [--trace-dir DIR]
-                               [--jobs N] [--no-cache] [--cache-flush-every N]
+                               [--jobs N] [--no-cache]
                                [--manifest DIR] [--trace-out PATH] [--strict]
-    python -m repro cache {compact|clear|prune} [--dir PATH]
-                          [--max-age-days DAYS]
+    python -m repro cache {clear|prune} [--dir PATH] [--max-age-days DAYS]
     python -m repro trace {list|prune|clear} [--dir PATH]
                           [--max-age-days DAYS]
     python -m repro characterize
@@ -76,15 +75,6 @@ def _add_obs_flags(parser) -> None:
     )
 
 
-def _add_cache_batch_flag(parser) -> None:
-    parser.add_argument(
-        "--cache-flush-every", type=int, default=None, metavar="N",
-        help="buffer N memo entries per segment flush (default 1: each "
-        "entry is written through immediately; larger values batch N "
-        "entries per blob write)",
-    )
-
-
 def _check_jobs(args) -> None:
     if args.jobs < 1:
         raise ValueError("--jobs must be >= 1, got %d" % args.jobs)
@@ -96,13 +86,6 @@ def _memo_cache(args):
         return None
     from repro.core.memo import MemoCache
 
-    if getattr(args, "cache_flush_every", None) is not None:
-        if args.cache_flush_every < 1:
-            raise ValueError(
-                "--cache-flush-every must be >= 1, got %d"
-                % args.cache_flush_every
-            )
-        return MemoCache(flush_every=args.cache_flush_every)
     return MemoCache()
 
 
@@ -147,9 +130,6 @@ def _cmd_figures(args) -> int:
                 config=default_system(),
                 results={"figures": [r.figure_id for r in results]},
             )
-    if cache is not None:
-        cache.flush()
-        cache.maybe_compact()
     return 0
 
 
@@ -284,9 +264,6 @@ def _cmd_cachesweep(args) -> int:
                     for name, doc in documents.items()
                 },
             )
-    if cache is not None:
-        cache.flush()
-        cache.maybe_compact()
     return 0
 
 
@@ -305,32 +282,12 @@ def _cmd_cache(args) -> int:
     if args.action == "clear":
         removed = cache.clear()
         print("cleared %d entries/files from %s" % (removed, cache.directory))
-    elif args.action == "prune":
+    else:
         days = args.max_age_days if args.max_age_days is not None else 30.0
         removed = cache.prune(max_age_days=days)
         print(
             "pruned %d file(s) older than %g day(s) from %s"
             % (removed, days, cache.directory)
-        )
-    else:
-        from repro.core.store import CompactionBusy
-
-        try:
-            stats = cache.compact(max_age_days=args.max_age_days)
-        except CompactionBusy as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        print(
-            "compacted %s: %d live entries (%d segment(s) merged), "
-            "%d file(s) removed, %d quarantined, %d aged file(s) pruned"
-            % (
-                cache.directory,
-                stats.entries,
-                stats.segments_merged,
-                stats.files_removed,
-                stats.quarantined,
-                stats.pruned,
-            )
         )
     return 0
 
@@ -461,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="bypass the on-disk figure memo cache",
     )
-    _add_cache_batch_flag(figures)
     _add_obs_flags(figures)
     figures.set_defaults(fn=_cmd_figures)
 
@@ -503,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="bypass the on-disk sweep memo cache",
     )
-    _add_cache_batch_flag(cachesweep)
     _add_obs_flags(cachesweep)
     cachesweep.set_defaults(fn=_cmd_cachesweep)
 
@@ -511,10 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
         "cache", help="manage the on-disk memo cache segments"
     )
     cache_cmd.add_argument(
-        "action", choices=["compact", "clear", "prune"],
-        help="compact: rewrite all live entries into one fresh segment, "
-        "quarantining corrupt blobs; clear: delete everything; prune: "
-        "remove aged foreign-version files and debris",
+        "action", choices=["clear", "prune"],
+        help="clear: delete everything; prune: remove aged "
+        "foreign-version files and debris",
     )
     cache_cmd.add_argument(
         "--dir", metavar="PATH", default=None,
@@ -523,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     cache_cmd.add_argument(
         "--max-age-days", type=float, default=None, metavar="DAYS",
         help="age cutoff for pruning foreign-version files and debris "
-        "(prune defaults to 30; compact age-prunes only when given)",
+        "(default 30)",
     )
     cache_cmd.set_defaults(fn=_cmd_cache)
 

@@ -14,15 +14,12 @@ The cache directory defaults to ``.repro_cache/`` next to
 ``REPRO_CACHE_DIR`` environment variable; falls back to
 ``~/.cache/repro`` for installed packages).  Entries live in append-only
 segment blobs (:mod:`repro.core.store`): each writing process claims its
-own ``memo-*.seg`` blob and appends checksummed entries to it, so N puts
-cost N buffered appends and a handful of file opens instead of N
-open/write/rename round trips.  The torn-write contract is unchanged: a
-corrupted entry (checksum mismatch) is counted as ``core.memo.corrupt``
-and never returned, and a truncated flush loses only its own uncommitted
-tail.  :meth:`MemoCache.compact` folds accumulated blobs into one fresh
-segment and sheds quarantine debris.  A pre-segment ``<key>.json``
-document (one file per entry) left in the directory is debris too: its
-key embeds an older code version, so no lookup can reach it.
+own ``memo-*.seg`` blob, and each :meth:`MemoCache.put` appends one
+checksummed line to it.  A corrupted entry (checksum mismatch) is
+counted as ``core.memo.corrupt`` and never returned, and a write cut
+short by a crash loses only its own line.  A pre-segment ``<key>.json``
+document (one file per entry) left in the directory is debris: its key
+embeds an older code version, so no lookup can reach it.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.core.store import CompactionStats, SegmentReader, SegmentStore, peek_key
+from repro.core.store import SegmentReader, SegmentStore, peek_key
 from repro.obs.recorder import get_recorder
 
 
@@ -90,33 +87,17 @@ class MemoCache:
         directory: where entries live; created on first :meth:`put`.
         version: cache namespace; defaults to :func:`code_version_hash`
             so edits to the model code invalidate prior entries.
-        flush_every: entries buffered per segment flush.  The default
-            (1) writes each :meth:`put` through immediately
-            (read-your-writes durability); larger values batch N
-            entries per file write for high-rate producers (call
-            :meth:`flush` or :meth:`close` when done).
-        compact_ratio: dead-bytes threshold for :meth:`maybe_compact`
-            (forwarded to the segment store; ``None`` disables the
-            auto-compaction trigger).
     """
 
     def __init__(
         self,
         directory: str | Path | None = None,
         version: str | None = None,
-        flush_every: int = 1,
-        compact_ratio: float | None = 0.6,
     ):
         self.directory = Path(directory) if directory is not None else default_cache_dir()
         self.version = version if version is not None else code_version_hash()
         self._store = SegmentStore(
-            self.directory,
-            key=self.version,
-            prefix="memo",
-            flush_every=flush_every,
-            fsync=False,
-            count=self._count,
-            compact_ratio=compact_ratio,
+            self.directory, key=self.version, prefix="memo", count=self._count
         )
 
     def _count(self, event: str, n: float = 1) -> None:
@@ -133,10 +114,9 @@ class MemoCache:
 
         A corrupted entry (checksum mismatch) is never returned as a
         value: it is counted as ``core.memo.corrupt`` and made
-        permanently invisible (a bad segment frame hides its entry at
-        once and :meth:`compact` quarantines the blob), so a torn write
-        from a dead worker cannot poison later runs.  Every lookup that
-        returns ``default`` counts ``core.memo.misses``.
+        permanently invisible, so a torn write from a dead worker cannot
+        poison later runs.  Every lookup that returns ``default`` counts
+        ``core.memo.misses``.
         """
         counters = get_recorder().counters
         value = self._store.get(self.key(name, config), _MISS)
@@ -149,22 +129,14 @@ class MemoCache:
     def put(self, name: str, value, config=None) -> Path:
         """Store a JSON-serializable value; returns the segment path.
 
-        The entry is appended to this process's own segment blob (a
-        single buffered write per ``flush_every`` entries — no
-        per-entry file creation), committed under a per-entry BLAKE2
-        checksum by the flush's index frame (or, for a single-entry
-        flush, its own self-committing frame).
+        The entry is appended to this process's own segment blob as one
+        line under a per-entry BLAKE2 checksum, in a single write.
         """
         get_recorder().counters.add("core.memo.puts", 1)
-        self._store.append(self.key(name, config), value)
-        return self._store.segment_path()
-
-    def flush(self):
-        """Write any entries still buffered by ``flush_every`` > 1."""
-        return self._store.flush()
+        return self._store.append(self.key(name, config), value)
 
     def close(self) -> None:
-        """Flush buffered entries and release the segment blob."""
+        """Release the segment blob."""
         self._store.close()
 
     def clear(self) -> int:
@@ -175,7 +147,7 @@ class MemoCache:
         the committed entries inside them) and every debris file.
         """
         removed = 0
-        self._store.discard()
+        self._store.close()
         if self.directory.is_dir():
             for path in self.directory.glob("*.seg"):
                 removed += self._segment_weight(path)
@@ -199,11 +171,9 @@ class MemoCache:
         N entries reports N whether they lived in one blob or N files);
         a foreign or unreadable blob counts as one opaque file.
         """
-        if peek_key(path) != self.version:
-            return 1
-        reader = SegmentReader(path, count=lambda *a: None)
+        reader = SegmentReader(path, self.version, count=lambda *a: None)
         reader.refresh()
-        return max(len(reader.names()), 1)
+        return max(len(reader.entries), 1)
 
     def prune(self, max_age_days: float = 30.0) -> int:
         """Remove files from old code versions, plus aged debris.
@@ -212,9 +182,7 @@ class MemoCache:
         key embeds the version) and only wastes disk; it is deleted once
         older than ``max_age_days``, as is every debris file past the
         cutoff.  Current-version blobs are never pruned.  Returns how
-        many files were removed.  (:meth:`compact` subsumes this *and*
-        rewrites current-version data; ``prune`` alone never touches
-        live entries.)
+        many files were removed.
         """
         if not self.directory.is_dir():
             return 0
@@ -247,51 +215,3 @@ class MemoCache:
                 except OSError:
                     pass
         return removed
-
-    def maybe_compact(self, max_age_days: float | None = None):
-        """:meth:`compact` iff the store's dead-bytes ratio crosses the knob.
-
-        The sweep-completion hook: the CLI calls this after a sweep's
-        results land, so caches serving many overwriting sweeps shed
-        superseded bytes without anyone scheduling maintenance.
-        Returns the :class:`~repro.core.store.CompactionStats` when a
-        rewrite ran (counted as ``core.store.auto_compactions``), else
-        None.
-        """
-        from repro.core.store import CompactionBusy
-
-        if self._store.compact_ratio is None:
-            return None
-        if self._store.dead_ratio() <= self._store.compact_ratio:
-            return None
-        try:
-            stats = self.compact(max_age_days=max_age_days)
-        except CompactionBusy:
-            self._count("compact_busy")
-            return None
-        self._count("auto_compactions")
-        return stats
-
-    def compact(self, max_age_days: float | None = None) -> CompactionStats:
-        """Rewrite the cache as one fresh segment, folding in the chores.
-
-        Every live current-version entry is rewritten into a single new
-        blob; the merged blobs are removed, and blobs that held
-        corrupt/torn frames are quarantined to ``*.corrupt``.  With
-        ``max_age_days``, aged foreign-version files and debris are
-        pruned as :meth:`prune` would.  Safe under concurrent writers:
-        compactors serialize on a cross-process lock
-        (:class:`~repro.core.store.CompactionBusy` when contended) and
-        blobs a live writer owns are skipped, not rewritten.  Returns
-        the :class:`~repro.core.store.CompactionStats`.
-        """
-        stats = self._store.compact(max_age_days=max_age_days)
-        if max_age_days is not None:
-            # The segment store prunes its own debris; documents of the
-            # pre-segment layout are the cache's.
-            pruned = self._unlink_aged(
-                ("*.json",), time.time() - max_age_days * 86400.0
-            )
-            stats.pruned += pruned
-            stats.files_removed += pruned
-        return stats

@@ -6,7 +6,6 @@ import os
 import time
 
 from repro.core.memo import MemoCache, code_version_hash
-from repro.core.store import peek_key
 from repro.obs.recorder import recording
 
 
@@ -61,24 +60,12 @@ class TestMemoCache:
         cache.put("np", {"x": np.float64(1.5), "n": np.int64(3)})
         assert cache.get("np") == {"x": 1.5, "n": 3}
 
-    def test_batched_puts_flush_on_close(self, tmp_path):
-        cache = MemoCache(tmp_path, version="v1", flush_every=8)
-        for i in range(5):
-            cache.put("fig%d" % i, {"i": i})
-        assert cache.get("fig3") == {"i": 3}  # read-your-writes pre-flush
-        # Nothing is committed to disk until the batch flushes.
-        assert MemoCache(tmp_path, version="v1").get("fig3") is None
-        cache.close()
-        assert len(list(tmp_path.glob("memo-*.seg"))) == 1
-        assert MemoCache(tmp_path, version="v1").get("fig3") == {"i": 3}
-
 
 def write_presegment_document(cache, name, value, config=None):
     """A valid one-file-per-entry document, as pre-segment put() wrote it.
 
     Current code never writes or reads this layout, so such a file is
-    debris: a miss on lookup, deleted by clear(), aged out by prune()
-    and compact(max_age_days=...).
+    debris: a miss on lookup, deleted by clear(), aged out by prune().
     """
     path = cache.directory / ("%s.json" % cache.key(name, config))
     value_json = json.dumps(value, sort_keys=True)
@@ -93,8 +80,8 @@ def write_presegment_document(cache, name, value, config=None):
 
 
 class TestMixedLayoutMaintenance:
-    """clear()/prune()/compact() over a directory holding segment blobs
-    of two versions, pre-segment documents, and crash debris."""
+    """clear()/prune() over a directory holding segment blobs of two
+    versions, pre-segment documents, and crash debris."""
 
     def _mixed_dir(self, tmp_path):
         cache = MemoCache(tmp_path, version="v1")
@@ -107,8 +94,7 @@ class TestMixedLayoutMaintenance:
         other.close()
         foreign = MemoCache(tmp_path, version="v0")
         foreign_document = write_presegment_document(foreign, "bygone", {"x": 0})
-        foreign.put("bygone-seg", {"x": 0})
-        foreign_blob = foreign._store.segment_path()
+        foreign_blob = foreign.put("bygone-seg", {"x": 0})
         foreign.close()
         debris = [tmp_path / "dead.tmp.12345", tmp_path / "old.corrupt"]
         for path in debris:
@@ -127,58 +113,6 @@ class TestMixedLayoutMaintenance:
         assert "core.memo.hits" not in counters
         assert "core.memo.corrupt" not in counters
         assert path.exists()  # never read, so never quarantined
-
-    def test_compact_merges_segments_leaves_documents(self, tmp_path):
-        cache, document, foreign_document, foreign_blob, debris = (
-            self._mixed_dir(tmp_path)
-        )
-        stats = cache.compact()
-        assert stats.entries == 3
-        assert stats.segments_merged == 2
-        assert stats.quarantined == 0
-        # Everything live survives under the one remaining v1 blob.
-        blobs = [
-            p for p in tmp_path.glob("memo-*.seg") if peek_key(p) == "v1"
-        ]
-        assert len(blobs) == 1
-        fresh = MemoCache(tmp_path, version="v1")
-        assert fresh.get("old-fig") is None
-        for i, name in enumerate(("seg-fig", "seg-fig2", "seg-fig3")):
-            assert fresh.get(name) == {"segment": i + 1}
-        # Foreign-version files and debris are untouched without an age.
-        assert document.exists()
-        assert foreign_document.exists()
-        assert foreign_blob.exists()
-        assert all(path.exists() for path in debris)
-
-    def test_compact_with_age_also_prunes_foreign_and_debris(self, tmp_path):
-        cache, document, foreign_document, foreign_blob, debris = (
-            self._mixed_dir(tmp_path)
-        )
-        ancient = time.time() - 90 * 86400
-        aged = [document, foreign_document, foreign_blob] + debris
-        for path in aged:
-            os.utime(path, (ancient, ancient))
-        stats = cache.compact(max_age_days=30)
-        assert stats.entries == 3
-        assert stats.pruned == 5  # 2 documents + foreign blob + 2 debris
-        assert not any(path.exists() for path in aged)
-        assert MemoCache(tmp_path, version="v1").get("seg-fig") == {
-            "segment": 1
-        }
-
-    def test_compact_never_parses_presegment_documents(self, tmp_path):
-        cache = MemoCache(tmp_path, version="v1")
-        bad = tmp_path / ("%s.json" % cache.key("bad"))
-        bad.write_text("{not json")
-        cache.put("good", {"ok": True})
-        with recording() as rec:
-            stats = cache.compact()
-        assert stats.entries == 1
-        assert stats.quarantined == 0
-        assert "core.memo.corrupt" not in rec.counters.as_dict()
-        assert bad.read_text() == "{not json"
-        assert not bad.with_suffix(".corrupt").exists()
 
     def test_clear_counts_entries_and_debris_across_layouts(self, tmp_path):
         cache, _, _, _, _ = self._mixed_dir(tmp_path)

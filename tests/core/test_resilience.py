@@ -22,7 +22,6 @@ from repro.core.memo import MemoCache
 from repro.core.offload import OffloadEngine
 from repro.core.resilience import ResilientMap
 from repro.core.runner import ExperimentRunner, SweepResult, _init_worker
-from repro.core.store import SegmentReader, SegmentWriter
 from repro.core.target import PimTarget
 from repro.obs.recorder import recording
 from repro.sim.profile import KernelProfile
@@ -167,23 +166,21 @@ class TestMemoCorruption:
             assert cache.get("entry") is None
         assert rec.counters.get("core.memo.corrupt") == 0
         assert rec.counters.get("core.memo.misses") == 1
-        # Compaction quarantines the tampered blob for inspection.
-        stats = cache.compact()
-        assert stats.quarantined == 1
-        assert not path.exists()
-        assert path.with_suffix(".corrupt").exists()
 
     def test_truncated_entry_is_dropped_as_torn(self, tmp_path):
-        cache = MemoCache(tmp_path, version="v1", flush_every=2)
+        cache = MemoCache(tmp_path, version="v1")
         cache.put("entry", {"rows": list(range(100))})
         path = cache.put("other", {"rows": [2]})
         cache.close()
         raw = path.read_bytes()
-        path.write_bytes(raw[:-10])  # cut into the committing index frame
+        # Cut the end off "entry"'s S line, keeping the newline that
+        # seals it: a complete line whose body no longer parses.
+        entry_end = raw.index(b"\n", raw.index(b"\n") + 1)
+        path.write_bytes(raw[: entry_end - 10] + raw[entry_end:])
         fresh = MemoCache(tmp_path, version="v1")
         with recording() as rec:
             assert fresh.get("entry") is None
-            assert fresh.get("other") is None
+            assert fresh.get("other") == {"rows": [2]}
         assert rec.counters.get("core.store.torn") == 1
         assert rec.counters.get("core.memo.corrupt") == 0
         # A re-put lands in a new per-process blob and reads back fine.
@@ -302,44 +299,3 @@ class TestMemoConcurrency:
             assert path.exists()
             cache.put("k", value["a"])
             assert MemoCache(root, version="v1").get("k") == value["a"]
-
-    def test_memo_and_checkpoint_writers_share_a_directory(self, tmp_path):
-        """Memo segment blobs and an fsync'd one-entry-per-append
-        segment writer coexist in one directory: per-process memo blobs
-        and the appender's blob never collide, and nothing is lost,
-        duplicated, or corrupted."""
-        value_a = {"who": "a", "rows": list(range(100))}
-        value_b = {"who": "b", "rows": list(range(100, 200))}
-        writers = [
-            multiprocessing.Process(
-                target=_hammer_puts, args=(str(tmp_path), "v1", value, 25)
-            )
-            for value in (value_a, value_b)
-        ] + [
-            multiprocessing.Process(
-                target=_hammer_appends, args=(str(tmp_path), 25)
-            )
-        ]
-        for w in writers:
-            w.start()
-        for w in writers:
-            w.join()
-        assert all(w.exitcode == 0 for w in writers)
-        with recording() as rec:
-            cache = MemoCache(tmp_path, version="v1")
-            assert cache.get("shared", config={"k": 1}) in (value_a, value_b)
-            reader = SegmentReader(tmp_path / "sweep.log")
-            reader.refresh()
-            entries = reader.entries()
-        assert sorted(entries) == ["t%03d" % i for i in range(25)]
-        assert all(entries["t%03d" % i] == {"i": i} for i in range(25))
-        assert rec.counters.get("core.memo.corrupt") == 0
-        assert rec.counters.get("core.store.corrupt") == 0
-        assert not list(tmp_path.glob("*.corrupt"))
-
-
-def _hammer_appends(directory, count):
-    writer = SegmentWriter(Path(directory) / "sweep.log", key="ck")
-    for i in range(count):
-        writer.append_chunk([("t%03d" % i, {"i": i})], fsync=True)
-    writer.close()

@@ -174,10 +174,9 @@ class TestCommands:
         "args",
         [
             ["cache", "prune"],
-            ["cache", "compact"],
             ["trace", "prune"],
         ],
-        ids=["cache-prune", "cache-compact", "trace-prune"],
+        ids=["cache-prune", "trace-prune"],
     )
     def test_max_age_days_below_zero_rejected(self, args, tmp_path, capsys):
         victim = tmp_path / "dead.tmp.1"
@@ -221,9 +220,9 @@ class TestCommands:
 
 
 class TestCacheCommand:
-    """``cache compact|prune|clear`` over a directory the memo cache wrote."""
+    """``cache prune|clear`` over a directory the memo cache wrote."""
 
-    def test_compact_prune_clear(self, tmp_path, capsys):
+    def test_prune_clear(self, tmp_path, capsys):
         for name in ("fig1", "fig2"):
             writer = MemoCache(tmp_path)
             writer.put(name, {"rows": [name]})
@@ -238,20 +237,14 @@ class TestCacheCommand:
             os.utime(path, (ancient, ancient))
         directory = ["--dir", str(tmp_path)]
 
-        assert main(["cache", "compact"] + directory) == 0
-        assert capsys.readouterr().out == (
-            "compacted %s: 2 live entries (2 segment(s) merged), "
-            "2 file(s) removed, 0 quarantined, 0 aged file(s) pruned\n"
-            % tmp_path
-        )
-        assert MemoCache(tmp_path).get("fig2") == {"rows": ["fig2"]}
-
-        # The fresh segment is new; the foreign blob and debris are old.
+        # Current-version blobs are never age-pruned; the foreign blob
+        # and the debris are.
         assert main(["cache", "prune"] + directory) == 0
         assert capsys.readouterr().out == (
             "pruned 2 file(s) older than 30 day(s) from %s\n" % tmp_path
         )
         assert MemoCache(tmp_path).get("fig1") == {"rows": ["fig1"]}
+        assert MemoCache(tmp_path).get("fig2") == {"rows": ["fig2"]}
 
         assert main(["cache", "clear"] + directory) == 0
         assert capsys.readouterr().out == (
