@@ -80,21 +80,27 @@ def _check_jobs(args) -> None:
         raise ValueError("--jobs must be >= 1, got %d" % args.jobs)
 
 
+@contextlib.contextmanager
 def _memo_cache(args):
-    """The memo cache the cache flags ask for (or None with --no-cache)."""
+    """The memo cache the cache flags ask for (or None with --no-cache),
+    closed on exit so an in-process run leaves no segment blob open."""
     if args.no_cache:
-        return None
+        yield None
+        return
     from repro.core.memo import MemoCache
 
-    return MemoCache()
+    cache = MemoCache()
+    try:
+        yield cache
+    finally:
+        cache.close()
 
 
 def _cmd_figures(args) -> int:
     from repro.analysis.report import all_results, render_markdown
 
     _check_jobs(args)
-    cache = _memo_cache(args)
-    with _obs_session(args) as recorder:
+    with _memo_cache(args) as cache, _obs_session(args) as recorder:
         results = all_results(jobs=args.jobs, cache=cache)
         if args.write:
             with open(args.write, "w") as f:
@@ -217,9 +223,8 @@ def _cmd_cachesweep(args) -> int:
             "unknown workload %r; available: %s"
             % (args.workload, ", ".join(workload_names() + ["all"]))
         )
-    cache = _memo_cache(args)
     store = TraceStore(args.trace_dir) if args.trace_dir else TraceStore()
-    with _obs_session(args) as recorder:
+    with _memo_cache(args) as cache, _obs_session(args) as recorder:
         # --jobs fans out across workloads (several names) or across
         # shards of one workload's batch plan (a single name).
         documents = sweep_all(names, store=store, cache=cache, jobs=args.jobs)

@@ -27,17 +27,29 @@ differs between configurations:
   same L1 event stream, LLC fetch outcomes and timing constants —
   keyed by those outcomes, not by the LLC geometry.
 
-**The LRU kernel.**  Both levels run one LRU (:func:`_lru`); a flag
-dirties the line an access touches (an L1 write, an LLC
-writeback-install).  It returns, per access, whether it hit, the line it
-evicted and whether that victim was dirty, plus the end state.  It
-decides all of that with NumPy, without stepping the cache, in two
-halves.  :func:`_set_order` takes each set's accesses in time order
-("set order"), folds an access to the line its set touched last into
-that access (an MRU hit; its flag ORs into the one it repeats), and
-finds each access's previous use of its line.  None of that depends on
-the associativity, so the passes over one stream with one set count
-share it: the default ``cachesweep`` grid's 30 passes build 20.
+**The LRU passes.**  Both levels run one LRU; a flag dirties the line
+an access touches (an L1 write, an LLC writeback-install).  A pass
+returns, per access, whether it hit; its dirty evictions (when each
+happened and the victim's line), all that callers read of its victims;
+and the end state.  It decides all of that with NumPy, without stepping
+the cache.  :func:`_outcomes` runs every pass over one stream (the run
+stream, or one L1 event stream):
+
+* *First use* — one stable line sort (:func:`_line_uses`) gives each
+  line's first use, its last use and the OR of its flags.  Per set
+  count, the most lines any set holds is the least associativity whose
+  pass never evicts.  Such a pass is decided by :func:`_first_use`: an
+  access hits exactly when its line was used before, nothing is written
+  back, and the end state is every line, per set by last use, dirty if
+  any of its uses was flagged.
+* *Set order* — the other associativities of a set count share one
+  :func:`_set_order`, built only for them.  It takes each set's
+  accesses in time order ("set order"), folds an access to the line its
+  set touched last into that access (an MRU hit; its flag ORs into the
+  one it repeats), and finds each access's reuse gap back to the
+  previous use of its line.  The default ``cachesweep`` grid's 30
+  passes build 6 set orders; its other 22 passes never evict.
+
 :func:`_lru_kernel` then decides each access for one associativity from
 the window of its set's previous ``assoc`` accesses:
 
@@ -52,11 +64,14 @@ the window of its set's previous ``assoc`` accesses:
 * *end state* — per set, its last ``assoc`` accesses when those are
   distinct, or all of its lines when it never overflows.
 
-A window with a repeated line leaves an eviction undecided (``A B A C A
-D ...``).  Then the whole pass runs :func:`_lru_loop`, the OrderedDict
-loop (recency = insertion order) returning the same arrays, so the
-outcome is exact whichever runs; the trace alone picks, and every pass
-of the default ``cachesweep`` grid is decided by the kernel.
+The kernel's rule for a set that never overflows is the first-use rule,
+applied per set; the first-use path applies it before any set sort when
+no set overflows.  A window with a repeated line leaves an eviction
+undecided (``A B A C A D ...``).  Then the whole pass runs
+:func:`_lru_loop`, the OrderedDict loop (recency = insertion order)
+returning the same arrays, so the outcome is exact whichever runs; the
+trace alone picks, and no pass of the default ``cachesweep`` grid needs
+the loop.
 
 Each config then finishes straight from the shared pass end states.
 The end-of-replay flush walks the L1 end state's dirty lines in (set,
@@ -72,8 +87,8 @@ The serial engines this replaced live on as test oracles in
 ``tests/sim/oracle.py``: a per-access replay and a line-run replay for
 each simulator.  :func:`replay_batch` and :func:`replay_timing_batch`
 are bit-identical per config to them (property-tested in
-``tests/sim/test_replay_batch.py``; the kernel is held to the loop in
-``tests/sim/test_lru_kernel.py``).  :func:`sweep_batch` evaluates both
+``tests/sim/test_replay_batch.py``; the kernel and the first-use rule
+are held to the loop in ``tests/sim/test_lru_kernel.py``).  :func:`sweep_batch` evaluates both
 simulators from one set of shared passes — the sweep executor's engine.
 
 Counters: each batch publishes ``sim.replay_batch.batches`` /
@@ -106,11 +121,12 @@ from repro.validate.strict import invariant, resolve_strict
 
 
 def _line_runs_for_batch(trace: MemoryTrace):
-    """The trace's run columns as int64 lines, plus a shared-memo flag.
+    """The trace's run columns with lines as int64, plus a shared-memo flag.
 
     Lines computed from uint64 byte addresses stay below 2**58, so only
     a run stream placed in the trace's memo by hand can exceed int64;
-    without the guard the cast would wrap it negative.
+    the guard keeps the int64 view of such a stream from reading it
+    negative.
     """
     shared = bool(getattr(trace, "_line_runs_cache", None))
     run_lines, run_counts, run_writes = trace.line_runs()
@@ -119,7 +135,75 @@ def _line_runs_for_batch(trace: MemoryTrace):
             "line-run column run_lines holds line %d; the replay requires "
             "lines < 2**63" % int(run_lines.max())
         )
-    return run_lines.astype(np.int64), run_counts, run_writes, shared
+    return run_lines.view(np.int64), run_counts, run_writes, shared
+
+
+def _set_index(lines, num_sets: int):
+    """Each line's set: its low bits for a power-of-two set count (every
+    count of the default grid), ``%`` otherwise.  Held in 16 bits where
+    the count allows, which also gets NumPy's radix sort: 2-3x faster on
+    L1 set counts."""
+    dtype = np.uint16 if num_sets <= 1 << 16 else np.int64
+    sets = np.empty(lines.size, dtype=dtype)
+    if num_sets & (num_sets - 1):
+        np.remainder(lines, num_sets, out=sets, casting="unsafe")
+    else:
+        np.bitwise_and(lines, num_sets - 1, out=sets, casting="unsafe")
+    return sets
+
+
+class _LineUses:
+    """One access stream's uses grouped by line: all a pass that never
+    evicts needs, whatever its geometry.
+
+    ``hits`` marks every access but each line's first use;
+    ``end_lines`` holds each line once, least recently used first, and
+    ``end_dirty`` whether any of its uses was flagged.
+    """
+
+    __slots__ = ("hits", "end_lines", "end_dirty")
+
+
+def _line_uses(lines, flags) -> _LineUses:
+    """One stable line sort: each line's first use, last use and flags."""
+    uses = _LineUses()
+    n = lines.size
+    by_line = np.argsort(lines, kind="stable")
+    sorted_lines = lines[by_line]
+    starts = np.ones(n, dtype=bool)
+    np.not_equal(sorted_lines[1:], sorted_lines[:-1], out=starts[1:])
+    del sorted_lines
+    starts = np.flatnonzero(starts)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:] - 1
+    ends[-1:] = n - 1
+    uses.hits = hits = np.ones(n, dtype=bool)
+    hits[by_line[starts]] = False
+    last_of = by_line[ends]
+    last = np.zeros(n, dtype=bool)
+    last[last_of] = True
+    last_at = np.flatnonzero(last)
+    uses.end_lines = lines[last_at]
+    if flags.any():
+        dirty = np.zeros(n, dtype=bool)
+        dirty[last_of] = np.logical_or.reduceat(flags[by_line], starts)
+        uses.end_dirty = dirty[last_at]
+    else:
+        uses.end_dirty = np.zeros(last_at.size, dtype=bool)
+    return uses
+
+
+def _first_use(uses: _LineUses, sets):
+    """The outcome of an LRU pass in which no set ever holds more lines
+    than it has ways; ``sets`` is the set of each of ``uses.end_lines``.
+
+    Nothing is evicted, so an access hits exactly when its line was used
+    before, and nothing is written back.  The end state is every line,
+    per set by last use; a line is dirty if any of its uses was flagged.
+    """
+    by_set = np.argsort(sets, kind="stable")
+    none = np.zeros(0, dtype=np.int64)
+    return uses.hits, none, none, uses.end_lines[by_set], uses.end_dirty[by_set]
 
 
 class _SetOrder:
@@ -128,23 +212,23 @@ class _SetOrder:
 
     ``lines`` and ``num_sets`` are the stream and the set count (the
     fallback loop replays them).  ``order`` sorts the ``n`` accesses
-    into set order and ``s_line`` is their lines in that order.  The MRU
-    fold keeps the accesses at set-order positions ``kept`` (time-order
-    positions ``at``); the remaining arrays follow that folded stream:
-    each access's ``line`` and set ``c_set``, its previous use of the
-    same line ``prev`` (-1: never, then ``first``), and whether it is
-    its line's ``last`` use.  ``set_lines`` counts each set's distinct
-    lines.
+    into set order.  The MRU fold keeps the accesses at set-order
+    positions ``kept`` (time-order positions ``at``); the remaining
+    arrays follow that folded stream: each access's ``line`` and set
+    ``c_set``, whether it is its line's ``first`` or ``last`` use, and
+    its reuse ``gap``, the distance back to its line's previous use (the
+    int64 maximum for a first use).  ``set_lines`` counts each set's
+    distinct lines.
     """
 
     __slots__ = (
-        "lines", "num_sets", "order", "s_line", "kept", "at", "line",
-        "c_set", "prev", "first", "last", "set_lines",
+        "lines", "num_sets", "order", "kept", "at", "line", "c_set", "gap",
+        "first", "last", "set_lines",
     )
 
 
 def _set_order(lines, num_sets: int) -> _SetOrder:
-    """Sort ``lines`` into set order, fold MRU repeats, find previous uses.
+    """Sort ``lines`` into set order, fold MRU repeats, find reuse gaps.
 
     The work happens in *set order* (each set's accesses in time order,
     sets ascending); repeats of the access just before in the same set
@@ -152,28 +236,31 @@ def _set_order(lines, num_sets: int) -> _SetOrder:
     """
     so = _SetOrder()
     so.lines, so.num_sets = lines, num_sets
-    sets = lines % num_sets
-    # 16-bit keys get NumPy's radix sort: 2-3x faster on L1 set counts.
-    so.order = order = np.argsort(
-        sets.astype(np.uint16) if num_sets <= 1 << 16 else sets, kind="stable"
-    )
-    so.s_line = s_line = lines[order]
+    sets = _set_index(lines, num_sets)
+    so.order = order = np.argsort(sets, kind="stable")
+    s_line = lines[order]
     keep = np.ones(lines.size, dtype=bool)
     np.not_equal(s_line[1:], s_line[:-1], out=keep[1:])
     so.kept = kept = np.flatnonzero(keep)
+    del keep
     so.at = at = order[kept]
     so.line = line = s_line[kept]
+    del s_line
     so.c_set = c_set = sets[at]
-    # Each access's previous use of the same line (-1: never).
+    del sets
+    # Each access's previous use of the same line, from a line sort.
     m = kept.size
     by_line = np.argsort(line, kind="stable")
     sorted_line = line[by_line]
     again = np.flatnonzero(sorted_line[1:] == sorted_line[:-1])
-    so.prev = prev = np.full(m, -1, dtype=np.int64)
-    prev[by_line[again + 1]] = by_line[again]
-    so.first = first = prev < 0
+    del sorted_line
+    reuse, before = by_line[again + 1], by_line[again]
+    so.gap = gap = np.full(m, np.iinfo(np.int64).max, dtype=np.int64)
+    gap[reuse] = reuse - before
+    so.first = first = np.ones(m, dtype=bool)
+    first[reuse] = False
     so.last = last = np.ones(m, dtype=bool)
-    last[prev[~first]] = False
+    last[before] = False
     so.set_lines = np.bincount(c_set[first], minlength=num_sets)
     return so
 
@@ -186,25 +273,22 @@ def _lru_kernel(so: _SetOrder, flags, assoc: int):
     when some access or end state is not decided by the rules in the
     module docstring.
     """
-    c_set, prev, first = so.c_set, so.prev, so.first
+    c_set, gap = so.c_set, so.gap
     m = c_set.size
-    idx = np.arange(m)
     overflow = (so.set_lines > assoc)[c_set]
     # `full[c]`: at least `assoc` accesses precede c in its set.
     full = np.zeros(m, dtype=bool)
     np.equal(c_set[assoc:], c_set[:-assoc], out=full[assoc:])
-    hit = ~first & (~overflow | (idx - prev <= assoc))
+    hit = (gap <= assoc) | ~(so.first | overflow)
     evicts = np.flatnonzero(~hit & overflow & full)
     if assoc > 2 and evicts.size:
-        # A reuse q of distance below `assoc` puts a repeat in the
-        # window of every access in q + 1 .. prev[q] + assoc; any
-        # eviction with such a window is undecided.
-        short = np.flatnonzero(~first & (idx - prev < assoc))
-        repeats = np.cumsum(
-            np.bincount(short + 1, minlength=m + assoc + 1)
-            - np.bincount(prev[short] + assoc + 1, minlength=m + assoc + 1)
-        )
-        if repeats[evicts].any():
+        # A reuse q of gap below `assoc` puts a repeat in the window of
+        # every access in q + 1 .. q - gap[q] + assoc; any eviction with
+        # such a window is undecided.
+        short = np.flatnonzero(gap < assoc)
+        after = np.searchsorted(evicts, short, side="right")
+        within = np.searchsorted(evicts, short - gap[short] + assoc, side="right")
+        if (within > after).any():
             return None
     # End state: each line's last use, only the last `assoc` of an
     # overflowing set; those must then be `assoc` distinct lines.
@@ -214,49 +298,44 @@ def _lru_kernel(so: _SetOrder, flags, assoc: int):
     if (overflow & tail & ~last).any():
         return None
     end = last & (tail | ~overflow)
-    victim_at = evicts - assoc
-    n, kept, at, line = so.lines.size, so.kept, so.at, so.line
+    line = so.line
     if flags.any():
         # A line is dirty once a flagged access touched it since its
-        # last miss: a cumulative OR over each line's uses (in set
-        # order, folded repeats included) that restarts at every miss.
-        installs = np.zeros(n, dtype=bool)
-        installs[kept[~hit]] = True
-        s_by_line = np.argsort(so.s_line, kind="stable")
-        flagged = np.cumsum(flags[so.order][s_by_line])
-        restart = np.maximum.accumulate(
-            np.where(installs[s_by_line], np.arange(n), 0)
-        )
-        dirty = np.empty(n, dtype=bool)
-        dirty[s_by_line] = flagged > np.concatenate(([0], flagged))[restart]
-        group_end = np.append(kept[1:] - 1, n - 1)
-        victim_dirty_c = dirty[group_end[victim_at]]
-        end_dirty = dirty[group_end[end]]
+        # last miss: a cumulative OR over each line's uses (folded
+        # repeats ORed into the access they repeat) that restarts at
+        # every miss.  An eviction's victim was last used `assoc`
+        # accesses before it.
+        folded = np.logical_or.reduceat(flags[so.order], so.kept)
+        by_line = np.argsort(line, kind="stable")
+        flagged = np.cumsum(folded[by_line])
+        restart = np.maximum.accumulate(np.where(hit[by_line], 0, np.arange(m)))
+        dirty = np.empty(m, dtype=bool)
+        dirty[by_line] = flagged > np.concatenate(([0], flagged))[restart]
+        wb = evicts[dirty[evicts - assoc]]
+        end_dirty = dirty[end]
     else:
-        victim_dirty_c = False
+        wb = evicts[:0]
         end_dirty = np.zeros(int(np.count_nonzero(end)), dtype=bool)
-    hits = np.ones(n, dtype=bool)
-    hits[at[~hit]] = False
-    victims = np.full(n, -1, dtype=np.int64)
-    victims[at[evicts]] = line[victim_at]
-    victim_dirty = np.zeros(n, dtype=bool)
-    victim_dirty[at[evicts]] = victim_dirty_c
-    return hits, victims, victim_dirty, line[end], end_dirty
+    hits = np.ones(so.lines.size, dtype=bool)
+    hits[so.at[~hit]] = False
+    wb_at = so.at[wb]
+    by_time = np.argsort(wb_at)
+    return hits, wb_at[by_time], line[wb - assoc][by_time], line[end], end_dirty
 
 
 def _lru_loop(lines, flags, num_sets: int, assoc: int):
     """One LRU pass, one access at a time (OrderedDict recency order).
 
     ``flags[i]`` dirties the line access ``i`` touches.  Returns, per
-    access in time order, whether it hit, the line it evicted (``-1``
-    for none) and whether that victim was dirty; then the end state's
-    lines and dirty bits in (set, recency) order, least recent first.
+    access in time order, whether it hit; the time positions of the
+    evictions whose victim was dirty, ascending, and those victims'
+    lines; then the end state's lines and dirty bits in (set, recency)
+    order, least recent first.
     """
     n = lines.size
     sets = [OrderedDict() for _ in range(num_sets)]
     hits = np.ones(n, dtype=bool)
-    victims = np.full(n, -1, dtype=np.int64)
-    victim_dirty = np.zeros(n, dtype=bool)
+    wb_at, wb_lines = [], []
     for i, line, flag in zip(count(), lines.tolist(), flags.tolist()):
         od = sets[line % num_sets]
         if line in od:
@@ -266,12 +345,21 @@ def _lru_loop(lines, flags, num_sets: int, assoc: int):
             continue
         hits[i] = False
         if len(od) >= assoc:
-            victims[i], victim_dirty[i] = od.popitem(last=False)
+            victim, dirty = od.popitem(last=False)
+            if dirty:
+                wb_at.append(i)
+                wb_lines.append(victim)
         od[line] = flag
     end = [item for od in sets for item in od.items()]
     end_lines = np.array([line for line, _ in end], dtype=np.int64)
     end_dirty = np.array([dirty for _, dirty in end], dtype=bool)
-    return hits, victims, victim_dirty, end_lines, end_dirty
+    return (
+        hits,
+        np.array(wb_at, dtype=np.int64),
+        np.array(wb_lines, dtype=np.int64),
+        end_lines,
+        end_dirty,
+    )
 
 
 def _lru(so: _SetOrder, flags, assoc: int):
@@ -280,6 +368,35 @@ def _lru(so: _SetOrder, flags, assoc: int):
     if outcome is None:
         outcome = _lru_loop(so.lines, flags, so.num_sets, assoc)
     return outcome
+
+
+def _outcomes(lines, flags, ways_by_sets):
+    """Every LRU pass over one stream, as ``((num_sets, assoc), outcome)``
+    for each associativity in each ``ways_by_sets[num_sets]``.
+
+    One line sort (:func:`_line_uses`) serves every set count.  Per set
+    count, ``most`` is the most lines any set holds: a pass with at
+    least that many ways never evicts, and :func:`_first_use` decides it
+    (once for all of them).  The others share one :func:`_set_order`,
+    built only if one of them runs and dropped once they are decided.
+    """
+    if not ways_by_sets:
+        return
+    uses = _line_uses(lines, flags)
+    for num_sets, ways in ways_by_sets.items():
+        sets = _set_index(uses.end_lines, num_sets)
+        most = int(np.bincount(sets, minlength=num_sets).max())
+        evicting = sorted(assoc for assoc in ways if assoc < most)
+        if evicting:
+            so = _set_order(lines, num_sets)
+            for assoc in evicting:
+                yield (num_sets, assoc), _lru(so, flags, assoc)
+            del so
+        never = sorted(assoc for assoc in ways if assoc >= most)
+        if never:
+            outcome = _first_use(uses, sets)
+            for assoc in never:
+                yield (num_sets, assoc), outcome
 
 
 def _publish_batch(recorder, n, num_runs, shared) -> None:
@@ -301,11 +418,13 @@ class _L1Pass:
     eviction).  ``dirty_lines`` are the end state's dirty lines in the
     (set, recency) order the serial flush walks them.
 
-    ``stream_key`` fingerprints the induced LLC event stream (event
-    lines, kinds, and fetch positions): two L1 geometries whose streams
-    collide — common in sweeps, e.g. every geometry too small for the
-    working set misses identically — share LLC passes and timing event
-    loops downstream.
+    ``stream_key`` fingerprints the induced LLC event stream by what
+    fixes it: the pass's hit bits (its fetch runs, hence the fetch
+    events' positions and lines) and its dirty evictions (the writeback
+    events).  Two L1 geometries whose streams collide — common in
+    sweeps, e.g. every geometry too small for the working set misses
+    identically — share one copy of the event arrays, and LLC passes and
+    timing event loops downstream.
     """
 
     __slots__ = (
@@ -335,10 +454,7 @@ class _SharedOutcomes:
     geometry share its :class:`_L1Pass`, and each (L1 event stream, LLC
     geometry) pair shares its :class:`_LlcPass` — including between the
     hierarchy and timing engines inside :func:`sweep_batch`, whose cache
-    state evolves identically.  The passes over one stream (the run
-    stream, or one L1 event stream) with one set count share one
-    :func:`_set_order`: it is built once, decides each of their
-    associativities, and is dropped before the next one is built.
+    state evolves identically.
     """
 
     def __init__(self, trace: MemoryTrace):
@@ -349,6 +465,7 @@ class _SharedOutcomes:
         self.num_runs = int(self.run_lines.shape[0])
         self._l1 = {}
         self._llc = {}
+        self._streams = {}
         self._pendings = {}
         self._prefix = None
 
@@ -363,89 +480,83 @@ class _SharedOutcomes:
         return self._llc[self.l1(l1_cfg).stream_key, self._key(llc_cfg)]
 
     def run_passes(self, socs) -> None:
-        """Run every L1 and LLC pass ``socs`` need that has not run yet.
-
-        The passes are grouped by (stream, set count): each group builds
-        its set order, decides every associativity from it, and drops it
-        before the next group builds its own.
-        """
+        """Run every L1 and LLC pass ``socs`` need that has not run yet:
+        the L1 passes over the run stream, then the LLC passes over each
+        distinct L1 event stream (:func:`_outcomes` per stream)."""
         l1_ways = {}
         for soc in socs:
             if self._key(soc.l1) not in self._l1:
                 l1_ways.setdefault(soc.l1.num_sets, set()).add(soc.l1.associativity)
-        for num_sets, ways in l1_ways.items():
-            so = _set_order(self.run_lines, num_sets)
-            for assoc in sorted(ways):
-                self._l1[num_sets, assoc] = self._run_l1(so, assoc)
-            del so
-        streams = {}
+        for key, outcome in _outcomes(self.run_lines, self.run_writes, l1_ways):
+            self._l1[key] = self._run_l1(outcome)
         llc_ways = {}
         for soc in socs:
-            l1_pass = self.l1(soc.l1)
-            key = l1_pass.stream_key
-            if (key, self._key(soc.l2)) not in self._llc:
-                streams[key] = l1_pass
-                llc_ways.setdefault((key, soc.l2.num_sets), set()).add(
-                    soc.l2.associativity
-                )
-        for (key, num_sets), ways in llc_ways.items():
-            so = _set_order(streams[key].ev_lines, num_sets)
-            for assoc in sorted(ways):
-                self._llc[key, (num_sets, assoc)] = self._run_llc(
-                    streams[key], so, assoc
-                )
-            del so
+            stream = self.l1(soc.l1).stream_key
+            if (stream, self._key(soc.l2)) not in self._llc:
+                llc_ways.setdefault(stream, {}).setdefault(
+                    soc.l2.num_sets, set()
+                ).add(soc.l2.associativity)
+        for stream, ways in llc_ways.items():
+            l1_pass = self._streams[stream]
+            for key, outcome in _outcomes(l1_pass.ev_lines, l1_pass.ev_is_wb, ways):
+                self._llc[stream, key] = self._run_llc(l1_pass, key[0], outcome)
 
-    def _run_l1(self, so: _SetOrder, assoc: int) -> _L1Pass:
+    def _run_l1(self, outcome) -> _L1Pass:
         """The L1's LRU pass over the runs, as the LLC events it induces.
 
         Mirrors the line-run oracle's L1 exactly: per run one lookup; on
         a miss the dirty victim's writeback-install event is emitted
         *before* the fetch event.
         """
-        hits, victims, victim_dirty, end_lines, end_dirty = _lru(
-            so, self.run_writes, assoc
-        )
-        fetch_runs = np.flatnonzero(~hits)
-        wb = victim_dirty[fetch_runs]
-        fetch_at = np.arange(fetch_runs.size) + np.cumsum(wb)
-        ev_lines = np.empty(fetch_runs.size + np.count_nonzero(wb), dtype=np.int64)
-        ev_is_wb = np.zeros(ev_lines.size, dtype=bool)
-        ev_lines[fetch_at] = self.run_lines[fetch_runs]
-        ev_lines[fetch_at[wb] - 1] = victims[fetch_runs[wb]]
-        ev_is_wb[fetch_at[wb] - 1] = True
+        hits, wb_at, wb_lines, end_lines, end_dirty = outcome
+        # Over the one run stream, the hit bits fix the fetch events and
+        # the dirty evictions the writeback events.
+        digest = hashlib.blake2b(np.packbits(hits), digest_size=16)
+        digest.update(wb_at)
+        digest.update(wb_lines)
         pass_ = _L1Pass()
+        pass_.stream_key = key = digest.digest()
         pass_.dirty_lines = end_lines[end_dirty].tolist()
-        pass_.ev_lines = ev_lines
-        pass_.ev_is_wb = ev_is_wb
-        pass_.fetch_runs = fetch_runs
-        digest = hashlib.blake2b(ev_lines.tobytes(), digest_size=16)
-        digest.update(np.packbits(ev_is_wb).tobytes())
-        digest.update(fetch_runs.tobytes())
-        pass_.stream_key = digest.digest()
+        # Geometries that induce the same events share one copy of them.
+        same = self._streams.get(key)
+        if same is not None:
+            pass_.ev_lines, pass_.ev_is_wb, pass_.fetch_runs = (
+                same.ev_lines, same.ev_is_wb, same.fetch_runs
+            )
+            return pass_
+        pass_.fetch_runs = fetch_runs = np.flatnonzero(~hits)
+        pass_.ev_lines = self.run_lines[fetch_runs]
+        pass_.ev_is_wb = np.zeros(fetch_runs.size + wb_at.size, dtype=bool)
+        if wb_at.size:
+            # Each writeback goes just before the fetch of the run whose
+            # miss evicted its line.
+            before = np.searchsorted(fetch_runs, wb_at)
+            pass_.ev_lines = np.insert(pass_.ev_lines, before, wb_lines)
+            pass_.ev_is_wb[before + np.arange(before.size)] = True
+        self._streams[key] = pass_
         return pass_
 
-    def _run_llc(self, l1_pass: _L1Pass, so: _SetOrder, assoc: int) -> _LlcPass:
+    def _run_llc(self, l1_pass: _L1Pass, num_sets: int, outcome) -> _LlcPass:
         """The LLC's LRU pass over one L1 geometry's events.
 
         Writeback-installs are write-allocate (the install is dirty and
         the fill a DRAM read); fetches install clean.  Per fetch the LLC
         hit outcome is recorded for the timing engine.
         """
+        hits, wb_at, _, end_lines, end_dirty = outcome
         is_wb = l1_pass.ev_is_wb
-        hits, _, victim_dirty, end_lines, end_dirty = _lru(so, is_wb, assoc)
-        fetch_hits = hits[~is_wb]
+        wbs = is_wb.size - l1_pass.fetch_runs.size
+        fetch_hits = hits[~is_wb] if wbs else hits
         pass_ = _LlcPass()
         pass_.miss = int(hits.size - np.count_nonzero(hits))
-        pass_.wb = int(np.count_nonzero(victim_dirty))
+        pass_.wb = int(wb_at.size)
         pass_.dirty = int(np.count_nonzero(end_dirty))
-        pass_.fetch_hits = fetch_hits.tolist()
+        pass_.fetch_hits = fetch_hits
         pass_.hits_key = hashlib.blake2b(
-            np.packbits(fetch_hits).tobytes(), digest_size=16
+            np.packbits(fetch_hits), digest_size=16
         ).digest()
         pass_.sets = None
         if l1_pass.dirty_lines:
-            num_sets = so.num_sets
             pass_.sets = [OrderedDict() for _ in range(num_sets)]
             for line, dirty in zip(end_lines.tolist(), end_dirty.tolist()):
                 pass_.sets[line % num_sets][line] = dirty
@@ -697,7 +808,7 @@ def _timing_results(
         if cached is None:
             pendings, final_pending = outcomes.pendings(sim.soc.l1)
             cached = clocks[key] = _timing_clock(
-                pendings, final_pending, llc_pass.fetch_hits,
+                pendings, final_pending, llc_pass.fetch_hits.tolist(),
                 sim.params, issue_gap, strict,
             )
         clock, dram_misses, mshr_overflows, completion_disorder = cached

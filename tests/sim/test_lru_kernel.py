@@ -1,26 +1,34 @@
-"""Differential tests: the NumPy LRU kernel against the OrderedDict loop.
+"""Differential tests: the NumPy LRU kernel and the first-use rule
+against the OrderedDict loop.
 
 :func:`repro.sim.batch._lru_kernel` decides each access of an LRU pass
 from its set's recent window, or returns ``None`` when a window repeats
-a line; :func:`repro.sim.batch._lru_loop` steps the cache one access at
-a time.  Wherever the kernel decides, every per-access hit, victim and
-victim dirty bit and the end state must equal the loop's.  Each stream
-is checked under both levels' flag semantics: as an L1 pass (flags are
-writes on the access stream) and as an LLC pass (flags mark the
-writeback-installs of the event stream an L1 pass induces).
+a line; :func:`repro.sim.batch._first_use` decides a pass in which no
+set ever holds more lines than it has ways; :func:`repro.sim.batch._lru_loop`
+steps the cache one access at a time.  Wherever the kernel decides, and
+wherever no set overflows, every per-access hit, every dirty eviction
+(its time and victim line) and the end state with its dirty bits must
+equal the loop's; so must what :func:`repro.sim.batch._outcomes`, which
+picks between them, yields.  Each stream is checked under both levels'
+flag semantics: as an L1 pass (flags are writes on the access stream)
+and as an LLC pass (flags mark the writeback-installs of the event
+stream an L1 pass induces).
 
 Each generator also asserts which branch it reaches — strided,
 streaming, direct-mapped and empty access streams are decided, ``A B A
 C A D ...`` interleavings and an LLC set that ends cycling over fewer
 lines than it has ways are not — so both the kernel and the fallback
-run on every invocation.  The last tests pin the ways the sweep depends
-on the kernel: the default ``cachesweep`` grid never falls back, its
-passes share one set order per stream and set count, and timing clocks
-are shared exactly when LLC fetch outcomes are.
+run on every invocation.  Set counts include non-powers of two, whose
+set index is a ``%`` rather than a mask.  The last tests pin the ways
+the sweep depends on the kernel: the default ``cachesweep`` grid never
+falls back, only its passes that evict build a set order (one per
+stream and set count), and timing clocks are shared exactly when LLC
+fetch outcomes are.
 """
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -63,15 +71,22 @@ def l1_events(lines, writes, num_sets, assoc):
 
 
 def check(lines, flags, num_sets, assoc) -> bool:
-    """Kernel == loop wherever the kernel decides; True if it decided."""
+    """Kernel == loop wherever the kernel decides, first-use rule ==
+    loop wherever no set overflows; True if the kernel decided."""
     lines = np.asarray(lines, dtype=np.int64)
     flags = np.asarray(flags, dtype=bool)
+    want = batch._lru_loop(lines, flags, num_sets, assoc)
+    uses = batch._line_uses(lines, flags)
+    sets = uses.end_lines % num_sets
+    if np.bincount(sets, minlength=1).max() <= assoc:
+        assert outcomes_equal(batch._first_use(uses, sets), want)
     set_order = batch._set_order(lines, num_sets)
     got = batch._lru_kernel(set_order, flags, assoc)
-    want = batch._lru_loop(lines, flags, num_sets, assoc)
     if got is not None:
         assert outcomes_equal(got, want)
     assert outcomes_equal(batch._lru(set_order, flags, assoc), want)
+    [(key, outcome)] = batch._outcomes(lines, flags, {num_sets: {assoc}})
+    assert key == (num_sets, assoc) and outcomes_equal(outcome, want)
     return got is not None
 
 
@@ -84,7 +99,7 @@ def check_both_levels(lines, writes, num_sets, assoc):
 
 
 geometries = st.tuples(
-    st.sampled_from([1, 2, 4, 8, 16]), st.sampled_from([1, 2, 3, 4, 8])
+    st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16]), st.sampled_from([1, 2, 3, 4, 8])
 )
 
 
@@ -146,12 +161,12 @@ class TestDecided:
     @pytest.mark.parametrize("num_sets,assoc", [(1, 1), (4, 2), (16, 8)])
     def test_empty_trace(self, num_sets, assoc):
         assert check([], [], num_sets, assoc)
-        hits, victims, victim_dirty, end_lines, end_dirty = batch._lru_kernel(
+        hits, wb_at, wb_lines, end_lines, end_dirty = batch._lru_kernel(
             batch._set_order(np.zeros(0, dtype=np.int64), num_sets),
             np.zeros(0, dtype=bool),
             assoc,
         )
-        assert hits.size == victims.size == victim_dirty.size == 0
+        assert hits.size == wb_at.size == wb_lines.size == 0
         assert end_lines.size == end_dirty.size == 0
 
 
@@ -239,30 +254,67 @@ class TestSweepDependsOnKernel:
     def test_set_order_shared_across_associativities(
         self, monkeypatch, default_grid
     ):
-        """The grid's 30 LRU passes build 20 set orders, one per stream
-        and set count: its L1s have 128 or 256 sets and its LLCs 2048 or
-        4096, so the L1 passes of the four traces build 4 x 2, and the
-        LLC passes over their six distinct L1 event streams build 6 x 2.
-        The rows still equal the oracle's."""
+        """The grid's 30 LRU passes build 6 set orders.  Its L1s have 128
+        or 256 sets and its LLCs 2048 or 4096.  No set of an LLC pass
+        ever holds more lines than it has ways (the six distinct L1
+        event streams put at most 4 lines in a 2048-set LLC's set, which
+        has 8 ways), and neither does a 256-set L1 over the two gemm
+        traces (4 lines per set, 4 or 8 ways).  Those 22 passes never
+        evict and are decided by first use, without a set order.  The
+        other 8 run the kernel and build one set order per trace and set
+        count: 128 sets for all four traces, 256 for the two compositing
+        traces.  The rows still equal the oracle's."""
         set_counts = []
         passes = []
-        set_order, lru = batch._set_order, batch._lru
+        kernel = []
+        set_order, lru, outcomes = batch._set_order, batch._lru, batch._outcomes
 
         def set_order_spy(lines, num_sets):
             set_counts.append(num_sets)
             return set_order(lines, num_sets)
 
         def lru_spy(so, flags, assoc):
-            passes.append((so.num_sets, assoc))
+            kernel.append((so.num_sets, assoc))
             return lru(so, flags, assoc)
+
+        def outcomes_spy(lines, flags, ways_by_sets):
+            for key, outcome in outcomes(lines, flags, ways_by_sets):
+                passes.append(key)
+                yield key, outcome
 
         monkeypatch.setattr(batch, "_set_order", set_order_spy)
         monkeypatch.setattr(batch, "_lru", lru_spy)
+        monkeypatch.setattr(batch, "_outcomes", outcomes_spy)
         socs, params, traces, want = default_grid
         for name, trace in traces.items():
             assert sweep_rows(trace, socs, params) == want[name], name
         assert len(passes) == 30
-        assert Counter(set_counts) == {128: 4, 256: 4, 2048: 6, 4096: 6}
+        assert Counter(kernel) == {(128, 4): 4, (256, 4): 2, (256, 8): 2}
+        assert Counter(set_counts) == {128: 4, 256: 2}
+
+    def test_sweep_memory_peak(self, default_grid):
+        """One sweep over ``chrome.compositing_linear`` (32,768 runs) and
+        the default grid, its line runs already built, allocates at most
+        4 MiB at its peak (``tracemalloc``, which sees NumPy's buffers).
+        Building a set order for every pass and returning per-access
+        victim arrays from every pass peaked at 5.38 MiB; deciding the
+        never-evicting passes by first use and returning only dirty
+        evictions peaks at 3.00 MiB."""
+        socs, params, traces, _ = default_grid
+        trace = traces["chrome.compositing_linear"]
+        trace.line_runs()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            batch.sweep_batch(trace, socs, params=params)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak <= 4 << 20, "%.2f MiB" % (peak / (1 << 20))
 
     def test_clocks_shared_by_llc_fetch_outcomes(self, monkeypatch):
         """Two LLC sizes with equal fetch outcomes share one clock loop;

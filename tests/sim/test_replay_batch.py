@@ -25,14 +25,16 @@ from repro.workloads.tensorflow.access_patterns import gemm_lhs_trace
 from tests.sim import oracle
 
 #: Deliberately small, deliberately *heterogeneous* geometries: different
-#: set counts, associativities (including direct-mapped), and LLC sizes,
-#: so batched planes are padded and per-config indexing bugs surface.
+#: set counts (including 12 and 48, which are not powers of two),
+#: associativities (including direct-mapped), and LLC sizes, so batched
+#: planes are padded and per-config indexing bugs surface.
 GEOMETRIES = [
     (512, 2, 2048, 2),
     (1024, 1, 4096, 2),
     (1024, 2, 4096, 4),
     (2048, 4, 8192, 8),
     (4096, 4, 16384, 4),
+    (1536, 2, 12288, 4),
 ]
 
 
@@ -114,7 +116,7 @@ class TestCacheBatchEquivalence:
             rng.integers(0, 1 << 12, 300, dtype=np.uint64),
             rng.random(300) < 0.5,
         )
-        socs = [make_soc(*g) for g in GEOMETRIES[:3]]
+        socs = [make_soc(*g) for g in GEOMETRIES]
         serial = [
             oracle.CacheHierarchy(s).replay_fast(
                 make_trace(trace.addresses, trace.is_write), strict=True
@@ -275,7 +277,7 @@ class TestTimingBatchEquivalence:
             rng.integers(0, 1 << 13, 500, dtype=np.uint64),
             rng.random(500) < 0.3,
         )
-        socs = [make_soc(*g) for g in GEOMETRIES[:3]]
+        socs = [make_soc(*g) for g in GEOMETRIES]
         params = TimingParameters(mshrs=2)
         serial = [
             oracle.TimingSimulator(s, params).replay_fast(

@@ -123,6 +123,35 @@ class TestCommands:
         assert main(["figures", "--figure", "Table 1"]) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["figures", "--figure", "Table 1"],
+            ["cachesweep", "--workload", "tensorflow.gemm_packed"],
+        ],
+        ids=["figures", "cachesweep"],
+    )
+    def test_memo_cache_closed(self, args, tmp_path, monkeypatch, capsys):
+        """A command that writes memo entries closes the cache it opened,
+        so an in-process ``main`` leaves no segment blob open."""
+        opened, closed = [], []
+        init, close = MemoCache.__init__, MemoCache.close
+
+        def init_spy(cache, *a, **kw):
+            opened.append(cache)
+            init(cache, *a, **kw)
+
+        def close_spy(cache):
+            closed.append(cache)
+            close(cache)
+
+        monkeypatch.setattr(MemoCache, "__init__", init_spy)
+        monkeypatch.setattr(MemoCache, "close", close_spy)
+        if args[0] == "cachesweep":
+            args = args + ["--trace-dir", str(tmp_path / "traces")]
+        assert main(args) == 0
+        assert len(opened) == 1 and closed == opened
+
     def test_figures_parallel(self, capsys):
         assert main(["figures", "--figure", "Table 1", "--jobs", "2", "--no-cache"]) == 0
         assert "Table 1" in capsys.readouterr().out
