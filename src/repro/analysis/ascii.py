@@ -8,6 +8,7 @@ plotting dependency.
 
 from __future__ import annotations
 
+from repro._sum import left_sum
 from repro.analysis.base import FigureResult
 
 #: Characters per full-scale bar.
@@ -75,7 +76,7 @@ def render_chart(result: FigureResult) -> str:
         if total is not None:
             lengths = [float(row[total]) for row in rows]
         else:
-            lengths = [sum(float(row[k]) for k in parts) for row in rows]
+            lengths = [left_sum(float(row[k]) for k in parts) for row in rows]
         scale_key = total or keys
         scales[scale_key] = max([scales.get(scale_key, 0.0)] + lengths)
         blocks.append((rows, plotted, total, parts, lengths, scale_key))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro._sum import left_sum
 from repro.analysis.base import FigureResult
 from repro.core.runner import ExperimentRunner
 from repro.core.workload import characterize
@@ -30,7 +31,7 @@ def fig01_scrolling_energy() -> FigureResult:
             }
         )
         combined.append(shares["texture_tiling"] + shares["color_blitting"])
-    avg = sum(combined) / len(combined)
+    avg = left_sum(combined) / len(combined)
     return FigureResult(
         figure_id="Figure 1",
         title="Energy breakdown for page scrolling",

@@ -11,6 +11,7 @@ The paper's abstract/intro report three cross-workload averages:
 
 from __future__ import annotations
 
+from repro._sum import left_sum
 from repro.analysis.base import FigureResult
 from repro.config import table1_rows
 from repro.core.runner import ExperimentRunner
@@ -52,7 +53,7 @@ def headline_summary() -> FigureResult:
     """The paper's headline averages, recomputed from our models."""
     characterizations = workload_characterizations()
     movement = [c.data_movement_fraction for c in characterizations]
-    avg_movement = sum(movement) / len(movement)
+    avg_movement = left_sum(movement) / len(movement)
     result = ExperimentRunner().evaluate(all_pim_targets())
     rows = [
         {"workload": c.workload, "data_movement_fraction": c.data_movement_fraction}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro._sum import left_sum
 from repro.analysis.base import FigureResult
 from repro.core.runner import ExperimentRunner
 from repro.core.workload import characterize
@@ -39,10 +40,10 @@ def fig06_tf_energy() -> FigureResult:
         title="TensorFlow Mobile energy breakdown by function",
         rows=rows,
         anchors={
-            "avg packing+quantization energy share": (0.393, sum(pq) / len(pq)),
+            "avg packing+quantization energy share": (0.393, left_sum(pq) / len(pq)),
             "avg data-movement fraction of inference": (
                 0.573,
-                sum(movement) / len(movement),
+                left_sum(movement) / len(movement),
             ),
             "ResNet quantization energy share": (
                 0.161,
@@ -74,7 +75,7 @@ def fig07_tf_time() -> FigureResult:
         title="TensorFlow Mobile execution-time breakdown",
         rows=rows,
         anchors={
-            "avg packing+quantization time share": (0.274, sum(pq) / len(pq)),
+            "avg packing+quantization time share": (0.274, left_sum(pq) / len(pq)),
         },
     )
 

@@ -291,8 +291,8 @@ def _cmd_cache(args) -> int:
         days = args.max_age_days if args.max_age_days is not None else 30.0
         removed = cache.prune(max_age_days=days)
         print(
-            "pruned %d file(s) older than %g day(s) from %s"
-            % (removed, days, cache.directory)
+            "pruned %d file(s) from %s (older than %g day(s), or damaged)"
+            % (removed, cache.directory, days)
         )
     return 0
 
@@ -336,6 +336,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_characterize(args) -> int:
+    from repro._sum import left_sum
     from repro.analysis.headline import workload_characterizations
 
     print("%-20s %22s" % ("workload", "data-movement share"))
@@ -343,11 +344,12 @@ def _cmd_characterize(args) -> int:
     for ch in workload_characterizations():
         print("%-20s %21.1f%%" % (ch.workload, 100 * ch.data_movement_fraction))
         total.append(ch.data_movement_fraction)
-    print("%-20s %21.1f%%  (paper: 62.7%%)" % ("AVERAGE", 100 * sum(total) / len(total)))
+    print("%-20s %21.1f%%  (paper: 62.7%%)" % ("AVERAGE", 100 * left_sum(total) / len(total)))
     return 0
 
 
 def _cmd_codec(args) -> int:
+    from repro._sum import left_sum
     from repro.workloads.vp9.decoder import decode_video
     from repro.workloads.vp9.encoder import encode_video
     from repro.workloads.vp9.video import synthetic_video
@@ -357,7 +359,7 @@ def _cmd_codec(args) -> int:
     decoded, decoder = decode_video(encoded)
     raw = args.width * args.height * args.frames
     coded = sum(len(f.data) for f in encoded)
-    psnr = sum(a.psnr(b) for a, b in zip(clip, decoded)) / len(clip)
+    psnr = left_sum(a.psnr(b) for a, b in zip(clip, decoded)) / len(clip)
     print(
         "%dx%d x%d: %.1f kB -> %.2f kB (%.1fx), PSNR %.1f dB"
         % (args.width, args.height, args.frames, raw / 1024, coded / 1024,
@@ -473,7 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     cache_cmd.add_argument(
         "action", choices=["clear", "prune"],
         help="clear: delete everything; prune: remove aged "
-        "foreign-version files and debris",
+        "foreign-version files and debris, and move current-version "
+        "blobs with a damaged entry line aside to *.corrupt",
     )
     cache_cmd.add_argument(
         "--dir", metavar="PATH", default=None,

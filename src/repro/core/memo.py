@@ -176,32 +176,48 @@ class MemoCache:
         return max(len(reader.entries), 1)
 
     def prune(self, max_age_days: float = 30.0) -> int:
-        """Remove files from old code versions, plus aged debris.
+        """Remove files from old code versions and aged debris, and set
+        damaged blobs aside.
 
         A segment blob keyed by a different version is unreachable (the
         key embeds the version) and only wastes disk; it is deleted once
         older than ``max_age_days``, as is every debris file past the
-        cutoff.  Current-version blobs are never pruned.  Returns how
-        many files were removed.
+        cutoff.  A current-version blob is kept whatever its age, unless
+        one of its complete lines fails its checksum: by the store's
+        commit rule a complete line is never a write still in flight,
+        so the line is damaged, and every later run would count it as
+        ``core.memo.corrupt`` again.  Such a blob is renamed to
+        ``*.corrupt`` whatever its age (a later prune deletes it as
+        debris once it is aged); its intact entries are recomputed on
+        their next miss.  Returns how many files were removed or set
+        aside.
         """
         if not self.directory.is_dir():
             return 0
+        self._store.close()  # a blob set aside must serve and take no more entries
         cutoff = time.time() - max_age_days * 86400.0
-        removed = 0
+        removed = self._unlink_aged(_DEBRIS, cutoff)
         for path in self.directory.glob("*.seg"):
             try:
-                if path.stat().st_mtime >= cutoff:
-                    continue
-            except OSError:
-                continue
-            if peek_key(path) == self.version:
-                continue
-            try:
-                path.unlink()
-                removed += 1
+                if peek_key(path) == self.version:
+                    if self._damaged(path):
+                        os.replace(path, path.with_suffix(".corrupt"))
+                        removed += 1
+                elif path.stat().st_mtime < cutoff:
+                    path.unlink()
+                    removed += 1
             except OSError:
                 pass
-        return removed + self._unlink_aged(_DEBRIS, cutoff)
+        return removed
+
+    def _damaged(self, path: Path) -> bool:
+        """Whether reading the blob at ``path`` counts a torn or corrupt line."""
+        events = []
+        reader = SegmentReader(
+            path, self.version, count=lambda event, n=1: events.append(event)
+        )
+        reader.refresh()
+        return bool(events)
 
     def _unlink_aged(self, patterns, cutoff: float) -> int:
         """Delete files matching ``patterns`` last modified before ``cutoff``."""

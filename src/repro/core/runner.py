@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro._sum import left_sum
 from repro.config import SystemConfig
 from repro.core.offload import OffloadEngine, TargetComparison
 from repro.core.resilience import ResilientMap
@@ -259,7 +260,7 @@ class ExperimentRunner:
 def _mean(values: list[float]) -> float:
     if not values:
         return 0.0
-    return sum(values) / len(values)
+    return left_sum(values) / len(values)
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 
+from repro._sum import left_sum
 from repro.config import SystemConfig
 from repro.energy.breakdown import Component, EnergyBreakdown
 from repro.energy.components import EnergyParameters
@@ -133,11 +134,11 @@ class WorkloadCharacterization:
     # ------------------------------------------------------------------
     @property
     def total_energy_j(self) -> float:
-        return sum(r.energy_j for r in self.results)
+        return left_sum(r.energy_j for r in self.results)
 
     @property
     def total_time_s(self) -> float:
-        return sum(r.time_s for r in self.results)
+        return left_sum(r.time_s for r in self.results)
 
     @property
     def total_breakdown(self) -> EnergyBreakdown:
@@ -153,13 +154,13 @@ class WorkloadCharacterization:
         total = self.total_energy_j
         if total <= 0:
             return 0.0
-        return sum(r.energy_j for r in self.results if r.name == name) / total
+        return left_sum(r.energy_j for r in self.results if r.name == name) / total
 
     def time_share(self, name: str) -> float:
         total = self.total_time_s
         if total <= 0:
             return 0.0
-        return sum(r.time_s for r in self.results if r.name == name) / total
+        return left_sum(r.time_s for r in self.results if r.name == name) / total
 
     def energy_shares(self) -> dict[str, float]:
         return {r.name: self.energy_share(r.name) for r in self.results}
@@ -172,17 +173,17 @@ class WorkloadCharacterization:
         total = self.total_energy_j
         if total <= 0:
             return 0.0
-        movement = sum(
+        movement = left_sum(
             r.execution.energy.data_movement for r in self.results if r.name == name
         )
         return movement / total
 
     def movement_fraction_of_function(self, name: str) -> float:
         """Fraction of a function's own energy spent on data movement."""
-        energy = sum(r.energy_j for r in self.results if r.name == name)
+        energy = left_sum(r.energy_j for r in self.results if r.name == name)
         if energy <= 0:
             return 0.0
-        movement = sum(
+        movement = left_sum(
             r.execution.energy.data_movement for r in self.results if r.name == name
         )
         return movement / energy

@@ -14,6 +14,7 @@ import enum
 import math
 from dataclasses import dataclass, fields
 
+from repro._sum import left_sum
 from repro.validate.strict import invariant
 
 
@@ -63,7 +64,7 @@ class EnergyBreakdown:
 
     @property
     def total(self) -> float:
-        return sum(getattr(self, name) for name in self._COMPONENT_FIELDS)
+        return left_sum(getattr(self, name) for name in self._COMPONENT_FIELDS)
 
     @property
     def data_movement(self) -> float:

@@ -31,6 +31,7 @@ import platform
 from datetime import datetime, timezone
 from pathlib import Path
 
+from repro._sum import left_sum
 from repro.obs.recorder import get_recorder
 
 SCHEMA = "repro-run-manifest/v1"
@@ -209,7 +210,7 @@ def headline_from_counters(counters: dict) -> dict:
             speed_core.append(time_cpu / metrics["time_s.pim_core"])
             speed_acc.append(time_cpu / metrics["time_s.pim_acc"])
     def _mean(values):
-        return sum(values) / len(values) if values else 0.0
+        return left_sum(values) / len(values) if values else 0.0
     return {
         "targets": sorted(per_target),
         "mean_pim_core_energy_reduction": _mean(energy_core),

@@ -15,6 +15,7 @@ This plays the role of the paper's hardware performance counters
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.config import CACHE_LINE_BYTES
@@ -134,20 +135,71 @@ class KernelProfile:
         )
 
     def merged(self, other: "KernelProfile", name: str | None = None) -> "KernelProfile":
-        """Profile for this kernel followed by ``other``."""
-        return self._combined(
-            name=name or "%s+%s" % (self.name, other.name),
-            instructions=self.instructions + other.instructions,
-            mem_instructions=self.mem_instructions + other.mem_instructions,
-            alu_ops=self.alu_ops + other.alu_ops,
-            simd_fraction=_weighted(
-                self.simd_fraction, self.alu_ops, other.simd_fraction, other.alu_ops
-            ),
-            l1_misses=self.l1_misses + other.l1_misses,
-            llc_misses=self.llc_misses + other.llc_misses,
-            dram_bytes=self.dram_bytes + other.dram_bytes,
-            working_set_bytes=max(self.working_set_bytes, other.working_set_bytes),
-            pim_bytes=self.pim_bytes + other.pim_bytes,
+        """Profile for this kernel followed by ``other``.
+
+        The two-profile case of :meth:`folded`; ``name`` defaults to
+        ``"<self.name>+<other.name>"``.
+        """
+        return self.folded((self, other), name)
+
+    @classmethod
+    def folded(
+        cls, profiles: Sequence["KernelProfile"], name: str | None = None
+    ) -> "KernelProfile":
+        """Profile for ``profiles`` run back to back, in order.
+
+        The left fold of :meth:`merged`: ``folded([a, b, c], name)`` is
+        ``a.merged(b, name).merged(c, name)`` bit for bit, because each
+        step runs the same float operations in the same order (the
+        op-weighted ``simd_fraction`` on the running ``alu_ops`` before
+        it grows, then the sums, the larger working set, ``notes=""``),
+        but in local variables, so no intermediate profile is built.
+        ``name`` defaults to the names joined by ``+``.  A one-profile
+        sequence comes back as is, name and notes included, since the
+        chain never merges it.  Raises :class:`ConfigError` when a
+        total overflows to ``inf``, as the chain does; which field it
+        names can differ, since the chain stops at its first
+        overflowing step.
+        """
+        first = profiles[0]
+        if len(profiles) == 1:
+            return first
+        instructions = first.instructions
+        mem_instructions = first.mem_instructions
+        alu_ops = first.alu_ops
+        simd_fraction = first.simd_fraction
+        l1_misses = first.l1_misses
+        llc_misses = first.llc_misses
+        dram_bytes = first.dram_bytes
+        working_set_bytes = first.working_set_bytes
+        pim_bytes = first.pim_bytes
+        for p in profiles[1:]:
+            ops = alu_ops + p.alu_ops
+            simd_fraction = (
+                0.0
+                if ops <= 0
+                else (simd_fraction * alu_ops + p.simd_fraction * p.alu_ops) / ops
+            )
+            alu_ops = ops
+            instructions += p.instructions
+            mem_instructions += p.mem_instructions
+            l1_misses += p.l1_misses
+            llc_misses += p.llc_misses
+            dram_bytes += p.dram_bytes
+            if p.working_set_bytes > working_set_bytes:  # max(), which keeps a tie's first
+                working_set_bytes = p.working_set_bytes
+            pim_bytes += p.pim_bytes
+        return cls._combined(
+            name=name or "+".join(p.name for p in profiles),
+            instructions=instructions,
+            mem_instructions=mem_instructions,
+            alu_ops=alu_ops,
+            simd_fraction=simd_fraction,
+            l1_misses=l1_misses,
+            llc_misses=llc_misses,
+            dram_bytes=dram_bytes,
+            working_set_bytes=working_set_bytes,
+            pim_bytes=pim_bytes,
             notes="",
         )
 
@@ -305,9 +357,3 @@ class KernelProfile:
             working_set_bytes=total_bytes,
             notes=notes or "scattered",
         )
-
-
-def _weighted(a: float, wa: float, b: float, wb: float) -> float:
-    if wa + wb <= 0:
-        return 0.0
-    return (a * wa + b * wb) / (wa + wb)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro._sum import left_sum
 from repro.core.workload import WorkloadFunction
 from repro.sim.profile import KernelProfile
 
@@ -130,7 +131,7 @@ class TabSwitchingSession:
     def _memory_in_use(self) -> float:
         # Only uncompressed working sets count against the budget; the
         # compressed pool lives in its own OS-capped ZRAM region.
-        return sum(t.resident for t in self.tabs)
+        return left_sum(t.resident for t in self.tabs)
 
     def _open(self, tab: _Tab) -> None:
         tab.resident = tab.footprint

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro._sum import left_sum
 from repro.core.workload import WorkloadFunction, shared_in_run
 from repro.sim.profile import KernelProfile
 from repro.workloads.tensorflow.gemm import profile_gemm, quantized_gemm
@@ -126,7 +127,7 @@ class Network:
 
     @property
     def total_macs(self) -> float:
-        return sum(layer.macs for layer in self.layers)
+        return left_sum(layer.macs for layer in self.layers)
 
 
 # ----------------------------------------------------------------------
@@ -260,16 +261,18 @@ def network_functions(network: Network) -> list[WorkloadFunction]:
 
     A layer's profiles depend only on its shape, and networks repeat
     shapes (the four paper networks have 760 layers but 65 shapes), so
-    each distinct shape is profiled once per call.  The buckets still
-    accumulate layer by layer, in order, so the floats are exactly
-    those of profiling every layer.  Inside a
-    :func:`repro.core.workload.run_scope` each network is decomposed
-    once per run, however many figures read it.
+    each distinct shape is profiled once per call.  Each bucket collects
+    its per-layer profiles in layer order and is merged once, by
+    :meth:`KernelProfile.folded`, which runs the floats of merging layer
+    by layer in the same order without building a profile per layer;
+    so the floats are exactly those of profiling and merging every
+    layer.  Inside a :func:`repro.core.workload.run_scope` each network
+    is decomposed once per run, however many figures read it.
     """
     by_shape = {}
-    pack_profile = None
-    quant_profile = None
-    gemm_profile = None
+    packing = []
+    quantization = []
+    gemm = []
     other_elements = 0.0
     for layer in network.layers:
         m, k, n = layer.gemm_dims
@@ -286,15 +289,11 @@ def network_functions(network: Network) -> list[WorkloadFunction]:
                 profile_gemm(m, k, n),
             )
         lp, lq, lg = profiles
-        pack_profile = lp if pack_profile is None else pack_profile.merged(lp, name="packing")
-        quant_profile = (
-            lq if quant_profile is None else quant_profile.merged(lq, name="quantization")
-        )
-        gemm_profile = (
-            lg if gemm_profile is None else gemm_profile.merged(lg, name="conv2d_matmul")
-        )
+        packing.append(lp)
+        quantization.append(lq)
+        gemm.append(lg)
         other_elements += layer.output_elements
-    if pack_profile is None:
+    if not packing:
         raise ValueError("network %s has no layers" % network.name)
     # Other: bias add, batch norm, ReLU, pooling, residual adds -- about
     # four element-wise passes over each layer's activations.
@@ -310,16 +309,16 @@ def network_functions(network: Network) -> list[WorkloadFunction]:
     return [
         WorkloadFunction(
             "packing",
-            pack_profile,
+            KernelProfile.folded(packing, name="packing"),
             accelerator_key="packing",
             invocations=max(len(network.layers), 1),
         ),
         WorkloadFunction(
             "quantization",
-            quant_profile,
+            KernelProfile.folded(quantization, name="quantization"),
             accelerator_key="quantization",
             invocations=max(2 * network.num_conv2d, 1),
         ),
-        WorkloadFunction("conv2d_matmul", gemm_profile),
+        WorkloadFunction("conv2d_matmul", KernelProfile.folded(gemm, name="conv2d_matmul")),
         WorkloadFunction("other", other),
     ]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro._sum import left_sum
 from repro.workloads.vp9.frame import Frame
 
 BLOCK = 8
@@ -206,4 +207,4 @@ def measure_compression_factor(frames: list[Frame]) -> float:
     if not frames:
         raise ValueError("need at least one frame")
     factors = [compress_frame(f).compression_factor for f in frames]
-    return sum(factors) / len(factors)
+    return left_sum(factors) / len(factors)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro._sum import left_sum
 from repro.energy.components import EnergyParameters, default_energy_parameters
 
 MB = 1024 * 1024
@@ -54,7 +55,7 @@ class CodecTraffic:
 
     @property
     def total(self) -> float:
-        return float(sum(self.components.values()))
+        return float(left_sum(self.components.values()))
 
     def share(self, component: str) -> float:
         total = self.total
@@ -135,7 +136,7 @@ class _HardwareCodecModel:
         for name, coeff in self.CONTROL_COMPONENTS.items():
             comps[name] = coeff * fb
         if compression:
-            pixel_total = sum(self.PIXEL_COMPONENTS.values()) * fb
+            pixel_total = left_sum(self.PIXEL_COMPONENTS.values()) * fb
             comps["Compression Info"] = pixel_total * 0.05
         return CodecTraffic(components=comps)
 
@@ -154,8 +155,8 @@ class _HardwareCodecModel:
         if placement is PimPlacement.NONE:
             return t.total, 0.0
         pixel_names = set(self.PIXEL_COMPONENTS) | {"Compression Info"}
-        off_chip = sum(v for k, v in t.components.items() if k not in pixel_names)
-        in_memory = sum(v for k, v in t.components.items() if k in pixel_names)
+        off_chip = left_sum(v for k, v in t.components.items() if k not in pixel_names)
+        in_memory = left_sum(v for k, v in t.components.items() if k in pixel_names)
         return off_chip, in_memory
 
     # ------------------------------------------------------------------

@@ -137,3 +137,37 @@ class TestMixedLayoutMaintenance:
         assert not any(path.exists() for path in debris)
         assert cache.get("seg-fig") == {"segment": 1}
         assert cache.get("seg-fig3") == {"segment": 3}
+
+    def test_prune_sets_a_blob_with_a_damaged_line_aside(self, tmp_path):
+        cache = MemoCache(tmp_path, version="v1")
+        blob = cache.put("a", {"x": 1})
+        cache.put("b", {"x": 2})
+        cache.close()
+        blob.write_bytes(blob.read_bytes().replace(b'{"x": 1}', b'{"x": 7}'))
+
+        def fresh_run():
+            """A new process's get-or-put of "a": (hit?, corrupt count)."""
+            with recording() as rec:
+                run = MemoCache(tmp_path, version="v1")
+                hit = run.get("a") is not None
+                if not hit:
+                    run.put("a", {"x": 1})
+                run.close()
+            return hit, rec.counters.get("core.memo.corrupt")
+
+        # Recomputing "a" into a new blob leaves the damaged line behind,
+        # so every run counts it again.
+        assert fresh_run() == (False, 1)
+        assert fresh_run() == (True, 1)
+        # Complete lines are never writes in flight, so prune sets the
+        # blob aside however young it is; the newer blob stays.
+        assert cache.prune(max_age_days=30) == 1
+        assert not blob.exists() and blob.with_suffix(".corrupt").exists()
+        assert fresh_run() == (True, 0)
+        with recording() as rec:
+            run = MemoCache(tmp_path, version="v1")
+            assert run.get("b") is None  # the blob's intact entry: a miss
+            run.put("b", {"x": 2})
+            assert MemoCache(tmp_path, version="v1").get("b") == {"x": 2}
+        assert rec.counters.get("core.memo.corrupt") == 0
+        assert cache.prune(max_age_days=30) == 0

@@ -19,7 +19,11 @@ it against:
 * :func:`gemm_lhs_trace_loop` -- the GEMM LHS walk issued as one
   ``TraceRecorder.read`` per operand load: the reference for
   :func:`repro.workloads.tensorflow.access_patterns.gemm_lhs_trace`,
-  which emits the same walk as one ``record_ranges`` batch.
+  which emits the same walk as one ``record_ranges`` batch;
+* :func:`merged_pairwise` -- one ``KernelProfile`` merge step, as
+  ``KernelProfile.merged`` computed it before it became the two-profile
+  case of ``KernelProfile.folded``: chained left to right, the
+  reference for the fold.  It shares no code with the fold.
 
 The classes are moved unchanged from ``repro.sim.cache`` and
 ``repro.sim.timing``, and the loop from ``access_patterns``.  The cache
@@ -43,6 +47,7 @@ from repro.sim.cache import (
     check_line_runs,
     finish_stats,
 )
+from repro.sim.profile import KernelProfile
 from repro.sim.timing import TimingParameters, TimingResult
 from repro.sim.trace import AddressSpace, MemoryTrace, TraceRecorder
 from repro.validate.strict import invariant, resolve_strict
@@ -599,3 +604,34 @@ def gemm_lhs_trace_loop(
                             continue
                         rec.read(base + r * k + depth, granularity)
     return rec.trace()
+
+
+def merged_pairwise(a: KernelProfile, b: KernelProfile, name=None) -> KernelProfile:
+    """``a`` followed by ``b``: the pairwise merge ``folded`` must chain to.
+
+    The fields are computed as ``KernelProfile.merged`` computed them
+    before the fold: sums, the ``alu_ops``-weighted ``simd_fraction``
+    (0 when neither has ops), the larger working set and empty notes.
+    The result goes through the validating constructor, not the
+    production combinators' unvalidated one: from valid inputs both
+    build the same profile, and on overflow to ``inf`` both raise the
+    same ``ConfigError``.
+    """
+    wa, wb = a.alu_ops, b.alu_ops
+    if wa + wb <= 0:
+        simd_fraction = 0.0
+    else:
+        simd_fraction = (a.simd_fraction * wa + b.simd_fraction * wb) / (wa + wb)
+    return KernelProfile(
+        name=name or "%s+%s" % (a.name, b.name),
+        instructions=a.instructions + b.instructions,
+        mem_instructions=a.mem_instructions + b.mem_instructions,
+        alu_ops=a.alu_ops + b.alu_ops,
+        simd_fraction=simd_fraction,
+        l1_misses=a.l1_misses + b.l1_misses,
+        llc_misses=a.llc_misses + b.llc_misses,
+        dram_bytes=a.dram_bytes + b.dram_bytes,
+        working_set_bytes=max(a.working_set_bytes, b.working_set_bytes),
+        pim_bytes=a.pim_bytes + b.pim_bytes,
+        notes="",
+    )

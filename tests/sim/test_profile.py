@@ -1,6 +1,7 @@
 """Unit + property tests for KernelProfile."""
 
 import dataclasses
+import functools
 import math
 import pickle
 
@@ -9,20 +10,25 @@ from hypothesis import given, strategies as st
 
 from repro.sim.profile import KernelProfile
 from repro.validate.errors import ConfigError
+from tests.sim.oracle import merged_pairwise
 
 sizes = st.floats(min_value=1e3, max_value=1e9, allow_nan=False)
 counts = st.one_of(st.integers(0, 10**9), st.floats(0.0, 1e12))
+#: Counts that leave the running ``alu_ops`` of a chain at 0 for a while.
+ops_or_zero = st.one_of(st.just(0), st.just(0.0), counts)
+#: Counts a few of which overflow a sum to ``inf``.
+counts_or_huge = st.one_of(counts, st.floats(1e307, 1.7e308))
 
 
 @st.composite
-def profiles(draw):
+def profiles(draw, counts=counts, alu_ops=counts):
     """Any valid KernelProfile, int or float counts, pim_bytes defaulted or set."""
     instructions = draw(counts)
     return KernelProfile(
         name=draw(st.sampled_from(["a", "b", "texture_tiling"])),
         instructions=instructions,
         mem_instructions=draw(st.floats(0.0, 1.0)) * instructions,
-        alu_ops=draw(counts),
+        alu_ops=draw(alu_ops),
         simd_fraction=draw(st.floats(0.0, 1.0)),
         l1_misses=draw(counts),
         llc_misses=draw(counts),
@@ -196,6 +202,9 @@ class TestCombinators:
         with pytest.raises(ConfigError) as excinfo:
             huge.merged(huge)
         assert excinfo.value.field == "instructions"
+        with pytest.raises(ConfigError) as excinfo:
+            KernelProfile.folded([huge, huge])
+        assert excinfo.value.field == "instructions"
         with pytest.raises(ConfigError):
             huge.scaled(2.0)
 
@@ -206,3 +215,63 @@ class TestCombinators:
         s = p.scaled(1.0)
         assert s == p
         assert_valid(s)
+
+
+def chain(profiles, name, merge):
+    """``profiles`` merged left to right, one ``merge`` step at a time."""
+    return functools.reduce(lambda acc, p: merge(acc, p, name), profiles)
+
+
+def outcome(build):
+    """``build()``, or the ``ConfigError`` it raised."""
+    try:
+        return build()
+    except ConfigError as exc:
+        return exc
+
+
+class TestFold:
+    """``KernelProfile.folded`` against a chain of the test-side merge,
+    which shares none of its code (``tests/sim/oracle.merged_pairwise``)."""
+
+    @given(
+        ps=st.lists(profiles(alu_ops=ops_or_zero), min_size=1, max_size=40),
+        name=st.sampled_from([None, "bucket"]),
+    )
+    def test_fold_is_the_left_chain_of_pairwise_merges(self, ps, name):
+        expected = chain(ps, name, merged_pairwise)
+        folded = KernelProfile.folded(ps, name)
+        assert folded == expected
+        # Same types and float bits too: an int field stays an int.
+        assert repr(folded) == repr(expected)
+        assert repr(chain(ps, name, KernelProfile.merged)) == repr(expected)
+        assert_valid(folded)
+
+    def test_a_working_set_tie_keeps_the_first(self):
+        a = KernelProfile("a", 1, 0, 0, working_set_bytes=64)
+        b = KernelProfile("b", 1, 0, 0, working_set_bytes=64.0)
+        for ps in ([a, b], [b, a], [a, b, a]):
+            folded = KernelProfile.folded(ps)
+            assert type(folded.working_set_bytes) is type(ps[0].working_set_bytes)
+            assert repr(folded) == repr(chain(ps, None, merged_pairwise))
+
+    @given(p=profiles(), name=st.sampled_from([None, "bucket"]))
+    def test_one_profile_comes_back_as_is(self, p, name):
+        assert KernelProfile.folded([p], name) is p
+
+    @given(
+        ps=st.lists(
+            profiles(counts=counts_or_huge, alu_ops=counts_or_huge), min_size=1, max_size=40
+        ),
+        name=st.sampled_from([None, "bucket"]),
+    )
+    def test_fold_raises_exactly_when_the_chain_does(self, ps, name):
+        expected = outcome(lambda: chain(ps, name, merged_pairwise))
+        folded = outcome(lambda: KernelProfile.folded(ps, name))
+        assert isinstance(folded, ConfigError) == isinstance(expected, ConfigError)
+        if not isinstance(expected, ConfigError):
+            assert repr(folded) == repr(expected)
+        elif len(ps) == 2:
+            # Longer chains stop at their first overflowing step, so
+            # only a single step must name the same field.
+            assert folded.field == expected.field

@@ -22,6 +22,7 @@ from repro.workloads.tensorflow.quantization import (
     profile_quantization,
     profile_requantization,
 )
+from tests.sim.oracle import merged_pairwise
 
 
 def float_conv_reference(x, w, stride=1, padding=0):
@@ -161,26 +162,34 @@ class TestNetworkFunctions:
 def reference_network_functions(network):
     """Oracle for ``network_functions``: every layer profiled from scratch.
 
-    The production path profiles each distinct layer shape once; this
-    one re-profiles every layer, so the two must agree bit for bit.
+    The production path profiles each distinct layer shape once and
+    folds each bucket in one pass; this one re-profiles every layer and
+    merges it into its bucket with the test-side pairwise merge, so the
+    two must agree bit for bit.
     """
     pack_profile = quant_profile = gemm_profile = None
     other_elements = 0.0
     for layer in network.layers:
         m, k, n = layer.gemm_dims
-        lp = profile_packing(float(m * k + k * n)).merged(
-            profile_unpacking(float(m * n)), name="packing"
+        lp = merged_pairwise(
+            profile_packing(float(m * k + k * n)),
+            profile_unpacking(float(m * n)),
+            name="packing",
         )
-        lq = profile_quantization(float(layer.input_elements)).merged(
-            profile_requantization(float(m * n)), name="quantization"
+        lq = merged_pairwise(
+            profile_quantization(float(layer.input_elements)),
+            profile_requantization(float(m * n)),
+            name="quantization",
         )
         lg = profile_gemm(m, k, n)
-        pack_profile = lp if pack_profile is None else pack_profile.merged(lp, name="packing")
+        pack_profile = (
+            lp if pack_profile is None else merged_pairwise(pack_profile, lp, "packing")
+        )
         quant_profile = (
-            lq if quant_profile is None else quant_profile.merged(lq, name="quantization")
+            lq if quant_profile is None else merged_pairwise(quant_profile, lq, "quantization")
         )
         gemm_profile = (
-            lg if gemm_profile is None else gemm_profile.merged(lg, name="conv2d_matmul")
+            lg if gemm_profile is None else merged_pairwise(gemm_profile, lg, "conv2d_matmul")
         )
         other_elements += layer.output_elements
     other = KernelProfile.streaming(

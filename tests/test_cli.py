@@ -270,7 +270,7 @@ class TestCacheCommand:
         # and the debris are.
         assert main(["cache", "prune"] + directory) == 0
         assert capsys.readouterr().out == (
-            "pruned 2 file(s) older than 30 day(s) from %s\n" % tmp_path
+            "pruned 2 file(s) from %s (older than 30 day(s), or damaged)\n" % tmp_path
         )
         assert MemoCache(tmp_path).get("fig1") == {"rows": ["fig1"]}
         assert MemoCache(tmp_path).get("fig2") == {"rows": ["fig2"]}
