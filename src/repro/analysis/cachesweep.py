@@ -17,8 +17,8 @@ Layer composition (deliberately the same stack as the figure sweeps):
   sweep results, keyed by the artifact's ``content_hash`` + the
   geometry grid, so a repeated sweep is a single JSON read.
 
-A geometry, shard or workload that fails fails the sweep; nothing
-partial is returned or memoized.
+A geometry or shard that fails fails the sweep; nothing partial is
+returned or memoized.
 """
 
 from __future__ import annotations
@@ -156,82 +156,6 @@ def run_sweep(
     return document
 
 
-#: Per-process settings for cross-workload fan-out (set by the pool
-#: initializer); workers rebuild their own store/cache handles from it.
-_WORKLOAD_STATE = None
-
-
-def _init_workload_worker(settings, observe: bool = False):
-    global _WORKLOAD_STATE
-    from repro.core.runner import _install_worker_fault_handlers
-
-    _WORKLOAD_STATE = settings
-    _install_worker_fault_handlers()
-    if observe:
-        from repro.obs.recorder import Recorder, set_recorder
-
-        set_recorder(Recorder())
-
-
-def _sweep_workload_in_worker(job):
-    """One workload's sweep document, built from per-process handles.
-
-    The worker opens its own :class:`TraceStore` (artifact saves are
-    atomic, so concurrent builders converge on identical files) and its
-    own :class:`MemoCache` (per-process segment blobs make concurrent
-    writers safe by construction).
-    """
-    from repro.core.memo import MemoCache
-    from repro.sim.artifact import TraceStore
-
-    name, inner_jobs = job
-    s = _WORKLOAD_STATE
-    store = TraceStore(s["store_dir"], version=s["store_version"])
-    cache = None
-    if s["cache_dir"] is not None:
-        cache = MemoCache(s["cache_dir"], version=s["cache_version"])
-    try:
-        return run_sweep(
-            name,
-            socs=s["socs"],
-            store=store,
-            cache=cache,
-            jobs=inner_jobs,
-            timing_params=s["timing_params"],
-            instructions_per_access=s["instructions_per_access"],
-        )
-    finally:
-        if cache is not None:
-            cache.close()
-
-
-def _sweep_workload_in_worker_observed(job):
-    """Workload task when observability is on: (document, obs snapshot)."""
-    recorder = get_recorder()
-    recorder.reset()
-    with recorder.span("analysis.cachesweep.worker.%s" % job[0]):
-        document = _sweep_workload_in_worker(job)
-    return document, recorder.snapshot()
-
-
-def plan_inner_jobs(jobs: int, n_workloads: int) -> list[int]:
-    """Distribute a ``--jobs`` budget across workload fan-out workers.
-
-    Each of the ``n_workloads`` outer workers gets at least one inner
-    job; surplus cores (``jobs > n_workloads``) are spread
-    deterministically, the first ``jobs % n_workloads`` workloads (in
-    list order) receiving one extra.  ``sum(plan) == max(jobs,
-    n_workloads)``, so the sweep never idles cores it was granted nor
-    oversubscribes beyond the rounding a floor split requires.
-    """
-    n_workloads = max(int(n_workloads), 1)
-    jobs = max(int(jobs), 1)
-    if jobs <= n_workloads:
-        return [1] * n_workloads
-    base, extra = divmod(jobs, n_workloads)
-    return [base + 1 if i < extra else base for i in range(n_workloads)]
-
-
 def sweep_all(
     workloads=None,
     socs=None,
@@ -241,26 +165,16 @@ def sweep_all(
     timing_params=None,
     instructions_per_access: float = 2.0,
 ) -> dict[str, dict]:
-    """:func:`run_sweep` for several workloads sharing one store.
+    """:func:`run_sweep` for several workloads sharing one store, in turn.
 
-    With ``jobs > 1`` and more than one workload, sweeps fan out across
-    pool workers through :class:`~repro.core.resilience.ResilientMap`,
-    one workload per worker.  Surplus jobs beyond the workload count
-    flow into each workload's sharded batch engine
-    (:func:`plan_inner_jobs`), so ``--workload all --jobs 8`` with 3
-    workloads still uses 8 cores.  With a single workload, ``jobs``
-    flows into the sharded batch engine
-    (:meth:`~repro.core.runner.ConfigSweep.evaluate`) directly.
+    ``jobs`` goes to each workload's sweep, so with ``jobs > 1`` every
+    workload shards its geometries over its own pool
+    (:meth:`~repro.core.runner.ConfigSweep.evaluate`).
     """
     from repro.sim.artifact import TraceStore
 
     store = store or TraceStore()
     names = list(workloads) if workloads is not None else workload_names()
-    if jobs > 1 and len(names) > 1:
-        return _sweep_all_parallel(
-            names, socs, store, cache, jobs,
-            timing_params, instructions_per_access,
-        )
     return {
         name: run_sweep(
             name,
@@ -273,42 +187,3 @@ def sweep_all(
         )
         for name in names
     }
-
-
-def _sweep_all_parallel(
-    names, socs, store, cache, jobs,
-    timing_params, instructions_per_access,
-):
-    from repro.core.resilience import ResilientMap
-
-    recorder = get_recorder()
-    observe = recorder.enabled
-    settings = {
-        "socs": list(socs) if socs is not None else None,
-        "store_dir": str(store.directory),
-        "store_version": store.version,
-        "cache_dir": str(cache.directory) if cache is not None else None,
-        "cache_version": cache.version if cache is not None else None,
-        "timing_params": timing_params,
-        "instructions_per_access": instructions_per_access,
-    }
-    jobs_used = min(jobs, len(names))
-    values = ResilientMap(
-        _sweep_workload_in_worker_observed if observe else _sweep_workload_in_worker,
-        list(zip(names, plan_inner_jobs(jobs, len(names)))),
-        jobs=jobs_used,
-        initializer=_init_workload_worker,
-        initargs=(settings, observe),
-    ).run()
-    documents = {}
-    for name, document in zip(names, values):
-        if observe:
-            document, snapshot = document
-            recorder.merge_snapshot(snapshot)
-        documents[name] = document
-    if observe:
-        recorder.counters.add(
-            "analysis.cachesweep.parallel_workloads", len(names)
-        )
-        recorder.counters.max("core.runner.pool_workers", jobs_used)
-    return documents

@@ -3,23 +3,21 @@
 Run ``python -m repro.analysis.report`` to regenerate every experiment
 and rewrite EXPERIMENTS.md with paper-vs-measured values.
 
-Figure regeneration is deterministic, so :func:`all_results` optionally
-(a) farms the experiments out to a ``ProcessPoolExecutor`` and (b)
-memoizes each figure's rows in a content-keyed on-disk cache
+Figure regeneration is deterministic, so :func:`all_results` can
+memoize each figure's rows in a content-keyed on-disk cache
 (:mod:`repro.core.memo`), keyed by the figure name and a hash of the
 package source.  ``python -m repro figures`` enables the cache by
 default, so repeated report runs with an unchanged tree skip all model
-work.  The experiments a run does regenerate share one
-:func:`repro.core.workload.run_scope`, so the workload models several
-figures read (the four TensorFlow networks, their decompositions and
-PIM targets) are built once per run, never once per figure.
+work.  The experiments a run does regenerate run in this process, in
+paper order, inside one :func:`repro.core.workload.run_scope`, so the
+workload models several figures read (the four TensorFlow networks,
+their decompositions and PIM targets) are built once per run, never
+once per figure.
 """
 
 from __future__ import annotations
 
-import json
 import sys
-from pathlib import Path
 
 from repro.analysis.base import FigureResult
 from repro.core.memo import MemoCache
@@ -67,59 +65,24 @@ EXPERIMENTS = tuple(
 )
 
 
-def _run_experiment(index: int) -> FigureResult:
-    """Run one experiment by index (module-level, so it pickles)."""
-    return EXPERIMENTS[index]()
-
-
-def _run_experiment_observed(index: int):
-    """Worker task when observability is on: (result, obs snapshot)."""
-    from repro.obs.recorder import Recorder, set_recorder
-
-    recorder = Recorder()
-    set_recorder(recorder)
-    with recorder.span("analysis.figure.%s" % EXPERIMENTS[index].__name__):
-        result = EXPERIMENTS[index]()
-    return result, recorder.snapshot()
-
-
-def _regenerate(pending: list[int], jobs: int, recorder) -> list[FigureResult]:
-    """Run the ``pending`` experiments, in a process pool if ``jobs > 1``."""
-    if jobs > 1 and len(pending) > 1:
-        from repro.core.resilience import ResilientMap
-
-        observed = recorder.enabled
-        values = ResilientMap(
-            _run_experiment_observed if observed else _run_experiment,
-            pending,
-            jobs=jobs,
-        ).run()
-        if not observed:
-            return values
-        results = []
-        for result, snapshot in values:
-            recorder.merge_snapshot(snapshot)
-            results.append(result)
-        return results
-    values = []
-    for index in pending:
-        with recorder.span("analysis.figure.%s" % EXPERIMENTS[index].__name__):
-            values.append(_run_experiment(index))
-    return values
-
-
 def all_results(
     jobs: int = 1, cache: MemoCache | None = None
 ) -> list[FigureResult]:
-    """Regenerate every experiment.
+    """Regenerate every experiment, in-process.
 
     Args:
-        jobs: worker processes; ``1`` runs everything in-process.
+        jobs: must be ``1``; anything else raises ``ValueError`` before
+            any experiment runs.  Kept only for callers that still pass
+            it.
         cache: optional :class:`MemoCache`; hits skip regeneration, and
             fresh results are stored for the next run.
 
     An experiment that raises fails the whole run with its own exception.
     """
+    if jobs != 1:
+        raise ValueError(
+            "figures regenerate in one process; jobs must be 1, got %r" % (jobs,)
+        )
     from repro.obs.recorder import get_recorder
 
     recorder = get_recorder()
@@ -132,17 +95,18 @@ def all_results(
                 results[index] = FigureResult.from_jsonable(hit)
             else:
                 pending.append(index)
-        values = []
         if pending:
             # Imported on a miss only, so a warm run loads no model code.
             from repro.core.workload import run_scope
 
             with run_scope():
-                values = _regenerate(pending, jobs, recorder)
-        for index, result in zip(pending, values):
-            results[index] = result
-            if cache is not None:
-                cache.put(EXPERIMENTS[index].__name__, result.to_jsonable())
+                for index in pending:
+                    fn = EXPERIMENTS[index]
+                    with recorder.span("analysis.figure.%s" % fn.__name__):
+                        results[index] = fn()
+        if cache is not None:
+            for index in pending:
+                cache.put(EXPERIMENTS[index].__name__, results[index].to_jsonable())
     return [results[i] for i in range(len(EXPERIMENTS))]
 
 
@@ -162,10 +126,7 @@ the test suite.
 """
 
 
-def render_markdown(
-    results: list[FigureResult],
-    parallel: dict | None = None,
-) -> str:
+def render_markdown(results: list[FigureResult]) -> str:
     from repro.analysis.scorecard import score_figures
 
     card = score_figures(results)
@@ -202,68 +163,7 @@ def render_markdown(
             lines.append("")
         if result.notes:
             lines.append("*Note: %s*\n" % result.notes)
-    parallel = parallel if parallel is not None else load_parallel_baseline()
-    if parallel:
-        lines.append(_render_parallel_perf_section(parallel))
     return "\n".join(lines) + "\n"
-
-
-#: Where the parallel shard benchmark records its multicore numbers.
-PARALLEL_BASELINE_PATH = (
-    Path(__file__).resolve().parents[3]
-    / "benchmarks"
-    / "BENCH_parallel_batch.json"
-)
-
-
-def load_parallel_baseline(path: str | Path | None = None) -> dict | None:
-    """The committed parallel-shard benchmark record, if present."""
-    target = Path(path) if path is not None else PARALLEL_BASELINE_PATH
-    try:
-        with open(target) as f:
-            return json.load(f)
-    except (OSError, ValueError):
-        return None
-
-
-def _render_parallel_perf_section(record: dict) -> str:
-    lines = ["## Performance — multicore sharded sweeps\n"]
-    lines.append(
-        "Recorded by `benchmarks/bench_parallel_batch.py` (re-run it to "
-        "refresh `benchmarks/BENCH_parallel_batch.json`).  Baseline is "
-        "the single-process config-batched sweep; the parallel "
-        "path shards the geometry grid across `jobs=%d` worker "
-        "processes that each memory-map the same on-disk trace artifact "
-        "(nothing is pickled).  Both paths are verified bit-identical "
-        "on every benchmark run before timing.  Speedup scales with "
-        "cores: this record was measured on a %d-core host, so treat "
-        "it as the floor, not the ceiling — the pytest gate asserts "
-        ">=3x geomean on 4+-core machines.\n"
-        % (record.get("jobs", 0), record.get("cpu_count", 0))
-    )
-    lines.append(
-        "| sweep | configs | accesses | 1-process (s) | "
-        "jobs=%d (s) | speedup |" % record.get("jobs", 0)
-    )
-    lines.append("|---|---|---|---|---|---|")
-    for row in record.get("sweeps", []):
-        lines.append(
-            "| %s | %d | %d | %.3f | %.3f | %.1fx |"
-            % (
-                row["name"],
-                row["configs"],
-                row["accesses"],
-                row["baseline_s"],
-                row["parallel_s"],
-                row["speedup"],
-            )
-        )
-    lines.append("")
-    lines.append(
-        "Geomean multicore sweep speedup on this host: **%.1fx**.\n"
-        % record.get("headline_speedup", 0.0)
-    )
-    return "\n".join(lines)
 
 
 def _fmt(value) -> str:
@@ -275,11 +175,9 @@ def _fmt(value) -> str:
 
 
 def write_experiments_md(
-    path: str = "EXPERIMENTS.md",
-    jobs: int = 1,
-    cache: MemoCache | None = None,
+    path: str = "EXPERIMENTS.md", cache: MemoCache | None = None
 ) -> str:
-    content = render_markdown(all_results(jobs=jobs, cache=cache))
+    content = render_markdown(all_results(cache=cache))
     with open(path, "w") as f:
         f.write(content)
     return path

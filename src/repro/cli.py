@@ -1,10 +1,10 @@
 """Command-line interface.
 
     python -m repro figures [--figure "Figure 18"] [--write PATH] [--chart]
-                            [--jobs N] [--no-cache]
+                            [--no-cache]
                             [--manifest DIR] [--trace-out PATH] [--strict]
     python -m repro export [--dir figures_data]
-    python -m repro evaluate [--workload chrome|tensorflow|vp9|all] [--jobs N]
+    python -m repro evaluate [--workload chrome|tensorflow|vp9|all]
                              [--manifest DIR] [--trace-out PATH] [--strict]
     python -m repro cachesweep [--workload NAME|all] [--trace-dir DIR]
                                [--jobs N] [--no-cache]
@@ -75,11 +75,6 @@ def _add_obs_flags(parser) -> None:
     )
 
 
-def _check_jobs(args) -> None:
-    if args.jobs < 1:
-        raise ValueError("--jobs must be >= 1, got %d" % args.jobs)
-
-
 @contextlib.contextmanager
 def _memo_cache(args):
     """The memo cache the cache flags ask for (or None with --no-cache),
@@ -99,9 +94,8 @@ def _memo_cache(args):
 def _cmd_figures(args) -> int:
     from repro.analysis.report import all_results, render_markdown
 
-    _check_jobs(args)
     with _memo_cache(args) as cache, _obs_session(args) as recorder:
-        results = all_results(jobs=args.jobs, cache=cache)
+        results = all_results(cache=cache)
         if args.write:
             with open(args.write, "w") as f:
                 f.write(render_markdown(results))
@@ -150,7 +144,6 @@ def _cmd_export(args) -> int:
 def _cmd_evaluate(args) -> int:
     from repro.core.runner import ExperimentRunner
 
-    _check_jobs(args)
     targets = []
     if args.workload in ("chrome", "all"):
         from repro.workloads.chrome.targets import browser_pim_targets
@@ -165,7 +158,7 @@ def _cmd_evaluate(args) -> int:
 
         targets += video_pim_targets()
     with _obs_session(args) as recorder:
-        result = ExperimentRunner().evaluate(targets, jobs=args.jobs)
+        result = ExperimentRunner().evaluate(targets)
         print(
             "%-26s %8s %8s %9s %9s" % ("kernel", "E core", "E acc", "S core", "S acc")
         )
@@ -213,7 +206,8 @@ def _cmd_cachesweep(args) -> int:
     from repro.analysis.cachesweep import sweep_all, workload_names
     from repro.sim.artifact import TraceStore
 
-    _check_jobs(args)
+    if args.jobs < 1:
+        raise ValueError("--jobs must be >= 1, got %d" % args.jobs)
     if args.workload == "all":
         names = workload_names()
     elif args.workload in workload_names():
@@ -225,8 +219,6 @@ def _cmd_cachesweep(args) -> int:
         )
     store = TraceStore(args.trace_dir) if args.trace_dir else TraceStore()
     with _memo_cache(args) as cache, _obs_session(args) as recorder:
-        # --jobs fans out across workloads (several names) or across
-        # shards of one workload's batch plan (a single name).
         documents = sweep_all(names, store=store, cache=cache, jobs=args.jobs)
         for name, document in documents.items():
             print(
@@ -418,10 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chart", action="store_true", help="render rows as ASCII bars"
     )
     figures.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="regenerate figures with N worker processes",
-    )
-    figures.add_argument(
         "--no-cache", action="store_true",
         help="bypass the on-disk figure memo cache",
     )
@@ -435,10 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser("evaluate", help="evaluate PIM targets")
     evaluate.add_argument(
         "--workload", default="all", choices=["chrome", "tensorflow", "vp9", "all"]
-    )
-    evaluate.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="evaluate targets with N worker processes",
     )
     _add_obs_flags(evaluate)
     evaluate.set_defaults(fn=_cmd_evaluate)
@@ -458,9 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cachesweep.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes: shards of one workload's batched plan, "
-        "or whole workloads (--workload all); each worker memory-maps "
-        "the shared artifact — results are bit-identical to --jobs 1",
+        help="worker processes for the shards of each workload's "
+        "batched plan; each worker memory-maps the shared artifact — "
+        "results are bit-identical to --jobs 1",
     )
     cachesweep.add_argument(
         "--no-cache", action="store_true",

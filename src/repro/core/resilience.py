@@ -1,4 +1,4 @@
-"""The process-pool map under the sweeps that fan out.
+"""The process-pool map under the sharded cache-geometry sweep.
 
 :class:`ResilientMap` maps a function over items and returns one value
 per item, in input order: in-process when ``jobs`` is 1 (or there is

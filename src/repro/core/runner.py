@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro._sum import left_sum
 from repro.config import SystemConfig
@@ -107,57 +106,6 @@ class SweepResult:
         return out
 
 
-#: Per-process engine for parallel sweeps (set by the pool initializer).
-_WORKER_ENGINE: OffloadEngine | None = None
-
-
-def _install_worker_fault_handlers() -> None:
-    """Turn hard crashes in a pool worker (segfaults, aborts) into
-    stderr tracebacks, so a dead worker leaves evidence of where it was."""
-    import faulthandler
-
-    try:
-        faulthandler.enable()
-    except (RuntimeError, OSError):
-        pass
-
-
-def _init_worker(system, energy_params, observe: bool = False) -> None:
-    global _WORKER_ENGINE
-    _install_worker_fault_handlers()
-    try:
-        _WORKER_ENGINE = OffloadEngine(system, energy_params)
-    except BaseException as exc:
-        # An initializer failure normally surfaces in the parent as an
-        # opaque BrokenProcessPool; leave a one-line cause on stderr.
-        print(
-            "repro: pool worker initializer failed: %r" % exc,
-            file=sys.stderr,
-            flush=True,
-        )
-        raise
-    if observe:
-        # A recorder cannot cross the process boundary (it holds locks),
-        # so each worker records into its own and ships snapshots back.
-        from repro.obs.recorder import Recorder, set_recorder
-
-        set_recorder(Recorder())
-
-
-def _compare_in_worker(target: PimTarget) -> "TargetComparison":
-    return _WORKER_ENGINE.compare(target)
-
-
-def _compare_in_worker_observed(target: PimTarget):
-    """Worker task when observability is on: (comparison, obs snapshot)."""
-    recorder = get_recorder()
-    recorder.reset()
-    with recorder.span("core.runner.target.%s" % target.name):
-        comparison = _WORKER_ENGINE.compare(target)
-    _publish_comparison(recorder, comparison)
-    return comparison, recorder.snapshot()
-
-
 def _publish_comparison(recorder, comparison: TargetComparison) -> None:
     """Export one target's results as per-target gauges.
 
@@ -185,76 +133,23 @@ class ExperimentRunner:
         system: SystemConfig | None = None,
         energy_params: EnergyParameters | None = None,
     ):
-        self.system = system
-        self.energy_params = energy_params
         self.engine = OffloadEngine(system, energy_params)
 
-    def evaluate(self, targets: list[PimTarget], jobs: int = 1) -> SweepResult:
-        """Compare every target on all machines.
-
-        Args:
-            targets: the PIM targets to evaluate.
-            jobs: worker processes; ``1`` evaluates in-process.  Each
-                worker builds one engine (via the pool initializer) and
-                streams targets through it, so results are identical to
-                the serial path, in input order.
+    def evaluate(self, targets: list[PimTarget]) -> SweepResult:
+        """Compare every target on all machines, in input order.
 
         A target that raises fails the sweep with its own exception.
         """
         recorder = get_recorder()
+        comparisons = []
         with recorder.span("core.runner.evaluate"):
-            if jobs > 1 and len(targets) > 1:
-                comparisons = self._evaluate_parallel(targets, jobs, recorder)
-            else:
-                comparisons = self._evaluate_in_process(targets, recorder)
+            for target in targets:
+                with recorder.span("core.runner.target.%s" % target.name):
+                    comparison = self.engine.compare(target)
+                if recorder.enabled:
+                    _publish_comparison(recorder, comparison)
+                comparisons.append(comparison)
         return SweepResult(comparisons=comparisons)
-
-    # ------------------------------------------------------------------
-    def _evaluate_in_process(self, targets, recorder) -> list[TargetComparison]:
-        comparisons = []
-        for target in targets:
-            with recorder.span("core.runner.target.%s" % target.name):
-                comparison = self.engine.compare(target)
-            if recorder.enabled:
-                _publish_comparison(recorder, comparison)
-            comparisons.append(comparison)
-        return comparisons
-
-    def _evaluate_parallel(self, targets, jobs, recorder) -> list[TargetComparison]:
-        self._check_config_ships(recorder)
-        values = ResilientMap(
-            _compare_in_worker_observed if recorder.enabled else _compare_in_worker,
-            targets,
-            jobs=jobs,
-            initializer=_init_worker,
-            initargs=(self.system, self.energy_params, recorder.enabled),
-        ).run()
-        if not recorder.enabled:
-            return values
-        # Merge worker snapshots in input order, so additive sums stay
-        # deterministic.
-        comparisons = []
-        for comparison, snapshot in values:
-            recorder.merge_snapshot(snapshot)
-            comparisons.append(comparison)
-        return comparisons
-
-    def _check_config_ships(self, recorder) -> None:
-        """Fail fast, with a cause, when the config cannot reach workers.
-
-        Without this, a config that does not pickle cleanly dies inside
-        the pool initializer and surfaces only as an opaque
-        ``BrokenProcessPool``.
-        """
-        import pickle
-
-        try:
-            pickle.dumps((self.system, self.energy_params, recorder.enabled))
-        except Exception as exc:
-            raise ValueError(
-                "configuration cannot be shipped to pool workers "
-                "(must pickle cleanly): %r" % exc
-            ) from exc
 
 
 def _mean(values: list[float]) -> float:
@@ -280,10 +175,16 @@ def _init_shard_worker(
     observe: bool = False,
 ):
     global _SHARD_EVALUATOR
-    _install_worker_fault_handlers()
+    import faulthandler
+
     from repro.sim.artifact import TraceArtifact
     from repro.sim.batch import ShardEvaluator
 
+    try:
+        # A hard crash (segfault, abort) leaves a traceback on stderr.
+        faulthandler.enable()
+    except (RuntimeError, OSError):
+        pass
     try:
         # Zero-copy trace sharing: the worker opens the artifact by path
         # *and* content hash — no trace bytes cross the pool boundary,
@@ -380,9 +281,9 @@ class ConfigSweep:
     on-disk artifact by path + content hash (memory-mapped — the trace
     is never pickled) and evaluates its shard through the same
     per-config finish helpers, so parallel rows are bit-identical to
-    the single-process batch.  An in-memory artifact is auto-saved to
-    ``trace_dir`` first.  A geometry, shard or worker that fails fails
-    the sweep.
+    the single-process batch.  So a sharded sweep needs a saved artifact
+    (:meth:`~repro.sim.artifact.TraceStore.get_or_build` always saves).
+    A geometry, shard or worker that fails fails the sweep.
     """
 
     def __init__(
@@ -390,14 +291,12 @@ class ConfigSweep:
         artifact,
         timing_params=None,
         instructions_per_access: float = 2.0,
-        trace_dir=None,
     ):
         from repro.sim.timing import TimingParameters
 
         self.artifact = artifact
         self.timing_params = timing_params or TimingParameters()
         self.instructions_per_access = instructions_per_access
-        self.trace_dir = trace_dir
 
     def evaluate(self, socs, jobs: int = 1) -> list[dict]:
         """Rows for every geometry, in input order."""
@@ -451,7 +350,12 @@ class ConfigSweep:
         """
         from repro.sim.batch import plan_shards, publish_sweep_plan
 
-        path = self._ensure_artifact_path()
+        path = self.artifact.path
+        if path is None:
+            raise ValueError(
+                "a sharded sweep needs a saved trace artifact: workers "
+                "open it by path (save it first, or use jobs=1)"
+            )
         items = [(i, label, soc) for i, (label, soc) in enumerate(pending)]
         shards = plan_shards(items, jobs)
         observe = recorder.enabled
@@ -483,32 +387,3 @@ class ConfigSweep:
             recorder.counters.add("core.runner.shards", len(shards))
             recorder.counters.max("core.runner.pool_workers", jobs_used)
         return rows
-
-    def _ensure_artifact_path(self) -> Path:
-        """The artifact's on-disk path, auto-saving an in-memory one.
-
-        Pool workers open the trace by path + content hash instead of
-        pickling columns, so a sharded sweep needs a file.  An artifact
-        built in memory is saved once into ``trace_dir`` (default: the
-        cache's trace directory), counted as ``sim.artifact.autosaves``
-        — parallel sweeps never silently degrade to single-process.
-        """
-        if self.artifact.path is not None:
-            return self.artifact.path
-        from repro.core.memo import default_cache_dir
-
-        directory = (
-            Path(self.trace_dir)
-            if self.trace_dir is not None
-            else default_cache_dir() / "traces"
-        )
-        safe = "".join(
-            c if (c.isalnum() or c in "-_.") else "_"
-            for c in (self.artifact.workload or "trace")
-        )
-        path = directory / (
-            "auto-%s-%s.trace" % (safe, self.artifact.content_hash[:16])
-        )
-        self.artifact.save(path)
-        get_recorder().counters.add("sim.artifact.autosaves", 1)
-        return path

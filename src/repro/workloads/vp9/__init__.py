@@ -60,12 +60,6 @@ _EXPORTS = {
         "CodecTraffic",
         "PimPlacement",
     ),
-    ".framecompress": (
-        "CompressedFrame",
-        "compress_frame",
-        "decompress_frame",
-        "measure_compression_factor",
-    ),
     ".targets": ("video_pim_targets",),
 }
 

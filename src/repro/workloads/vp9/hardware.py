@@ -15,8 +15,9 @@ paper's three configurations:
   traffic.
 
 Each configuration can additionally enable lossless frame compression,
-which shrinks reference/reconstructed-frame traffic by ~40% at the cost
-of small compression-metadata streams.
+which scales the pixel streams by a per-codec factor (0.62 for the
+decoder, paper Figure 12; 0.40 for the encoder, paper Section 7.3.1)
+at the cost of small compression-metadata streams.
 """
 
 from __future__ import annotations
@@ -31,12 +32,6 @@ MB = 1024 * 1024
 
 #: 4:2:0 chroma adds half the luma bytes again.
 YUV_FACTOR = 1.5
-#: Lossless frame compression keeps ~60% of a frame's raw bytes (the
-#: factor measured by repro.workloads.vp9.framecompress on codec-like
-#: content).  Per-codec traffic factors below refine this: the encoder's
-#: reference *traffic* shrinks more (paper: -59.7%) because compression
-#: also removes redundant re-fetches across overlapping search windows.
-FRAME_COMPRESSION_FACTOR = 0.6
 
 
 class PimPlacement(str, enum.Enum):
@@ -89,8 +84,9 @@ class _HardwareCodecModel:
     #: compression and absorbed by PIM placement.
     PIXEL_COMPONENTS: dict = {}
     CONTROL_COMPONENTS: dict = {}
-    #: Pixel-traffic multiplier under lossless frame compression.
-    COMPRESSION_FACTOR = FRAME_COMPRESSION_FACTOR
+    #: Pixel-traffic multiplier under lossless frame compression, set
+    #: by subclasses from the paper's per-codec traffic reductions.
+    COMPRESSION_FACTOR: float
     #: Hardware computation energy per YUV byte processed: the RTL
     #: datapath plus the large on-SoC SRAM reference buffers (875 kB in
     #: the decoder, Section 6.3.1).

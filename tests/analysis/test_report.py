@@ -130,7 +130,7 @@ class TestRenderedColumns:
 class TestCommittedExperiments:
     def test_regenerates_byte_for_byte(self, tmp_path):
         """The committed EXPERIMENTS.md is exactly what the generator
-        writes from a cold cache and the committed benchmark records."""
+        writes from a cold cache."""
         path = tmp_path / "EXPERIMENTS.md"
         write_experiments_md(str(path), cache=MemoCache(tmp_path / "fresh-cache"))
         generated = path.read_bytes().decode().split("\n")
@@ -166,15 +166,20 @@ class TestCachedParallelResults:
         # no model work at all, so in practice it is ~1%.
         assert warm_s < 0.25 * cold_s
 
-    def test_parallel_results_match_serial(self, tmp_path):
-        from repro.analysis.report import EXPERIMENTS, all_results
+    def test_parallel_jobs_rejected(self, monkeypatch):
+        """Figures regenerate in one process: ``jobs`` other than 1 is a
+        ``ValueError`` before any experiment runs, never a quiet serial
+        run."""
+        import repro.analysis.report as report
 
-        serial = all_results()
-        parallel = all_results(jobs=2)
-        assert len(serial) == len(EXPERIMENTS)
-        assert [r.to_jsonable() for r in parallel] == [
-            r.to_jsonable() for r in serial
-        ]
+        def experiment():
+            raise AssertionError("an experiment ran")
+
+        monkeypatch.setattr(report, "EXPERIMENTS", (experiment,))
+        with recording() as rec:
+            with pytest.raises(ValueError, match="jobs must be 1, got 2"):
+                report.all_results(jobs=2)
+        assert rec.spans == []
 
 
 class TestRunScope:

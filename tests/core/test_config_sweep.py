@@ -70,21 +70,20 @@ class TestConfigSweep:
             soc_cache_label(s) for s in socs
         ]
 
-    def test_parallel_autosaves_in_memory_artifact(self, tmp_path):
-        """An in-memory artifact no longer blocks ``jobs > 1`` — the sweep
-        saves it into ``trace_dir`` so shard workers can memory-map it,
-        and the rows stay identical to a single-process run."""
+    def test_parallel_needs_a_saved_artifact(self, monkeypatch):
+        """Shard workers open the trace by path, so ``jobs > 1`` over an
+        in-memory artifact is a ``ValueError`` raised before any pool
+        starts, and nothing is saved behind the caller's back."""
+        import repro.core.runner as runner
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(runner, "ResilientMap", no_pool)
         artifact = make_artifact()  # never saved
-        socs = small_grid()
-        expected = ConfigSweep(make_artifact()).evaluate(socs)
-        with recording() as obs:
-            rows = ConfigSweep(artifact, trace_dir=tmp_path).evaluate(
-                socs, jobs=2
-            )
-        assert rows == expected
-        assert artifact.path is not None
-        assert artifact.path.parent == tmp_path
-        assert obs.counters.as_dict()["sim.artifact.autosaves"] == 1
+        with pytest.raises(ValueError, match="saved trace artifact"):
+            ConfigSweep(artifact).evaluate(small_grid(), jobs=2)
+        assert artifact.path is None
 
     def test_duplicate_geometries_rejected(self):
         artifact = make_artifact()

@@ -7,8 +7,8 @@ single-process batched engine, and both must equal the serial oracles
 (``tests/sim/oracle.py``).  A shard worker that dies fails the sweep.
 
 Pool-spinning tests are kept to a minimum (one happy path, one killed
-worker, one workload fan-out) because process pools dominate test wall
-time; the bit-identity property itself is exercised in-process via
+worker, one multi-workload sweep) because process pools dominate test
+wall time; the bit-identity property itself is exercised in-process via
 :class:`ShardEvaluator`, which is exactly what the workers run.
 """
 
@@ -268,62 +268,11 @@ class TestParallelConfigSweep:
         assert obs.counters.get("core.memo.misses") == 1
 
 
-class TestInnerJobsAllocation:
-    """``--workload all --jobs N`` must not idle surplus cores."""
-
-    def test_surplus_jobs_spread_deterministically(self):
-        from repro.analysis.cachesweep import plan_inner_jobs
-
-        assert plan_inner_jobs(8, 3) == [3, 3, 2]
-        assert plan_inner_jobs(9, 3) == [3, 3, 3]
-        assert plan_inner_jobs(3, 3) == [1, 1, 1]
-        assert plan_inner_jobs(2, 4) == [1, 1, 1, 1]
-        assert plan_inner_jobs(1, 1) == [1]
-        assert plan_inner_jobs(7, 2) == [4, 3]
-
-    def test_budget_is_used_never_exceeded_by_more_than_rounding(self):
-        from repro.analysis.cachesweep import plan_inner_jobs
-
-        for jobs in range(1, 33):
-            for n in range(1, 9):
-                plan = plan_inner_jobs(jobs, n)
-                assert len(plan) == n
-                assert all(inner >= 1 for inner in plan)
-                assert sum(plan) == max(jobs, n)
-                # Deterministic remainder spread: non-increasing by index.
-                assert plan == sorted(plan, reverse=True)
-
-    def test_fanout_jobs_carry_allocation_to_workers(self, monkeypatch):
-        """The dispatched job tuples carry the per-workload inner-jobs
-        split, so surplus jobs reach each workload's sharded engine."""
-        import repro.core.resilience as resilience
-        from repro.analysis.cachesweep import sweep_all
-
-        captured = {}
-
-        class _CaptureMap:
-            def __init__(self, fn, items, jobs=1, initializer=None, initargs=()):
-                captured["items"] = list(items)
-                captured["jobs"] = jobs
-
-            def run(self):
-                return [{"workload": name} for name, _ in captured["items"]]
-
-        monkeypatch.setattr(resilience, "ResilientMap", _CaptureMap)
-        workloads = [
-            "tensorflow.gemm_packed",
-            "tensorflow.gemm_unpacked",
-            "chrome.compositing_tiled",
-        ]
-        documents = sweep_all(workloads=workloads, socs=_GRID[:1], jobs=8)
-        assert captured["jobs"] == 3  # outer fan-out: one per workload
-        assert [item[1] for item in captured["items"]] == [3, 3, 2]
-        assert [item[0] for item in captured["items"]] == workloads
-        assert list(documents) == workloads
-
-
 class TestSweepAllFanout:
     def test_parallel_workloads_match_serial(self, tmp_path):
+        """Several workloads with ``jobs=2`` run one after another, each
+        sharding its own geometries over a pool; rows match a serial
+        sweep."""
         from repro.analysis.cachesweep import sweep_all
         from repro.sim.artifact import TraceStore
 
@@ -343,6 +292,5 @@ class TestSweepAllFanout:
             assert parallel[name]["rows"] == serial[name]["rows"]
             assert parallel[name]["artifact"] == serial[name]["artifact"]
         counters = obs.counters.as_dict()
-        assert counters["analysis.cachesweep.parallel_workloads"] == len(
-            workloads
-        )
+        assert counters["core.runner.parallel_batches"] == len(workloads)
+        assert counters["core.runner.pool_workers"] == 2

@@ -2,9 +2,10 @@
 
 :class:`repro.core.resilience.ResilientMap` runs a sweep in-process or
 on one process pool and re-raises the first failure; nothing is
-retried, quarantined or averaged over survivors.  Pool workers leave
-diagnosable evidence when they die, and the memo cache's segment store
-detects corruption and stays safe under concurrent writers.
+retried, quarantined or averaged over survivors.  Its one pool, the
+sharded cache-geometry sweep's, leaves diagnosable evidence when a
+worker dies, and the memo cache's segment store detects corruption and
+stays safe under concurrent writers.
 """
 
 import hashlib
@@ -16,15 +17,20 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import repro.core.runner as runner
 from repro.core.memo import MemoCache
 from repro.core.offload import OffloadEngine
 from repro.core.resilience import ResilientMap
-from repro.core.runner import ExperimentRunner, SweepResult, _init_worker
+from repro.core.runner import ExperimentRunner, SweepResult
 from repro.core.target import PimTarget
 from repro.obs.recorder import recording
+from repro.sim.artifact import ArtifactError, TraceArtifact
 from repro.sim.profile import KernelProfile
+from repro.sim.timing import TimingParameters
+from repro.sim.trace import MemoryTrace
 
 MB = 1024 * 1024
 
@@ -106,33 +112,49 @@ def _probe_handlers(_):
     return faulthandler.is_enabled(), custom
 
 
+def _init_shard_worker_unarmed(*initargs):
+    """The shard initializer in a worker that starts with faulthandler
+    off, so the probe sees what the initializer armed, not what a fork
+    inherited from the test process."""
+    import faulthandler
+
+    faulthandler.disable()
+    runner._init_shard_worker(*initargs)
+
+
 class TestWorkerDiagnostics:
-    def test_pool_workers_install_fault_handlers(self):
+    def test_pool_workers_install_fault_handlers(self, tmp_path):
+        trace = MemoryTrace(
+            addresses=np.arange(0, 64 * 64, 64, dtype=np.uint64),
+            is_write=np.zeros(64, dtype=bool),
+        )
+        artifact = TraceArtifact.from_trace(trace, workload="unit")
+        artifact.save(tmp_path / "unit.trace")
+        initargs = (
+            str(artifact.path), artifact.content_hash, TimingParameters(), 2.0
+        )
         with ProcessPoolExecutor(
-            max_workers=1, initializer=_init_worker, initargs=(None, None)
+            max_workers=1,
+            initializer=_init_shard_worker_unarmed,
+            initargs=initargs,
         ) as pool:
             enabled, custom = pool.submit(_probe_handlers, 0).result()
         assert enabled
         # SIGTERM keeps its default action: a terminated worker just exits.
         assert not custom
 
-    def test_initializer_failure_leaves_cause_on_stderr(self, capsys):
-        with pytest.raises(BaseException):
-            _init_worker(object(), None)
-        assert "pool worker initializer failed" in capsys.readouterr().err
-
-
-class _Unpicklable:
-    def __reduce__(self):
-        raise TypeError("deliberately unpicklable")
-
-
-class TestConfigShipping:
-    def test_unpicklable_config_fails_fast_with_cause(self):
-        runner = ExperimentRunner()
-        runner.energy_params = _Unpicklable()
-        with pytest.raises(ValueError, match="pickle cleanly"):
-            runner.evaluate(sweep_targets(), jobs=2)
+    def test_initializer_failure_leaves_cause_on_stderr(self, tmp_path, capsys):
+        with pytest.raises(ArtifactError, match="unreadable artifact"):
+            runner._init_shard_worker(
+                str(tmp_path / "missing.trace"),
+                "0" * 64,
+                TimingParameters(),
+                2.0,
+            )
+        assert (
+            "repro: shard worker initializer failed"
+            in capsys.readouterr().err
+        )
 
 
 # ----------------------------------------------------------------------

@@ -48,12 +48,6 @@ class TestRunner:
         result.comparisons.append(renamed)
         assert result.by_name("d").target.name == "d"
 
-    def test_parallel_evaluate_matches_serial(self):
-        serial = ExperimentRunner().evaluate(targets())
-        parallel = ExperimentRunner().evaluate(targets(), jobs=2)
-        assert parallel.names == serial.names
-        assert parallel.rows() == serial.rows()
-
     def test_rows_schema(self):
         rows = ExperimentRunner().evaluate(targets()).rows()
         assert len(rows) == 3

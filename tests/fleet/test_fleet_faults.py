@@ -1,9 +1,9 @@
-"""Shared-cache behaviour of the cross-workload fan-out.
+"""Shared-cache behaviour of the sharded sweep.
 
 ``run_sweep`` answers from a shared memo cache before it dispatches any
 pool job, so a second client over the same cache directory gets the
 first client's document even when every sweep path would fail.  The
-"fleet" in the names is the set of pool workers a sweep fans out to.
+"fleet" in the names is the set of pool workers a sweep shards over.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
-"""Property: a sweep fanned out over pool workers is byte-identical to a serial sweep.
+"""Property: a sweep sharded over pool workers is byte-identical to a serial sweep.
 
-``sweep_all`` is driven with ``jobs > 1`` (the "fleet" of pool workers)
-and with ``jobs=1`` over Hypothesis-drawn workload subsets, geometry
-grids and job counts, and the documents must agree byte for byte.
+``sweep_all`` is driven with ``jobs > 1`` (the "fleet" of pool workers
+each workload's geometries shard over) and with ``jobs=1`` over
+Hypothesis-drawn workload subsets, geometry grids and job counts, and
+the documents must agree byte for byte.
 """
 
 from __future__ import annotations

@@ -140,38 +140,6 @@ class TestManifestBasics:
             assert isinstance(span["name"], str)
 
 
-class TestProcessAggregation:
-    def test_parallel_evaluate_merges_child_counters(self):
-        targets = browser_pim_targets()
-        with recording() as rec:
-            ExperimentRunner().evaluate(targets, jobs=2)
-        counters = rec.counters.as_dict()
-        assert counters["core.runner.targets"] == len(targets)
-        for target in targets:
-            key = "core.runner.target.%s.energy_j.pim_acc" % target.name
-            assert counters[key] > 0
-        # Worker spans came home too: one per-target span per target.
-        names = [s.name for s in rec.spans]
-        for target in targets:
-            assert "core.runner.target.%s" % target.name in names
-
-    def test_parallel_gauges_match_serial(self):
-        targets = browser_pim_targets()
-        with recording() as rec_serial:
-            ExperimentRunner().evaluate(targets)
-        with recording() as rec_parallel:
-            ExperimentRunner().evaluate(targets, jobs=2)
-        serial = rec_serial.counters.as_dict()
-        parallel = rec_parallel.counters.as_dict()
-        assert set(serial) == set(parallel)
-        # Gauges (per-target results) are order-independent and must be
-        # bit-identical; additive float sums may differ in merge order.
-        for name, value in serial.items():
-            if ".target." in name:
-                assert parallel[name] == value, name
-        assert parallel["core.runner.targets"] == serial["core.runner.targets"]
-
-
 class TestHeadlineRederivation:
     def test_headline_rederives_from_counters_alone(self):
         """The acceptance check: a manifest's counters alone reproduce the

@@ -37,6 +37,17 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: %s" % flag[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["figures", "evaluate"])
+    def test_jobs_flag_is_gone(self, command, capsys):
+        """Figures and targets run in one process, so ``--jobs`` is no
+        flag of theirs: argparse exits 2 before anything runs."""
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--jobs", "2"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --jobs 2" in captured.err
+
     @pytest.mark.parametrize("flag", ["--batch", "--no-batch"])
     def test_engine_flags_are_gone(self, flag, tmp_path, capsys):
         """The batched engine is the only one, so nothing selects it."""
@@ -152,14 +163,6 @@ class TestCommands:
         assert main(args) == 0
         assert len(opened) == 1 and closed == opened
 
-    def test_figures_parallel(self, capsys):
-        assert main(["figures", "--figure", "Table 1", "--jobs", "2", "--no-cache"]) == 0
-        assert "Table 1" in capsys.readouterr().out
-
-    def test_evaluate_parallel(self, capsys):
-        assert main(["evaluate", "--workload", "chrome", "--jobs", "2"]) == 0
-        assert "texture_tiling" in capsys.readouterr().out
-
     def test_cachesweep_batched_and_serial_agree(self, tmp_path, capsys):
         store = str(tmp_path / "traces")
         args = ["cachesweep", "--workload", "tensorflow.gemm_packed",
@@ -173,16 +176,13 @@ class TestCommands:
     @pytest.mark.parametrize(
         "args",
         [
-            ["figures", "--figure", "Table 1", "--no-cache", "--jobs", "0"],
-            ["evaluate", "--workload", "chrome", "--jobs", "-1"],
             ["cachesweep", "--workload", "tensorflow.gemm_packed",
              "--no-cache", "--jobs", "0"],
         ],
-        ids=["figures", "evaluate", "cachesweep"],
+        ids=["cachesweep"],
     )
     def test_jobs_below_one_rejected(self, args, tmp_path, capsys):
-        if args[0] == "cachesweep":
-            args = args + ["--trace-dir", str(tmp_path / "traces")]
+        args = args + ["--trace-dir", str(tmp_path / "traces")]
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -216,9 +216,10 @@ class TestCommands:
         assert captured.err == "error: --max-age-days must be >= 0, got -1\n"
         assert victim.exists()
 
-    def test_cachesweep_parallel_rows_identical(self, tmp_path, capsys):
+    @pytest.mark.parametrize("workload", ["tensorflow.gemm_packed", "all"])
+    def test_cachesweep_parallel_rows_identical(self, workload, tmp_path, capsys):
         store = str(tmp_path / "traces")
-        args = ["cachesweep", "--workload", "tensorflow.gemm_packed",
+        args = ["cachesweep", "--workload", workload,
                 "--trace-dir", store, "--no-cache"]
         assert main(args) == 0
         serial = capsys.readouterr().out
@@ -337,14 +338,17 @@ class TestObservabilityFlags:
         )
         assert sorted(derived["targets"]) == sorted(results["targets"])
 
-    def test_evaluate_parallel_manifest_merges_workers(self, tmp_path):
+    def test_cachesweep_parallel_manifest_merges_workers(self, tmp_path):
         out_dir = tmp_path / "out"
         assert (
             main(
                 [
-                    "evaluate",
+                    "cachesweep",
                     "--workload",
-                    "chrome",
+                    "tensorflow.gemm_packed",
+                    "--trace-dir",
+                    str(tmp_path / "traces"),
+                    "--no-cache",
                     "--jobs",
                     "2",
                     "--manifest",
@@ -354,10 +358,13 @@ class TestObservabilityFlags:
             == 0
         )
         manifest = load_manifest(out_dir)
-        assert manifest["counters"]["core.runner.targets"] == 4
-        # Per-target spans recorded in worker processes came home.
+        assert manifest["counters"]["core.runner.parallel_batches"] == 1
+        shards = manifest["counters"]["core.runner.shards"]
+        assert shards >= 2
+        # Per-shard spans recorded in worker processes came home.
         names = [s["name"] for s in manifest["spans"]]
-        assert "core.runner.target.color_blitting" in names
+        for k in range(shards):
+            assert "core.runner.shard.shard-%d" % k in names
 
     def test_figures_manifest(self, tmp_path):
         out_dir = tmp_path / "out"

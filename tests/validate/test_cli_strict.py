@@ -66,7 +66,7 @@ class TestStrictFlag:
                 return []
 
         class StubRunner:
-            def evaluate(self, targets, jobs=1, **kwargs):
+            def evaluate(self, targets):
                 seen["strict"] = strict_enabled()
                 return StubResult()
 

@@ -1,9 +1,9 @@
 """Fuzz/robustness properties: decoders must never crash on garbage.
 
 Every parser in the codebase that consumes untrusted bytes -- the VP9
-frame decoder, the LZO decompressor, the frame decompressor, the range
-decoder -- must either decode *something* or raise ValueError.  No
-IndexError, OverflowError, or infinite loop.
+frame decoder, the LZO decompressor, the range decoder -- must either
+decode *something* or raise ValueError.  No IndexError, OverflowError,
+or infinite loop.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from repro.workloads.chrome.lzo import decompress as lzo_decompress
 from repro.workloads.vp9.decoder import Vp9Decoder
 from repro.workloads.vp9.encoder import EncodedFrame, encode_video
 from repro.workloads.vp9.entropy import RangeDecoder, RangeEncoder
-from repro.workloads.vp9.framecompress import CompressedFrame, decompress_frame
 from repro.workloads.vp9.video import synthetic_video
 
 garbage = st.binary(min_size=0, max_size=512)
@@ -29,16 +28,6 @@ class TestLzoFuzz:
             assert stats.output_bytes == len(restored)
         except ValueError:
             pass
-
-
-class TestFrameCompressFuzz:
-    @settings(max_examples=25)
-    @given(data=st.binary(min_size=0, max_size=2048))
-    def test_decompress_frame_never_crashes(self, data):
-        # Structure is deterministic: random bits decode to *some* frame
-        # (the bit reader zero-extends past the end).
-        frame = decompress_frame(CompressedFrame(data=data, width=32, height=32))
-        assert frame.pixels.shape == (32, 32)
 
 
 class TestRangeDecoderFuzz:
